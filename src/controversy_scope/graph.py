@@ -14,6 +14,8 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .ingest import InteractionRecord
 
 
@@ -66,6 +68,27 @@ class EndorsementGraph:
             if u in keep and v in keep
         }
         return EndorsementGraph(frozenset(keep & self.nodes), edges)
+
+
+def sorted_csr(g: EndorsementGraph) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetric CSR view of g over its nodes in sorted-id order.
+
+    Returns (nodes, indptr, indices, weights): index i stands for nodes[i],
+    and row i lists each neighbor once, in ascending index order, with the
+    edge weight.
+    """
+    nodes = sorted(g.nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    m = len(g.edges)
+    ends = np.fromiter((index[x] for pair in g.edges for x in pair), dtype=np.int64,
+                       count=2 * m).reshape(m, 2)
+    weights = np.fromiter(g.edges.values(), dtype=np.int64, count=m)
+    rows = np.concatenate((ends[:, 0], ends[:, 1]))
+    cols = np.concatenate((ends[:, 1], ends[:, 0]))
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(nodes)), out=indptr[1:])
+    return nodes, indptr, cols[order], np.concatenate((weights, weights))[order]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import EndorsementGraph, is_connected
+from .graph import EndorsementGraph, is_connected, sorted_csr
 
 SIDE_X = "X"
 SIDE_Y = "Y"
@@ -105,7 +105,7 @@ def max_side_nodes(n: int, eps: float) -> int:
 
 
 class _IndexGraph:
-    __slots__ = ("n", "xadj", "adjncy", "adjwgt", "vwgt")
+    __slots__ = ("n", "xadj", "adjncy", "adjwgt", "vwgt", "rows")
 
     def __init__(self, n, xadj, adjncy, adjwgt, vwgt):
         self.n = n
@@ -113,32 +113,22 @@ class _IndexGraph:
         self.adjncy = adjncy
         self.adjwgt = adjwgt
         self.vwgt = vwgt
+        # rows[idx] is the vertex whose adjacency holds entry idx
+        self.rows = np.repeat(np.arange(n), np.diff(xadj))
+
+    def as_lists(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """xadj, adjncy, adjwgt and vwgt as plain lists, for per-entry loops.
+
+        Indexing a list is much cheaper than indexing a NumPy array one
+        scalar at a time.
+        """
+        return self.xadj.tolist(), self.adjncy.tolist(), self.adjwgt.tolist(), self.vwgt.tolist()
 
 
-def _index_graph(g: EndorsementGraph, nodes: list[str]) -> _IndexGraph:
-    index = {node: i for i, node in enumerate(nodes)}
+def _index_graph(g: EndorsementGraph) -> tuple[list[str], _IndexGraph]:
+    nodes, xadj, adjncy, adjwgt = sorted_csr(g)
     n = len(nodes)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (u, v), w in g.edges.items():
-        iu, iv = index[u], index[v]
-        adj[iu].append((iv, w))
-        adj[iv].append((iu, w))
-    xadj = np.zeros(n + 1, dtype=np.int64)
-    adjncy: list[int] = []
-    adjwgt: list[int] = []
-    for i in range(n):
-        adj[i].sort()
-        for j, w in adj[i]:
-            adjncy.append(j)
-            adjwgt.append(w)
-        xadj[i + 1] = len(adjncy)
-    return _IndexGraph(
-        n,
-        xadj,
-        np.asarray(adjncy, dtype=np.int64),
-        np.asarray(adjwgt, dtype=np.int64),
-        np.ones(n, dtype=np.int64),
-    )
+    return nodes, _IndexGraph(n, xadj, adjncy, adjwgt, np.ones(n, dtype=np.int64))
 
 
 def _heavy_edge_matching(
@@ -150,55 +140,56 @@ def _heavy_edge_matching(
     group when the weight cap allows, which keeps star-like graphs (many
     leaves sharing few hubs) coarsening instead of stalling.
     """
-    order = rng.permutation(ig.n)
-    cmap = np.full(ig.n, -1, dtype=np.int64)
+    order = rng.permutation(ig.n).tolist()
+    xadj, adjncy, adjwgt, vwgt = ig.as_lists()
+    cmap = [-1] * ig.n
     n_coarse = 0
     for v in order:
         if cmap[v] >= 0:
             continue
         best = -1
         best_w = -1
-        for idx in range(ig.xadj[v], ig.xadj[v + 1]):
-            u = int(ig.adjncy[idx])
+        for idx in range(xadj[v], xadj[v + 1]):
+            u = adjncy[idx]
             if cmap[u] >= 0:
                 continue
-            if ig.vwgt[v] + ig.vwgt[u] > max_vwgt:
+            if vwgt[v] + vwgt[u] > max_vwgt:
                 continue
-            w = int(ig.adjwgt[idx])
+            w = adjwgt[idx]
             if w > best_w or (w == best_w and u < best):
                 best, best_w = u, w
         if best >= 0:
             cmap[v] = n_coarse
             cmap[best] = n_coarse
             n_coarse += 1
-    group_w = np.zeros(ig.n, dtype=np.int64)
+    group_w = [0] * ig.n
     for v in range(ig.n):
         if cmap[v] >= 0:
-            group_w[cmap[v]] += ig.vwgt[v]
+            group_w[cmap[v]] += vwgt[v]
     # parked[u] holds an unpaired vertex waiting at anchor u for a 2-hop partner
-    parked = np.full(ig.n, -1, dtype=np.int64)
+    parked = [-1] * ig.n
     for v in order:
         if cmap[v] >= 0:
             continue
         best = -1
         best_w = -1
-        for idx in range(ig.xadj[v], ig.xadj[v + 1]):
-            u = int(ig.adjncy[idx])
-            if cmap[u] < 0 or group_w[cmap[u]] + ig.vwgt[v] > max_vwgt:
+        for idx in range(xadj[v], xadj[v + 1]):
+            u = adjncy[idx]
+            if cmap[u] < 0 or group_w[cmap[u]] + vwgt[v] > max_vwgt:
                 continue
-            w = int(ig.adjwgt[idx])
+            w = adjwgt[idx]
             if w > best_w or (w == best_w and u < best):
                 best, best_w = u, w
         if best >= 0:
             cmap[v] = cmap[best]
-            group_w[cmap[v]] += ig.vwgt[v]
+            group_w[cmap[v]] += vwgt[v]
             continue
         partner = -1
         park_at = -1
-        for idx in range(ig.xadj[v], ig.xadj[v + 1]):
-            u = int(ig.adjncy[idx])
-            waiting = int(parked[u])
-            if waiting >= 0 and ig.vwgt[v] + ig.vwgt[waiting] <= max_vwgt:
+        for idx in range(xadj[v], xadj[v + 1]):
+            u = adjncy[idx]
+            waiting = parked[u]
+            if waiting >= 0 and vwgt[v] + vwgt[waiting] <= max_vwgt:
                 partner = waiting
                 parked[u] = -1
                 break
@@ -207,54 +198,30 @@ def _heavy_edge_matching(
         if partner >= 0:
             cmap[v] = n_coarse
             cmap[partner] = n_coarse
-            group_w[n_coarse] = ig.vwgt[v] + ig.vwgt[partner]
+            group_w[n_coarse] = vwgt[v] + vwgt[partner]
             n_coarse += 1
         elif park_at >= 0:
             parked[park_at] = v
     for v in order:
         if cmap[v] < 0:
             cmap[v] = n_coarse
-            group_w[n_coarse] = ig.vwgt[v]
+            group_w[n_coarse] = vwgt[v]
             n_coarse += 1
-    return cmap, n_coarse
+    return np.asarray(cmap, dtype=np.int64), n_coarse
 
 
 def _coarsen(ig: _IndexGraph, cmap: np.ndarray, n_coarse: int) -> _IndexGraph:
-    vwgt = np.zeros(n_coarse, dtype=np.int64)
-    for v in range(ig.n):
-        vwgt[cmap[v]] += ig.vwgt[v]
-    edges: dict[tuple[int, int], int] = {}
-    for v in range(ig.n):
-        cv = int(cmap[v])
-        for idx in range(ig.xadj[v], ig.xadj[v + 1]):
-            u = int(ig.adjncy[idx])
-            if u <= v:
-                continue
-            cu = int(cmap[u])
-            if cu == cv:
-                continue
-            key = (cv, cu) if cv < cu else (cu, cv)
-            edges[key] = edges.get(key, 0) + int(ig.adjwgt[idx])
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_coarse)]
-    for (a, b), w in edges.items():
-        adj[a].append((b, w))
-        adj[b].append((a, w))
+    """Contract each coarse group to one vertex, summing the weights between groups."""
+    vwgt = np.bincount(cmap, weights=ig.vwgt, minlength=n_coarse).astype(np.int64)
+    cu = cmap[ig.rows]
+    cv = cmap[ig.adjncy]
+    crossing = cu != cv
+    # both directions of every fine edge are present, so the coarse CSR is symmetric
+    keys, inverse = np.unique(cu[crossing] * n_coarse + cv[crossing], return_inverse=True)
+    adjwgt = np.bincount(inverse, weights=ig.adjwgt[crossing]).astype(np.int64)
     xadj = np.zeros(n_coarse + 1, dtype=np.int64)
-    adjncy: list[int] = []
-    adjwgt: list[int] = []
-    for i in range(n_coarse):
-        adj[i].sort()
-        for j, w in adj[i]:
-            adjncy.append(j)
-            adjwgt.append(w)
-        xadj[i + 1] = len(adjncy)
-    return _IndexGraph(
-        n_coarse,
-        xadj,
-        np.asarray(adjncy, dtype=np.int64),
-        np.asarray(adjwgt, dtype=np.int64),
-        vwgt,
-    )
+    np.cumsum(np.bincount(keys // n_coarse, minlength=n_coarse), out=xadj[1:])
+    return _IndexGraph(n_coarse, xadj, keys % n_coarse, adjwgt, vwgt)
 
 
 def _side_weights(ig: _IndexGraph, side: np.ndarray) -> list[int]:
@@ -262,103 +229,100 @@ def _side_weights(ig: _IndexGraph, side: np.ndarray) -> list[int]:
 
 
 def _weighted_cut(ig: _IndexGraph, side: np.ndarray) -> int:
-    total = 0
-    for v in range(ig.n):
-        for idx in range(ig.xadj[v], ig.xadj[v + 1]):
-            u = int(ig.adjncy[idx])
-            if u > v and side[u] != side[v]:
-                total += int(ig.adjwgt[idx])
-    return total
+    crossing = side[ig.rows] != side[ig.adjncy]
+    return int(ig.adjwgt[crossing].sum()) // 2  # each crossing edge is stored twice
 
 
 def _grow_bisection(ig: _IndexGraph, w_max: int, start: int) -> np.ndarray | None:
     """Greedy graph growing: pull the most-attached vertex into side 0 until balanced."""
-    side = np.ones(ig.n, dtype=np.int8)
-    total = int(ig.vwgt.sum())
-    need = total - w_max
-    conn = np.zeros(ig.n, dtype=np.int64)
-    in_x = np.zeros(ig.n, dtype=bool)
+    xadj, adjncy, adjwgt, vwgt = ig.as_lists()
+    need = sum(vwgt) - w_max
+    conn = [0] * ig.n
+    in_x = [False] * ig.n
     w_x = 0
 
     def add(v: int) -> None:
         nonlocal w_x
         in_x[v] = True
-        side[v] = 0
-        w_x += int(ig.vwgt[v])
-        for idx in range(ig.xadj[v], ig.xadj[v + 1]):
-            conn[int(ig.adjncy[idx])] += int(ig.adjwgt[idx])
+        w_x += vwgt[v]
+        for idx in range(xadj[v], xadj[v + 1]):
+            conn[adjncy[idx]] += adjwgt[idx]
 
     add(start)
     while w_x < need:
         best = -1
         best_conn = -1
         for v in range(ig.n):
-            if in_x[v] or w_x + int(ig.vwgt[v]) > w_max:
+            if in_x[v] or w_x + vwgt[v] > w_max:
                 continue
             if conn[v] > best_conn:
-                best, best_conn = v, int(conn[v])
+                best, best_conn = v, conn[v]
         if best < 0:
             return None
         add(best)
-    return side
+    return np.where(in_x, 0, 1).astype(np.int8)
+
+
+def _boundary_gains(ig: _IndexGraph, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Move gain of every vertex, and the ascending boundary vertices.
+
+    A vertex's gain is the weight of its crossing edges minus the weight of
+    the rest; it is on the boundary when at least one edge crosses.
+    """
+    crossing = side[ig.rows] != side[ig.adjncy]
+    signed = np.where(crossing, ig.adjwgt, -ig.adjwgt)
+    gain = np.bincount(ig.rows, weights=signed, minlength=ig.n).astype(np.int64)
+    return gain, np.unique(ig.rows[crossing])
 
 
 def _fm_refine(ig: _IndexGraph, side: np.ndarray, w_max: int) -> None:
     """Boundary FM passes: hill-climb with rollback to the best move prefix."""
+    xadj, adjncy, adjwgt, vwgt = ig.as_lists()
     n = ig.n
     for _ in range(FM_MAX_PASSES):
-        gain = np.zeros(n, dtype=np.int64)
-        for v in range(n):
-            for idx in range(ig.xadj[v], ig.xadj[v + 1]):
-                u = int(ig.adjncy[idx])
-                w = int(ig.adjwgt[idx])
-                gain[v] += w if side[u] != side[v] else -w
+        gains, boundary = _boundary_gains(ig, side)
+        # key -gain * n + v orders as the pair (-gain, v) does, without
+        # allocating a tuple per push; keys of distinct vertices are
+        # distinct, so the heap pops in one order however it was built
+        heap = (-gains[boundary] * n + boundary).tolist()
+        heapq.heapify(heap)
+        gain = gains.tolist()
+        where = side.tolist()
         side_w = _side_weights(ig, side)
-        locked = np.zeros(n, dtype=bool)
-        # boundary seed: any vertex with at least one crossing edge
-        heap: list[tuple[int, int]] = []
-        for v in range(n):
-            if _is_boundary(ig, side, v):
-                heapq.heappush(heap, (-int(gain[v]), v))
+        locked = [False] * n
         moves: list[int] = []
         cum = 0
         best_cum = 0
         best_len = 0
         while heap:
-            neg_g, v = heapq.heappop(heap)
+            neg_g, v = divmod(heapq.heappop(heap), n)
             if locked[v] or -neg_g != gain[v]:
                 continue
-            target = 1 - int(side[v])
-            if side_w[target] + int(ig.vwgt[v]) > w_max:
+            target = 1 - where[v]
+            if side_w[target] + vwgt[v] > w_max:
                 continue
-            origin = int(side[v])
-            side[v] = target
-            side_w[origin] -= int(ig.vwgt[v])
-            side_w[target] += int(ig.vwgt[v])
+            origin = where[v]
+            where[v] = target
+            side_w[origin] -= vwgt[v]
+            side_w[target] += vwgt[v]
             locked[v] = True
-            cum += int(gain[v])
+            cum += gain[v]
             moves.append(v)
             if cum > best_cum:
                 best_cum = cum
                 best_len = len(moves)
-            for idx in range(ig.xadj[v], ig.xadj[v + 1]):
-                u = int(ig.adjncy[idx])
+            for idx in range(xadj[v], xadj[v + 1]):
+                u = adjncy[idx]
                 if locked[u]:
                     continue
-                w = int(ig.adjwgt[idx])
-                gain[u] += 2 * w if side[u] == origin else -2 * w
-                heapq.heappush(heap, (-int(gain[u]), u))
+                w = adjwgt[idx]
+                gain[u] += 2 * w if where[u] == origin else -2 * w
+                heapq.heappush(heap, -gain[u] * n + u)
         for v in moves[best_len:]:
-            side[v] = 1 - int(side[v])
+            where[v] = 1 - where[v]
+        side[:] = where
         if best_cum <= 0:
             break
-
-
-def _is_boundary(ig: _IndexGraph, side: np.ndarray, v: int) -> bool:
-    for idx in range(ig.xadj[v], ig.xadj[v + 1]):
-        if side[int(ig.adjncy[idx])] != side[v]:
-            return True
-    return False
 
 
 def _initial_partition(
@@ -399,9 +363,9 @@ def bisect(g: EndorsementGraph, eps: float = 0.05, seed: int = 0) -> Bipartition
     if not is_connected(g):
         raise DisconnectedGraph("bisect requires a connected graph")
 
-    nodes = sorted(g.nodes)
+    nodes, finest = _index_graph(g)
     rng = np.random.default_rng(seed)
-    levels = [_index_graph(g, nodes)]
+    levels = [finest]
     cmaps: list[np.ndarray] = []
     total = levels[0].n
     max_vwgt = max(2, -(-3 * total // (2 * COARSEN_TARGET)))

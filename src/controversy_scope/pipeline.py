@@ -473,12 +473,26 @@ def emit_report(
 
 
 def write_output(path: str, content: str) -> None:
-    """Atomic write: temp file in the target directory, then rename over."""
+    """Atomic write: fsynced temp file in the target directory, then rename over.
+
+    Each call creates its own randomly named temp file with O_EXCL, so
+    concurrent writers to one path never share or clobber a temp file and
+    the last rename wins with a whole file. The file is created with mode
+    0o666 less the umask, as a plain open() would; the temp file is removed
+    if anything fails.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(content)
-    os.replace(tmp, path)
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(content)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def has_mc_failures(reports: Sequence[ControversyReport]) -> bool:

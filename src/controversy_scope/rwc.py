@@ -10,9 +10,17 @@ side b's set,
     score = p_xx * p_yy - p_xy * p_yx
 
 which lies in [-1, 1] and approaches 1 when walkers almost never cross.
-The exact figures come from solving the absorbing-chain linear system on
-the transient nodes; a Monte Carlo simulator provides an independent
-estimate of the same quantity for cross-checking.
+
+The exact figures come from the absorbing-chain linear system on the
+transient nodes. The restart couples every node to the start distribution,
+a rank-one term, so it is kept out of the system: one batched Jacobi
+iteration solves (I - (1-alpha) M) Z = [(1-alpha) b_x, (1-alpha) b_y,
+alpha 1] for both sides at once, and the Sherman-Morrison identity recovers
+each side's probabilities from Z (see _solve). The iteration contracts by
+1-alpha per sweep, so it stops once an a-posteriori bound puts every
+reported probability within solver_tol of the exact value. A Monte Carlo
+simulator provides an independent estimate of the same quantity for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .graph import EndorsementGraph, is_connected
-from .partition import SIDE_X, SIDE_Y, Bipartition
+from .graph import EndorsementGraph, is_connected, sorted_csr
+from .partition import SIDE_X, SIDE_Y, Bipartition, _require_assigned
 
 
 class RwcError(Exception):
@@ -44,7 +52,14 @@ class NoConvergence(RwcError):
 
 @dataclass(frozen=True)
 class RwcConfig:
-    """Walk parameters: absorbing-set size, restart probability, solver limits."""
+    """Walk parameters: absorbing-set size, restart probability, solver limits.
+
+    solver_tol bounds the error of each reported absorption probability
+    against the exact solution of the linear system. max_iter only caps the
+    number of solver sweeps; reaching it raises NoConvergence. The sweeps
+    needed grow like log(solver_tol) / log(1 - restart_prob), about 150 at
+    the defaults.
+    """
 
     k_top: int = 10
     restart_prob: float = 0.15
@@ -82,147 +97,117 @@ def high_degree_nodes(
     Ties break toward the lexicographically smaller node id, so the set is
     deterministic.
     """
-    side_nodes = [n for n in g.nodes if p.side_of.get(n) == side]
-    if len(side_nodes) <= k_top:
+    nodes, indptr, _, _ = sorted_csr(g)
+    members = np.fromiter((p.side_of.get(n) == side for n in nodes), dtype=bool,
+                          count=len(nodes))
+    return frozenset(nodes[i] for i in _top_degree(members, np.diff(indptr), k_top, side))
+
+
+def _top_degree(members: np.ndarray, degree: np.ndarray, k_top: int, side: str) -> np.ndarray:
+    """Indices of the k_top highest-degree members.
+
+    Ties go to the smaller index, which in sorted-id order is the smaller id.
+    """
+    candidates = np.flatnonzero(members)
+    if candidates.size <= k_top:
         raise SideTooSmall(
-            f"side {side} has {len(side_nodes)} nodes, need more than k_top={k_top}"
+            f"side {side} has {candidates.size} nodes, need more than k_top={k_top}"
         )
-    degree = g.degrees()
-    side_nodes.sort(key=lambda n: (-degree[n], n))
-    return frozenset(side_nodes[:k_top])
+    order = np.argsort(-degree[candidates], kind="stable")
+    return candidates[order[:k_top]]
 
 
 class _WalkChain:
     """Index-space view of the absorbing walk shared by solver and simulator."""
 
     def __init__(self, g: EndorsementGraph, p: Bipartition, cfg: RwcConfig):
+        _require_assigned(g, p)
         self.cfg = cfg
-        self.nodes = sorted(g.nodes)
-        index = {node: i for i, node in enumerate(self.nodes)}
+        self.nodes, self.indptr, self.indices, weights = sorted_csr(g)
         n = len(self.nodes)
-
-        absorb_x = high_degree_nodes(g, SIDE_X, p, cfg.k_top)
-        absorb_y = high_degree_nodes(g, SIDE_Y, p, cfg.k_top)
-        self.absorb_label = np.zeros(n, dtype=np.int8)  # 0 transient, 1 in X+, 2 in Y+
-        for node in absorb_x:
-            self.absorb_label[index[node]] = 1
-        for node in absorb_y:
-            self.absorb_label[index[node]] = 2
-
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (u, v), w in g.edges.items():
-            iu, iv = index[u], index[v]
-            adj[iu].append((iv, w))
-            adj[iv].append((iu, w))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        indices: list[int] = []
-        weights: list[int] = []
-        for i in range(n):
-            adj[i].sort()
-            for j, w in adj[i]:
-                indices.append(j)
-                weights.append(w)
-            indptr[i + 1] = len(indices)
-        self.indptr = indptr
-        self.indices = np.asarray(indices, dtype=np.int64)
+        degree = np.diff(self.indptr)
         if cfg.weighted_walk:
-            self.step_w = np.asarray(weights, dtype=np.float64)
+            self.step_w = weights.astype(np.float64)
         else:
-            self.step_w = np.ones(len(indices), dtype=np.float64)
-        self.out_total = np.zeros(n)
-        for i in range(n):
-            lo, hi = indptr[i], indptr[i + 1]
-            if hi > lo:
-                self.out_total[i] = self.step_w[lo:hi].sum()
+            self.step_w = np.ones(weights.size, dtype=np.float64)
+        self.out_total = np.bincount(
+            np.repeat(np.arange(n), degree), weights=self.step_w, minlength=n
+        )
 
-        side_x = np.zeros(n, dtype=bool)
-        for node, s in p.side_of.items():
-            if node in index and s == SIDE_X:
-                side_x[index[node]] = True
-        self.start_x = np.flatnonzero(side_x & (self.absorb_label == 0))
-        self.start_y = np.flatnonzero(~side_x & (self.absorb_label == 0))
+        labels = [p.side_of[node] for node in self.nodes]
+        in_x = np.fromiter((s == SIDE_X for s in labels), dtype=bool, count=n)
+        in_y = np.fromiter((s == SIDE_Y for s in labels), dtype=bool, count=n)
+        self.absorb_x = _top_degree(in_x, degree, cfg.k_top, SIDE_X)
+        self.absorb_y = _top_degree(in_y, degree, cfg.k_top, SIDE_Y)
+        self.absorb_label = np.zeros(n, dtype=np.int8)  # 0 transient, 1 in X+, 2 in Y+
+        self.absorb_label[self.absorb_x] = 1
+        self.absorb_label[self.absorb_y] = 2
+
+        transient = self.absorb_label == 0
+        self.start_x = np.flatnonzero(in_x & transient)
+        self.start_y = np.flatnonzero(in_y & transient)
         if self.start_x.size == 0 or self.start_y.size == 0:
             raise DegenerateStart("a side consists solely of absorbing nodes")
 
-        self.transient = np.flatnonzero(self.absorb_label == 0)
+        self.transient = np.flatnonzero(transient)
         self.t_index = np.full(n, -1, dtype=np.int64)
         self.t_index[self.transient] = np.arange(self.transient.size)
 
     def transition_blocks(self) -> tuple[csr_matrix, np.ndarray, np.ndarray]:
         """Row-stochastic pieces over transient rows: to-transient, to-X+, to-Y+."""
-        t = self.transient.size
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        b_x = np.zeros(t)
-        b_y = np.zeros(t)
-        for ti, v in enumerate(self.transient):
-            lo, hi = self.indptr[v], self.indptr[v + 1]
-            total = self.out_total[v]
-            for idx in range(lo, hi):
-                u = int(self.indices[idx])
-                prob = self.step_w[idx] / total
-                label = self.absorb_label[u]
-                if label == 0:
-                    rows.append(ti)
-                    cols.append(int(self.t_index[u]))
-                    vals.append(prob)
-                elif label == 1:
-                    b_x[ti] += prob
-                else:
-                    b_y[ti] += prob
-        matrix = csr_matrix((vals, (rows, cols)), shape=(t, t))
+        n = len(self.nodes)
+        prob = self.step_w / np.repeat(self.out_total, np.diff(self.indptr))
+        step = csr_matrix((prob, self.indices, self.indptr), shape=(n, n))
+        from_transient = step[self.transient]
+        matrix = from_transient[:, self.transient]
+        b_x = np.asarray(from_transient[:, self.absorb_x].sum(axis=1)).ravel()
+        b_y = np.asarray(from_transient[:, self.absorb_y].sum(axis=1)).ravel()
         return matrix, b_x, b_y
 
 
-def _solve_side(
-    chain: _WalkChain,
-    matrix: csr_matrix,
-    b_same: np.ndarray,
-    b_cross: np.ndarray,
-    start: np.ndarray,
-) -> tuple[float, float]:
-    """Fixed-point solve of the restart-augmented absorbing system for one side."""
+def _solve(chain: _WalkChain) -> tuple[float, float, float, float]:
+    """(p_xx, p_xy, p_yy, p_yx) from one batched solve of (I - (1-alpha) M) Z = R.
+
+    R's columns are (1-alpha) b_x, (1-alpha) b_y and alpha * 1, so row v of Z
+    holds the chances that a walk from v is absorbed in X+, is absorbed in
+    Y+, or restarts, whichever comes first. Sherman-Morrison folds the restart
+    back in: p_s. = mean(Z[start_s, .]) / (1 - mean(Z[start_s, restart])).
+    Jacobi sweeps contract by 1-alpha in the max norm, so after a sweep that
+    moved Z by `step`, Z is within e = (1-alpha)/alpha * step of the fixed
+    point, and a ratio a / (1 - d) with a, d each off by at most e is off
+    by at most e (1 + p) / (1 - d - e). The loop stops once that bound is
+    within solver_tol for all four probabilities.
+    """
     cfg = chain.cfg
     alpha = cfg.restart_prob
-    start_t = chain.t_index[start]
-    h_same = np.zeros(b_same.size)
-    h_cross = np.zeros(b_cross.size)
-    prev_delta: float | None = None
+    keep = 1.0 - alpha
+    matrix, b_x, b_y = chain.transition_blocks()
+    rhs = np.column_stack((keep * b_x, keep * b_y, np.full(b_x.size, alpha)))
+    starts = (chain.t_index[chain.start_x], chain.t_index[chain.start_y])
+    z = np.zeros_like(rhs)
     for _ in range(cfg.max_iter):
-        mass_same = float(h_same[start_t].mean())
-        mass_cross = float(h_cross[start_t].mean())
-        new_same = alpha * mass_same + (1.0 - alpha) * (matrix.dot(h_same) + b_same)
-        new_cross = alpha * mass_cross + (1.0 - alpha) * (matrix.dot(h_cross) + b_cross)
-        delta = max(
-            float(np.max(np.abs(new_same - h_same))),
-            float(np.max(np.abs(new_cross - h_cross))),
-        )
-        h_same, h_cross = new_same, new_cross
-        if delta == 0.0:
-            break
-        if prev_delta is not None and delta < prev_delta:
-            # geometric tail bound: remaining change <= delta * r / (1 - r)
-            ratio = delta / prev_delta
-            if delta * ratio / (1.0 - ratio) < cfg.solver_tol:
-                break
-        prev_delta = delta
-    else:
-        raise NoConvergence(f"no convergence within {cfg.max_iter} iterations")
-    return float(h_same[start_t].mean()), float(h_cross[start_t].mean())
+        z_next = keep * (matrix @ z) + rhs
+        error = keep / alpha * float(np.max(np.abs(z_next - z)))
+        z = z_next
+        if error > cfg.solver_tol:  # the bound below cannot hold yet
+            continue
+        means = np.stack([z[start].mean(axis=0) for start in starts])
+        absorbed = 1.0 - means[:, 2:]  # absorbed before the first restart
+        probs = means[:, :2] / absorbed
+        if np.all(error * (1.0 + probs) <= cfg.solver_tol * (absorbed - error)):
+            (p_xx, p_xy), (p_yx, p_yy) = probs.tolist()
+            return p_xx, p_xy, p_yy, p_yx
+    raise NoConvergence(f"no convergence within {cfg.max_iter} iterations")
 
 
 def absorption_probabilities(
     g: EndorsementGraph, p: Bipartition, cfg: RwcConfig, start_side: str
 ) -> tuple[float, float]:
     """Exact (p_same, p_cross) for walks started uniformly in start_side."""
-    chain = _WalkChain(g, p, cfg)
-    matrix, b_x, b_y = chain.transition_blocks()
-    if start_side == SIDE_X:
-        return _solve_side(chain, matrix, b_x, b_y, chain.start_x)
-    if start_side == SIDE_Y:
-        return _solve_side(chain, matrix, b_y, b_x, chain.start_y)
-    raise ValueError(f"start_side must be {SIDE_X!r} or {SIDE_Y!r}, got {start_side!r}")
+    if start_side not in (SIDE_X, SIDE_Y):
+        raise ValueError(f"start_side must be {SIDE_X!r} or {SIDE_Y!r}, got {start_side!r}")
+    p_xx, p_xy, p_yy, p_yx = _solve(_WalkChain(g, p, cfg))
+    return (p_xx, p_xy) if start_side == SIDE_X else (p_yy, p_yx)
 
 
 def rwc_score(g: EndorsementGraph, p: Bipartition, cfg: RwcConfig | None = None) -> RwcResult:
@@ -230,10 +215,7 @@ def rwc_score(g: EndorsementGraph, p: Bipartition, cfg: RwcConfig | None = None)
     cfg = cfg or RwcConfig()
     if not is_connected(g):
         raise RwcError("controversy scoring requires a connected graph")
-    chain = _WalkChain(g, p, cfg)
-    matrix, b_x, b_y = chain.transition_blocks()
-    p_xx, p_xy = _solve_side(chain, matrix, b_x, b_y, chain.start_x)
-    p_yy, p_yx = _solve_side(chain, matrix, b_y, b_x, chain.start_y)
+    p_xx, p_xy, p_yy, p_yx = _solve(_WalkChain(g, p, cfg))
     return RwcResult(p_xx, p_xy, p_yy, p_yx, p_xx * p_yy - p_xy * p_yx)
 
 

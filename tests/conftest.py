@@ -120,3 +120,124 @@ def exhaustive_min_balanced_cut(
                 best = cut
     assert best is not None
     return best
+
+
+# --- per-vertex reference loops for the partition and walk helpers ----------
+
+
+def naive_csr(g: EndorsementGraph) -> tuple[list[str], list[int], list[int], list[int]]:
+    """Sorted-id CSR built one edge and one vertex at a time."""
+    nodes = sorted(g.nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    adj: list[list[tuple[int, int]]] = [[] for _ in nodes]
+    for (u, v), w in g.edges.items():
+        adj[index[u]].append((index[v], w))
+        adj[index[v]].append((index[u], w))
+    xadj, adjncy, adjwgt = [0], [], []
+    for row in adj:
+        for j, w in sorted(row):
+            adjncy.append(j)
+            adjwgt.append(w)
+        xadj.append(len(adjncy))
+    return nodes, xadj, adjncy, adjwgt
+
+
+def naive_coarsen(xadj, adjncy, adjwgt, vwgt, cmap, n_coarse):
+    """Contracted CSR (xadj, adjncy, adjwgt, vwgt) via a dict of coarse pairs."""
+    n = len(xadj) - 1
+    coarse_vwgt = [0] * n_coarse
+    for v in range(n):
+        coarse_vwgt[cmap[v]] += vwgt[v]
+    edges: dict[tuple[int, int], int] = {}
+    for v in range(n):
+        for idx in range(xadj[v], xadj[v + 1]):
+            u = adjncy[idx]
+            if u > v and cmap[u] != cmap[v]:
+                key = (min(cmap[u], cmap[v]), max(cmap[u], cmap[v]))
+                edges[key] = edges.get(key, 0) + adjwgt[idx]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_coarse)]
+    for (a, b), w in edges.items():
+        adj[a].append((b, w))
+        adj[b].append((a, w))
+    out_xadj, out_adjncy, out_adjwgt = [0], [], []
+    for row in adj:
+        for j, w in sorted(row):
+            out_adjncy.append(j)
+            out_adjwgt.append(w)
+        out_xadj.append(len(out_adjncy))
+    return out_xadj, out_adjncy, out_adjwgt, coarse_vwgt
+
+
+def naive_boundary_gains(xadj, adjncy, adjwgt, side) -> tuple[list[int], list[int]]:
+    """FM gains (crossing minus internal weight) and the ascending boundary."""
+    n = len(xadj) - 1
+    gain = [0] * n
+    boundary = []
+    for v in range(n):
+        crosses = False
+        for idx in range(xadj[v], xadj[v + 1]):
+            if side[adjncy[idx]] != side[v]:
+                gain[v] += adjwgt[idx]
+                crosses = True
+            else:
+                gain[v] -= adjwgt[idx]
+        if crosses:
+            boundary.append(v)
+    return gain, boundary
+
+
+def naive_weighted_cut(xadj, adjncy, adjwgt, side) -> int:
+    total = 0
+    for v in range(len(xadj) - 1):
+        for idx in range(xadj[v], xadj[v + 1]):
+            u = adjncy[idx]
+            if u > v and side[u] != side[v]:
+                total += adjwgt[idx]
+    return total
+
+
+def dense_absorption(
+    g: EndorsementGraph, side_of: dict[str, str], k_top: int, alpha: float,
+    weighted: bool, start_side: str,
+) -> tuple[float, float]:
+    """(p_same, p_cross) by a dense solve of the restart-augmented system.
+
+    With M the transient-to-transient step matrix, b the step mass into an
+    absorbing set and u the uniform start distribution,
+    (I - (1-alpha) M - alpha 1 u^T) h = (1-alpha) b, and p = u^T h.
+    """
+    nodes = sorted(g.nodes)
+    degree = {n: 0 for n in nodes}
+    for u, v in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    absorb = {}
+    for side in ("X", "Y"):
+        ranked = sorted((n for n in nodes if side_of[n] == side), key=lambda n: (-degree[n], n))
+        for n in ranked[:k_top]:
+            absorb[n] = side
+    transient = [n for n in nodes if n not in absorb]
+    t_index = {n: i for i, n in enumerate(transient)}
+    t = len(transient)
+    step = np.zeros((t, t))
+    into = {"X": np.zeros(t), "Y": np.zeros(t)}
+    out_w = {n: 0.0 for n in nodes}
+    for (u, v), w in g.edges.items():
+        out_w[u] += w if weighted else 1
+        out_w[v] += w if weighted else 1
+    for (u, v), w in g.edges.items():
+        for a, b in ((u, v), (v, u)):
+            if a not in t_index:
+                continue
+            prob = (w if weighted else 1) / out_w[a]
+            if b in t_index:
+                step[t_index[a], t_index[b]] += prob
+            else:
+                into[absorb[b]][t_index[a]] += prob
+    start = np.array([side_of[n] == start_side for n in transient], dtype=float)
+    start /= start.sum()
+    system = np.eye(t) - (1 - alpha) * step - alpha * np.outer(np.ones(t), start)
+    other = "Y" if start_side == "X" else "X"
+    h_same = np.linalg.solve(system, (1 - alpha) * into[start_side])
+    h_cross = np.linalg.solve(system, (1 - alpha) * into[other])
+    return float(start @ h_same), float(start @ h_cross)

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from controversy_scope.graph import EndorsementGraph, edge_key
+from controversy_scope.graph import EndorsementGraph, edge_key, sorted_csr
 from controversy_scope.partition import (
     Bipartition,
     DisconnectedGraph,
     TooSmall,
     UnassignedNode,
+    _boundary_gains,
+    _coarsen,
+    _heavy_edge_matching,
+    _IndexGraph,
+    _weighted_cut,
     bisect,
     cut_size,
     cut_weight,
@@ -18,7 +23,12 @@ from conftest import (
     clique_edges,
     exhaustive_min_balanced_cut,
     graph_from_edges,
+    naive_boundary_gains,
+    naive_coarsen,
+    naive_csr,
+    naive_weighted_cut,
     random_connected_graph,
+    random_graph,
     unit_weights,
 )
 
@@ -167,3 +177,66 @@ def test_swapped_labels_preserve_structure():
     sw = p.swapped()
     assert sw.cut == p.cut
     assert sw.side_nodes("X") == p.side_nodes("Y")
+
+
+# --- NumPy helpers against their per-vertex reference loops -------------------
+
+
+def index_graph_from_lists(xadj, adjncy, adjwgt, vwgt) -> _IndexGraph:
+    return _IndexGraph(
+        len(xadj) - 1,
+        np.asarray(xadj, dtype=np.int64),
+        np.asarray(adjncy, dtype=np.int64),
+        np.asarray(adjwgt, dtype=np.int64),
+        np.asarray(vwgt, dtype=np.int64),
+    )
+
+
+def test_sorted_csr_matches_reference_loop():
+    rng = np.random.default_rng(43)
+    graphs = [graph_from_edges({}), graph_from_edges({("a", "b"): 3})]
+    graphs += [random_graph(int(rng.integers(1, 40)), float(rng.uniform(0.0, 0.6)), rng)
+               for _ in range(30)]
+    for g in graphs:
+        nodes, indptr, indices, weights = sorted_csr(g)
+        assert (nodes, indptr.tolist(), indices.tolist(), weights.tolist()) == naive_csr(g)
+
+
+def test_coarsen_matches_reference_loop():
+    rng = np.random.default_rng(47)
+    for trial in range(40):
+        g = random_graph(int(rng.integers(2, 40)), float(rng.uniform(0.05, 0.6)), rng)
+        _, xadj, adjncy, adjwgt = naive_csr(g)
+        n = len(xadj) - 1
+        vwgt = rng.integers(1, 4, n).tolist()
+        ig = index_graph_from_lists(xadj, adjncy, adjwgt, vwgt)
+        if trial % 2:
+            cmap, n_coarse = _heavy_edge_matching(ig, rng, max_vwgt=6)
+        else:
+            # random groups, relabelled so every coarse id is used
+            _, cmap = np.unique(rng.integers(0, int(rng.integers(1, n + 1)), n),
+                                return_inverse=True)
+            n_coarse = int(cmap.max()) + 1
+        coarse = _coarsen(ig, cmap, n_coarse)
+        want = naive_coarsen(xadj, adjncy, adjwgt, vwgt, cmap.tolist(), n_coarse)
+        got = (coarse.xadj.tolist(), coarse.adjncy.tolist(), coarse.adjwgt.tolist(),
+               coarse.vwgt.tolist())
+        assert got == want
+        assert coarse.n == n_coarse
+        assert coarse.rows.tolist() == [
+            v for v in range(n_coarse) for _ in range(want[0][v], want[0][v + 1])
+        ]
+
+
+def test_boundary_gains_and_weighted_cut_match_reference_loops():
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        g = random_graph(int(rng.integers(2, 40)), float(rng.uniform(0.05, 0.6)), rng)
+        _, xadj, adjncy, adjwgt = naive_csr(g)
+        ig = index_graph_from_lists(xadj, adjncy, adjwgt, [1] * (len(xadj) - 1))
+        side = rng.integers(0, 2, ig.n).astype(np.int8)
+        gain, boundary = _boundary_gains(ig, side)
+        assert (gain.tolist(), boundary.tolist()) == naive_boundary_gains(
+            xadj, adjncy, adjwgt, side.tolist()
+        )
+        assert _weighted_cut(ig, side) == naive_weighted_cut(xadj, adjncy, adjwgt, side.tolist())

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -212,6 +213,41 @@ def test_write_output_atomic(tmp_path):
     assert list(tmp_path.iterdir()) == [target]
 
 
+def test_write_output_leaves_other_temp_files_alone(tmp_path):
+    target = tmp_path / "report.csv"
+    other = tmp_path / ".report.csv.tmp"
+    other.write_text("another writer's partial output")
+    write_output(str(target), "mine\n")
+    assert target.read_text() == "mine\n"
+    assert other.read_text() == "another writer's partial output"
+    assert sorted(tmp_path.iterdir()) == sorted([target, other])
+
+
+def test_write_output_failure_keeps_target_and_removes_temp(tmp_path):
+    target = tmp_path / "report.csv"
+    write_output(str(target), "old\n")
+    with pytest.raises(TypeError):
+        write_output(str(target), None)
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_write_output_concurrent_writers_leave_one_whole_file(tmp_path):
+    target = tmp_path / "report.csv"
+    contents = [f"writer {i}\n" * 5_000 for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(write_output, str(target), text) for text in contents * 4]
+            for future in futures:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert target.read_text() in contents
+    assert list(tmp_path.iterdir()) == [target]
+
+
 # --- CLI ----------------------------------------------------------------------
 
 
@@ -299,9 +335,12 @@ def test_cli_requires_window_without_config():
 
 
 def test_cli_console_script_help():
+    # the child imports the same package as this test, installed or not
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "controversy_scope.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "controversy-scope" in result.stdout

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from controversy_scope.graph import edge_key
-from controversy_scope.partition import bisect, make_bipartition
+from controversy_scope.partition import Bipartition, UnassignedNode, bisect, make_bipartition
 from controversy_scope.rwc import (
+    NoConvergence,
     RwcConfig,
     RwcError,
     SideTooSmall,
+    _WalkChain,
     absorption_probabilities,
     high_degree_nodes,
     rwc_monte_carlo,
@@ -14,7 +16,7 @@ from controversy_scope.rwc import (
 )
 from controversy_scope.synth import PlantedSpec, planted_partition
 
-from conftest import clique_edges, graph_from_edges
+from conftest import clique_edges, dense_absorption, graph_from_edges, random_connected_graph
 
 
 def star_graph(center: str, leaves: int):
@@ -173,3 +175,64 @@ def test_restart_probability_shifts_outcome():
     hi = rwc_score(pg.graph, pg.ground_truth, RwcConfig(restart_prob=0.6))
     # stronger restart keeps walkers near their start side, raising the score
     assert hi.score >= lo.score
+
+
+def random_halves(g, rng) -> dict[str, str]:
+    names = sorted(g.nodes)
+    order = rng.permutation(len(names))
+    return {names[i]: ("X" if rank % 2 == 0 else "Y") for rank, i in enumerate(order)}
+
+
+def test_exact_solver_matches_dense_oracle():
+    rng = np.random.default_rng(59)
+    for _ in range(10):
+        g = random_connected_graph(int(rng.integers(8, 24)), float(rng.uniform(0.25, 0.6)), rng)
+        side_of = random_halves(g, rng)
+        p = make_bipartition(g, side_of)
+        for weighted in (False, True):
+            cfg = RwcConfig(k_top=2, restart_prob=float(rng.uniform(0.05, 0.5)),
+                            weighted_walk=weighted)
+            for side in ("X", "Y"):
+                want = dense_absorption(g, side_of, 2, cfg.restart_prob, weighted, side)
+                got = absorption_probabilities(g, p, cfg, side)
+                assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_chain_absorbing_sets_match_high_degree_nodes():
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        g = random_connected_graph(int(rng.integers(10, 30)), float(rng.uniform(0.15, 0.5)), rng)
+        p = make_bipartition(g, random_halves(g, rng))
+        k_top = int(rng.integers(1, 4))
+        chain = _WalkChain(g, p, RwcConfig(k_top=k_top))
+        degree = g.degrees()
+        for side, absorb in (("X", chain.absorb_x), ("Y", chain.absorb_y)):
+            by_sort = sorted(p.side_nodes(side), key=lambda n: (-degree[n], n))[:k_top]
+            got = frozenset(chain.nodes[i] for i in absorb)
+            assert got == high_degree_nodes(g, side, p, k_top) == frozenset(by_sort)
+
+
+def test_chain_rejects_side_too_small():
+    g = graph_from_edges(clique_edges(["a", "b", "c", "d", "e"]))
+    p = balanced_sides(g, lambda n: n in "ab")
+    with pytest.raises(SideTooSmall):
+        rwc_score(g, p, RwcConfig(k_top=2))
+
+
+def test_unassigned_node_raises_instead_of_joining_side_y():
+    pg = planted_partition(PlantedSpec(30, 0.4, 0.05, seed=8))
+    dropped = sorted(pg.ground_truth.side_nodes("X"))[:5]
+    side_of = {n: s for n, s in pg.ground_truth.side_of.items() if n not in dropped}
+    p = Bipartition(side_of, 0, 0, 0.5)
+    with pytest.raises(UnassignedNode):
+        rwc_score(pg.graph, p)
+    with pytest.raises(UnassignedNode):
+        rwc_monte_carlo(pg.graph, p, n_walks=10, seed=0)
+    with pytest.raises(UnassignedNode):
+        absorption_probabilities(pg.graph, p, RwcConfig(), "X")
+
+
+def test_max_iter_cap_raises_no_convergence():
+    pg = planted_partition(PlantedSpec(30, 0.4, 0.05, seed=8))
+    with pytest.raises(NoConvergence):
+        rwc_score(pg.graph, pg.ground_truth, RwcConfig(max_iter=1))
