@@ -23,9 +23,10 @@ from .pipeline import (
     ConfigError,
     PipelineConfig,
     RwcConfig,
+    config_from_dict,
     emit_report,
     has_mc_failures,
-    load_config,
+    read_config,
     run_pipeline,
     with_overrides,
     write_output,
@@ -94,15 +95,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace, queries: tuple[str, ...] | None) -> PipelineConfig:
     if args.config:
-        cfg = load_config(args.config)
+        raw = read_config(args.config)
+    elif args.windows:
+        raw = {}
     else:
-        tz = args.tz or "UTC"
-        if not args.windows:
-            raise ConfigError("--window is required when no --config is given")
-        cfg = PipelineConfig(
-            windows=tuple(parse_window(w, tz) for w in args.windows),
-            tz=tz,
-        )
+        raise ConfigError("--window is required when no --config is given")
+    # one parse, so the file's windows and --window flags share the effective tz
+    if args.tz:
+        raw["tz"] = args.tz
+    if args.windows:
+        raw["windows"] = args.windows
+    cfg = config_from_dict(raw)
     overrides: dict[str, object] = {
         "input_path": args.input,
         "top_n": args.top_n,
@@ -124,10 +127,6 @@ def _config_from_args(args: argparse.Namespace, queries: tuple[str, ...] | None)
         "output_path": args.output,
         "output_format": args.fmt,
     }
-    if args.tz and args.config:
-        overrides["tz"] = args.tz
-    if args.windows and args.config:
-        overrides["windows"] = tuple(parse_window(w, cfg.tz) for w in args.windows)
     if args.stopwords:
         overrides["stopword_paths"] = tuple(args.stopwords)
     if args.noun_tags:

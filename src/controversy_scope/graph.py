@@ -6,12 +6,17 @@ that count reaches the threshold (default 2, mutual reposts included).
 Preprocessing applies k-core decomposition (default k=2) and keeps the
 largest connected component; graphs below the minimum node count (default
 800) are reported as UnderSized rather than scored.
+
+Every structural pass, here and in the partitioner and the walk solver,
+reads one view of a graph: its sorted-id CSR (EndorsementGraph.csr), built
+on first use and kept, so each graph object sorts its ids at most once.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -39,56 +44,30 @@ class EndorsementGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> dict[str, list[str]]:
-        """Neighbor lists, sorted for deterministic iteration."""
-        adj: dict[str, list[str]] = {node: [] for node in self.nodes}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for neighbors in adj.values():
-            neighbors.sort()
-        return adj
+    @cached_property
+    def csr(self) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+        """Symmetric CSR view over the nodes in sorted-id order, built on first use.
 
-    def degrees(self) -> dict[str, int]:
-        """Unweighted degree (number of incident edges) per node."""
-        deg = dict.fromkeys(self.nodes, 0)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-    def weight(self, u: str, v: str) -> int:
-        return self.edges.get(edge_key(u, v), 0)
-
-    def induced(self, keep: set[str] | frozenset[str]) -> "EndorsementGraph":
-        """Node-induced subgraph preserving edge weights."""
-        edges = {
-            (u, v): w
-            for (u, v), w in self.edges.items()
-            if u in keep and v in keep
-        }
-        return EndorsementGraph(frozenset(keep & self.nodes), edges)
-
-
-def sorted_csr(g: EndorsementGraph) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """Symmetric CSR view of g over its nodes in sorted-id order.
-
-    Returns (nodes, indptr, indices, weights): index i stands for nodes[i],
-    and row i lists each neighbor once, in ascending index order, with the
-    edge weight.
-    """
-    nodes = sorted(g.nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    m = len(g.edges)
-    ends = np.fromiter((index[x] for pair in g.edges for x in pair), dtype=np.int64,
-                       count=2 * m).reshape(m, 2)
-    weights = np.fromiter(g.edges.values(), dtype=np.int64, count=m)
-    rows = np.concatenate((ends[:, 0], ends[:, 1]))
-    cols = np.concatenate((ends[:, 1], ends[:, 0]))
-    order = np.lexsort((cols, rows))
-    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=len(nodes)), out=indptr[1:])
-    return nodes, indptr, cols[order], np.concatenate((weights, weights))[order]
+        Returns (nodes, indptr, indices, weights): index i stands for nodes[i],
+        and row i lists each neighbor once, in ascending index order, with the
+        edge weight. Every caller shares the one view, so the arrays are
+        read-only and the node list must not be modified.
+        """
+        nodes = sorted(self.nodes)
+        index = {node: i for i, node in enumerate(nodes)}
+        m = len(self.edges)
+        ends = np.fromiter((index[x] for pair in self.edges for x in pair), dtype=np.int64,
+                           count=2 * m).reshape(m, 2)
+        weights = np.fromiter(self.edges.values(), dtype=np.int64, count=m)
+        rows = np.concatenate((ends[:, 0], ends[:, 1]))
+        cols = np.concatenate((ends[:, 1], ends[:, 0]))
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(nodes)), out=indptr[1:])
+        arrays = indptr, cols[order], np.concatenate((weights, weights))[order]
+        for array in arrays:
+            array.flags.writeable = False
+        return (nodes, *arrays)
 
 
 @dataclass(frozen=True)
@@ -123,62 +102,92 @@ def build_graph(records: Iterable[InteractionRecord], min_rt: int = 2) -> Endors
     return EndorsementGraph(frozenset(nodes), edges)
 
 
+def _subgraph(g: EndorsementGraph, keep: np.ndarray) -> EndorsementGraph:
+    """Node-induced subgraph, weights kept, on the sorted-id indices where keep is set."""
+    if keep.all():  # also for the empty graph
+        return g
+    nodes, indptr, indices, weights = g.csr
+    rows = np.repeat(np.arange(len(nodes)), np.diff(indptr))
+    # each edge once, from its smaller index, so (nodes[u], nodes[v]) is canonical
+    upper = (rows < indices) & keep[rows] & keep[indices]
+    edges = {
+        (nodes[u], nodes[v]): w
+        for u, v, w in zip(rows[upper].tolist(), indices[upper].tolist(),
+                           weights[upper].tolist())
+    }
+    return EndorsementGraph(frozenset(nodes[i] for i in np.flatnonzero(keep).tolist()), edges)
+
+
 def k_core(g: EndorsementGraph, k: int) -> EndorsementGraph:
     """Maximal subgraph where every node keeps at least k incident edges.
 
-    Computed by queue-based peeling; equivalent to the fixpoint of removing
-    nodes of degree < k.
+    Computed by queue-based peeling, linear however long the peeling chains;
+    equivalent to the fixpoint of removing nodes of degree < k.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    adj = g.adjacency()
-    degree = {node: len(neighbors) for node, neighbors in adj.items()}
-    queue = deque(node for node, d in degree.items() if d < k)
-    removed: set[str] = set(queue)
+    _, indptr, indices, _ = g.csr
+    ptr = indptr.tolist()
+    neighbors = indices.tolist()
+    degree = np.diff(indptr).tolist()
+    removed = [d < k for d in degree]
+    queue = deque(v for v, gone in enumerate(removed) if gone)
     while queue:
-        node = queue.popleft()
-        for neighbor in adj[node]:
-            if neighbor in removed:
+        v = queue.popleft()
+        for u in neighbors[ptr[v]:ptr[v + 1]]:
+            if removed[u]:
                 continue
-            degree[neighbor] -= 1
-            if degree[neighbor] < k:
-                removed.add(neighbor)
-                queue.append(neighbor)
-    return g.induced(set(g.nodes) - removed)
+            degree[u] -= 1
+            if degree[u] < k:
+                removed[u] = True
+                queue.append(u)
+    return _subgraph(g, ~np.array(removed, dtype=bool))
 
 
-def connected_components(g: EndorsementGraph) -> list[set[str]]:
-    """All components via BFS, each discovered from its smallest unvisited node."""
-    adj = g.adjacency()
-    components: list[set[str]] = []
-    visited: set[str] = set()
-    for start in sorted(g.nodes):
-        if start in visited:
-            continue
-        component = {start}
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for neighbor in adj[node]:
-                if neighbor not in component:
-                    component.add(neighbor)
-                    queue.append(neighbor)
-        visited |= component
-        components.append(component)
-    return components
+def _component_roots(g: EndorsementGraph) -> np.ndarray:
+    """Per sorted-id index, the smallest index in its connected component.
+
+    Min-label hooking with full shortcuts: each round, every tree root with a
+    smaller root among its neighboring trees hooks to the smallest one, then
+    every index is pointed straight at its root. A root that outlives the next
+    round had every neighboring root hook to it, and no two roots share one,
+    so each two rounds at least halve the roots of an unfinished component:
+    O(log n) rounds, each a few NumPy passes over the edges.
+    """
+    _, indptr, indices, _ = g.csr
+    n = indptr.size - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    upper = rows < indices
+    big, small = indices[upper], rows[upper]  # each edge once, larger end first
+    root = np.arange(n)
+    while big.size:
+        np.minimum.at(root, big, small)
+        while not np.array_equal(flat := root[root], root):
+            root = flat
+        a, b = root[big], root[small]
+        crossing = a != b
+        big, small = np.maximum(a, b)[crossing], np.minimum(a, b)[crossing]
+    return root
+
+
+def connected_components(g: EndorsementGraph) -> list[list[str]]:
+    """All components as ascending node-id lists, ordered by their smallest id."""
+    components: dict[int, list[str]] = {}
+    for node, root in zip(g.csr[0], _component_roots(g).tolist()):
+        components.setdefault(root, []).append(node)
+    return list(components.values())
 
 
 def is_connected(g: EndorsementGraph) -> bool:
-    return g.node_count <= 1 or len(connected_components(g)) == 1
+    """True when every node shares the smallest id's component (or there is none)."""
+    return not _component_roots(g).any()
 
 
 def largest_component(g: EndorsementGraph) -> EndorsementGraph:
     """Component with the most nodes; ties go to the smallest minimum node id."""
-    if g.node_count == 0:
-        return g
-    components = connected_components(g)
-    best = min(components, key=lambda c: (-len(c), min(c)))
-    return g.induced(best)
+    roots = _component_roots(g)
+    # the first maximum is the tied component with the smallest root
+    return _subgraph(g, roots == np.argmax(np.bincount(roots, minlength=1)))
 
 
 def prepare_conversation_graph(

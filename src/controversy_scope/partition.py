@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import EndorsementGraph, is_connected, sorted_csr
+from .graph import EndorsementGraph, is_connected
 
 SIDE_X = "X"
 SIDE_Y = "Y"
@@ -123,12 +123,6 @@ class _IndexGraph:
         scalar at a time.
         """
         return self.xadj.tolist(), self.adjncy.tolist(), self.adjwgt.tolist(), self.vwgt.tolist()
-
-
-def _index_graph(g: EndorsementGraph) -> tuple[list[str], _IndexGraph]:
-    nodes, xadj, adjncy, adjwgt = sorted_csr(g)
-    n = len(nodes)
-    return nodes, _IndexGraph(n, xadj, adjncy, adjwgt, np.ones(n, dtype=np.int64))
 
 
 def _heavy_edge_matching(
@@ -363,11 +357,11 @@ def bisect(g: EndorsementGraph, eps: float = 0.05, seed: int = 0) -> Bipartition
     if not is_connected(g):
         raise DisconnectedGraph("bisect requires a connected graph")
 
-    nodes, finest = _index_graph(g)
+    nodes, xadj, adjncy, adjwgt = g.csr
+    total = len(nodes)
     rng = np.random.default_rng(seed)
-    levels = [finest]
+    levels = [_IndexGraph(total, xadj, adjncy, adjwgt, np.ones(total, dtype=np.int64))]
     cmaps: list[np.ndarray] = []
-    total = levels[0].n
     max_vwgt = max(2, -(-3 * total // (2 * COARSEN_TARGET)))
     while levels[-1].n > COARSEN_TARGET:
         cmap, n_coarse = _heavy_edge_matching(levels[-1], rng, max_vwgt)

@@ -32,6 +32,7 @@ from .ingest import (
 from .ingest import EmptyInput
 from .partition import bisect
 from .rwc import RwcConfig, RwcResult, rwc_monte_carlo, rwc_score
+from .stats import Thresholds
 from .subtopics import (
     DEFAULT_NOUN_TAGS,
     StopwordConfig,
@@ -161,7 +162,8 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     return PipelineConfig(**kwargs)
 
 
-def load_config(path: str) -> PipelineConfig:
+def read_config(path: str) -> dict:
+    """The JSON object of a config file, before any key is interpreted."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -169,7 +171,11 @@ def load_config(path: str) -> PipelineConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    return config_from_dict(raw)
+    return raw
+
+
+def load_config(path: str) -> PipelineConfig:
+    return config_from_dict(read_config(path))
 
 
 def _check_files_exist(cfg: PipelineConfig) -> None:
@@ -306,20 +312,6 @@ _CSV_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
-class _Thresholds:
-    score: float = 0.3
-    size: int = 10_000
-    sentiment: float = -0.5
-
-
-def _group_flags(r: ControversyReport, th: _Thresholds) -> tuple[bool | None, bool, bool | None]:
-    high = None if r.rwc is None else r.rwc.score > th.score
-    large = not r.undersized and r.node_count >= th.size
-    low_senti = None if r.sentiment_mean is None else r.sentiment_mean < th.sentiment
-    return high, large, low_senti
-
-
 def _opt(value: object) -> str:
     if value is None:
         return ""
@@ -330,8 +322,8 @@ def _opt(value: object) -> str:
     return str(value)
 
 
-def _report_row(r: ControversyReport, th: _Thresholds) -> list[str]:
-    high, large, low_senti = _group_flags(r, th)
+def _report_row(r: ControversyReport, th: Thresholds) -> list[str]:
+    high, large, low_senti = th.flags(r)
     return [
         r.subtopic,
         r.window,
@@ -353,7 +345,7 @@ def _report_row(r: ControversyReport, th: _Thresholds) -> list[str]:
     ]
 
 
-def _emit_csv(reports: Sequence[ControversyReport], th: _Thresholds) -> str:
+def _emit_csv(reports: Sequence[ControversyReport], th: Thresholds) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
@@ -395,10 +387,10 @@ def parse_report_csv(text: str) -> list[ControversyReport]:
     return out
 
 
-def _emit_json(reports: Sequence[ControversyReport], th: _Thresholds) -> str:
+def _emit_json(reports: Sequence[ControversyReport], th: Thresholds) -> str:
     rows = []
     for r in reports:
-        high, large, low_senti = _group_flags(r, th)
+        high, large, low_senti = th.flags(r)
         rows.append(
             {
                 "subtopic": r.subtopic,
@@ -423,7 +415,7 @@ def _emit_json(reports: Sequence[ControversyReport], th: _Thresholds) -> str:
     return json.dumps(rows, indent=2, ensure_ascii=False) + "\n"
 
 
-def _emit_markdown(reports: Sequence[ControversyReport], score_thresh: float) -> str:
+def _emit_markdown(reports: Sequence[ControversyReport], th: Thresholds) -> str:
     """Subtopics-by-windows table: bold above the score cut, dash when unscored."""
     windows: list[str] = []
     subtopics: list[str] = []
@@ -442,7 +434,7 @@ def _emit_markdown(reports: Sequence[ControversyReport], score_thresh: float) ->
             r = by_cell.get((subtopic, window))
             if r is None or r.rwc is None:
                 cells.append("-")
-            elif r.rwc.score > score_thresh:
+            elif th.flags(r)[0]:
                 cells.append(f"**{r.rwc.score:.3f}**")
             else:
                 cells.append(f"{r.rwc.score:.3f}")
@@ -462,13 +454,13 @@ def emit_report(
     csv and json carry the threshold group flags per row; markdown renders
     the subtopics-by-windows score table with bold above the score cut.
     """
-    th = _Thresholds(score_thresh, size_thresh, senti_thresh)
+    th = Thresholds(score_thresh, size_thresh, senti_thresh)
     if fmt == "csv":
         return _emit_csv(reports, th)
     if fmt == "json":
         return _emit_json(reports, th)
     if fmt == "markdown":
-        return _emit_markdown(reports, score_thresh)
+        return _emit_markdown(reports, th)
     raise UnsupportedFormat(f"unsupported format: {fmt!r}")
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .graph import EndorsementGraph, is_connected, sorted_csr
+from .graph import EndorsementGraph, is_connected
 from .partition import SIDE_X, SIDE_Y, Bipartition, _require_assigned
 
 
@@ -97,7 +97,7 @@ def high_degree_nodes(
     Ties break toward the lexicographically smaller node id, so the set is
     deterministic.
     """
-    nodes, indptr, _, _ = sorted_csr(g)
+    nodes, indptr, _, _ = g.csr
     members = np.fromiter((p.side_of.get(n) == side for n in nodes), dtype=bool,
                           count=len(nodes))
     return frozenset(nodes[i] for i in _top_degree(members, np.diff(indptr), k_top, side))
@@ -123,7 +123,7 @@ class _WalkChain:
     def __init__(self, g: EndorsementGraph, p: Bipartition, cfg: RwcConfig):
         _require_assigned(g, p)
         self.cfg = cfg
-        self.nodes, self.indptr, self.indices, weights = sorted_csr(g)
+        self.nodes, self.indptr, self.indices, weights = g.csr
         n = len(self.nodes)
         degree = np.diff(self.indptr)
         if cfg.weighted_walk:

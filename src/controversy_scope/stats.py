@@ -236,6 +236,22 @@ def correlate_indicators(
 
 
 @dataclass(frozen=True)
+class Thresholds:
+    """The group cuts behind both the report flags and classify_subtopics."""
+
+    score: float = 0.3
+    size: int = 10_000
+    sentiment: float = -0.5
+
+    def flags(self, report: "ControversyReport") -> tuple[bool | None, bool, bool | None]:
+        """(score > cut, sized graph >= cut, sentiment < cut); None if unscored or no sentiment."""
+        high = None if report.rwc is None else report.rwc.score > self.score
+        large = not report.undersized and report.node_count >= self.size
+        low = None if report.sentiment_mean is None else report.sentiment_mean < self.sentiment
+        return high, large, low
+
+
+@dataclass(frozen=True)
 class ClassifiedReports:
     """The three report views; each view partitions its input reports.
 
@@ -260,6 +276,7 @@ def classify_subtopics(
     senti_thresh: float = -0.5,
 ) -> ClassifiedReports:
     """Group reports: score strictly above the cut counts as high controversy."""
+    th = Thresholds(score_thresh, size_thresh, senti_thresh)
     high: list[ControversyReport] = []
     low: list[ControversyReport] = []
     undersized: list[ControversyReport] = []
@@ -267,17 +284,18 @@ def classify_subtopics(
     large_low: list[ControversyReport] = []
     low_sentiment: list[ControversyReport] = []
     for report in reports:
-        if report.rwc is None:
+        is_high, is_large, is_low_senti = th.flags(report)
+        if is_high is None:
             undersized.append(report)
-        elif report.rwc.score > score_thresh:
+        elif is_high:
             high.append(report)
-            if report.node_count >= size_thresh:
+            if is_large:
                 large_high.append(report)
         else:
             low.append(report)
-            if report.node_count >= size_thresh:
+            if is_large:
                 large_low.append(report)
-        if report.sentiment_mean is not None and report.sentiment_mean < senti_thresh:
+        if is_low_senti:
             low_sentiment.append(report)
     return ClassifiedReports(
         tuple(high),

@@ -79,8 +79,7 @@ def planted_partition(spec: PlantedSpec, edge_weight: int = 2) -> PlantedGraph:
     bridges: list[tuple[str, str]] = []
     components = connected_components(graph)
     if len(components) > 1:
-        components.sort(key=min)
-        anchors = [min(c) for c in components]
+        anchors = [c[0] for c in components]
         for left, right in zip(anchors, anchors[1:]):
             bridge = edge_key(left, right)
             edges[bridge] = edge_weight

@@ -59,6 +59,15 @@ def unit_weights(g: EndorsementGraph) -> EndorsementGraph:
 # --- naive oracles -----------------------------------------------------------
 
 
+def edge_counts(g: EndorsementGraph) -> dict[str, int]:
+    """Unweighted degree per node, by one pass over the edge dict."""
+    degree = dict.fromkeys(g.nodes, 0)
+    for u, v in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    return degree
+
+
 def naive_k_core(g: EndorsementGraph, k: int) -> frozenset[str]:
     """Fixpoint by full rescans: drop any node with degree < k, repeat."""
     alive = set(g.nodes)

@@ -1,3 +1,6 @@
+import functools
+import time
+
 import numpy as np
 import pytest
 
@@ -5,13 +8,28 @@ from controversy_scope.graph import (
     EndorsementGraph,
     UnderSized,
     build_graph,
+    connected_components,
     dump_edgelist,
+    edge_key,
+    is_connected,
     k_core,
     largest_component,
     prepare_conversation_graph,
 )
+from controversy_scope.ingest import TimeWindow
+from controversy_scope.partition import bisect
+from controversy_scope.rwc import rwc_monte_carlo, rwc_score
+from controversy_scope.synth import CommunitySpec, CorpusSpec, synth_corpus
 
-from conftest import bfs_components, clique_edges, graph_from_edges, naive_k_core, random_graph, record
+from conftest import (
+    bfs_components,
+    clique_edges,
+    edge_counts,
+    graph_from_edges,
+    naive_k_core,
+    random_graph,
+    record,
+)
 
 
 def repost(post_id, author, of_post, of_author, ts=150):
@@ -146,7 +164,7 @@ def test_prepare_success_is_connected_min_degree_two():
     g = prepare_conversation_graph(rs, min_nodes=5)
     assert isinstance(g, EndorsementGraph)
     assert g.node_count == 20
-    degrees = g.degrees()
+    degrees = edge_counts(g)
     assert min(degrees.values()) >= 2
     assert len(bfs_components(g)) == 1
 
@@ -161,3 +179,66 @@ def test_build_graph_rejects_bad_threshold():
         build_graph([], min_rt=0)
     with pytest.raises(ValueError):
         k_core(graph_from_edges({}), 0)
+
+
+def test_connected_components_ordered_by_smallest_id():
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        g = random_graph(int(rng.integers(1, 13)), float(rng.uniform(0.05, 0.5)), rng)
+        expected = sorted((sorted(c) for c in bfs_components(g)), key=lambda c: c[0])
+        assert connected_components(g) == expected
+        assert is_connected(g) == (len(expected) == 1)
+
+
+def _cycle_edges(names):
+    return {edge_key(u, v): 1 for u, v in zip(names, names[1:] + names[:1])}
+
+
+def test_hostile_shapes_peel_and_split_in_linear_time():
+    n = 100_000
+    names = [f"v{i:06d}" for i in range(n)]
+    walk = [names[i] for i in np.random.default_rng(23).permutation(n)]  # ids out of path order
+    path = EndorsementGraph(frozenset(names), {edge_key(u, v): 1 for u, v in zip(walk, walk[1:])})
+    star = EndorsementGraph(frozenset(names) | {"hub"},
+                            {edge_key("hub", leaf): 1 for leaf in names})
+    # two equal cycles; the one holding the smallest id "a" has otherwise larger ids
+    small = ["a"] + [f"z{i:05d}" for i in range(n // 2 - 1)]
+    other = [f"b{i:05d}" for i in range(n // 2)]
+    cycles = EndorsementGraph(frozenset(small + other),
+                              {**_cycle_edges(other), **_cycle_edges(small)})
+    start = time.perf_counter()
+    for chain in (path, star):
+        assert k_core(chain, 2).node_count == 0
+        assert largest_component(chain) == chain
+    assert k_core(cycles, 2) == cycles
+    assert [c[0] for c in connected_components(cycles)] == ["a", "b00000"]
+    assert largest_component(cycles).nodes == frozenset(small)
+    assert time.perf_counter() - start < 10.0  # about 1 s on a 2-vCPU VM
+
+
+def test_prepared_graph_builds_its_csr_once(monkeypatch):
+    built = []
+    build = EndorsementGraph.__dict__["csr"].func
+
+    def counting(g):
+        built.append(g)
+        return build(g)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(EndorsementGraph, "csr")
+    monkeypatch.setattr(EndorsementGraph, "csr", counted)
+
+    records = synth_corpus(CorpusSpec(
+        communities=(CommunitySpec(150, ("vaxx",), 0.5), CommunitySpec(150, ("vaxx",), -0.5)),
+        cross_repost_rate=0.02,
+        window=TimeWindow(1_600_000_000, 1_602_592_000, "2020-09"),
+        seed=2,
+    ))
+    g = prepare_conversation_graph(records, min_nodes=100)
+    assert isinstance(g, EndorsementGraph)
+    part = bisect(g, seed=1)
+    rwc_score(g, part)
+    rwc_monte_carlo(g, part, n_walks=500)
+    assert sum(seen is g for seen in built) == 1
+    assert not any(array.flags.writeable for array in g.csr[1:])
+    assert len({id(seen) for seen in built}) == len(built)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from controversy_scope.graph import EndorsementGraph, edge_key, sorted_csr
+from controversy_scope.graph import EndorsementGraph, edge_key
 from controversy_scope.partition import (
     Bipartition,
     DisconnectedGraph,
@@ -198,7 +198,7 @@ def test_sorted_csr_matches_reference_loop():
     graphs += [random_graph(int(rng.integers(1, 40)), float(rng.uniform(0.0, 0.6)), rng)
                for _ in range(30)]
     for g in graphs:
-        nodes, indptr, indices, weights = sorted_csr(g)
+        nodes, indptr, indices, weights = g.csr
         assert (nodes, indptr.tolist(), indices.tolist(), weights.tolist()) == naive_csr(g)
 
 

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from controversy_scope import cli
-from controversy_scope.ingest import TimeWindow
+from controversy_scope.ingest import TimeWindow, parse_window
 from controversy_scope.pipeline import (
     ConfigError,
     ControversyReport,
@@ -328,6 +328,24 @@ def test_cli_synth_planted(tmp_path):
     assert len(lines) == 2 * (20 * 19 // 2) + 1
     sides = (tmp_path / "graph.txt.sides").read_text().splitlines()
     assert len(sides) == 40
+
+
+def test_cli_tz_flag_applies_to_config_windows(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"windows": ["2020-02"], "tz": "UTC"}), encoding="utf-8")
+    parser = cli._build_parser()
+
+    def parsed(argv):
+        return cli._config_from_args(parser.parse_args(argv), queries=None)
+
+    tokyo = ["--tz", "Asia/Tokyo"]
+    from_file = parsed(["run", "--config", str(cfg_path), *tokyo])
+    assert from_file.tz == "Asia/Tokyo"
+    assert from_file.windows == (parse_window("2020-02", "Asia/Tokyo"),)
+    with_flag = parsed(["run", "--config", str(cfg_path), *tokyo, "--window", "2020-01"])
+    without_config = parsed(["run", *tokyo, "--window", "2020-01"])
+    assert with_flag.windows == without_config.windows
+    assert with_flag.windows[0].start == 1577804400  # 2020-01-01T00:00+09:00
 
 
 def test_cli_requires_window_without_config():
