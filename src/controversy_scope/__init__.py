@@ -6,6 +6,7 @@ from .ingest import (
     InteractionRecord,
     ParseResult,
     TimeWindow,
+    WindowIndex,
     filter_window,
     month_window,
     parse_records,
@@ -57,6 +58,7 @@ __all__ = [
     "StopwordConfig",
     "TimeWindow",
     "UnderSized",
+    "WindowIndex",
     "absorption_probabilities",
     "aggregate_sentiment",
     "bisect",

@@ -9,15 +9,22 @@ Input is UTF-8 line-delimited JSON, one post per line:
 ``repost_of`` is optional; a bare repost may have an empty token list.
 Timestamps are UTC epoch seconds. Window labels (e.g. "2020-02") are
 calendar months computed in a configurable IANA timezone, default UTC.
+
+Query filtering reads a ``WindowIndex``: one pass over the records builds
+the window's records, the posts carrying each query token and each post's
+in-window reposts. A query's records are then its carriers closed under
+repost links by one graph search, so a window's many subtopic queries cost
+one index build plus a search each, however deep the repost chains run.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from array import array
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable
+from typing import Iterable, Iterator
 from zoneinfo import ZoneInfo
 
 
@@ -164,7 +171,8 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
+            # JSONDecodeError, an integer past the digit limit, deep nesting
             malformed += 1
             continue
         record = _record_from_obj(obj)
@@ -201,8 +209,78 @@ def serialize_records(records: Iterable[InteractionRecord]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+class WindowIndex:
+    """The records of one window, indexed for the window's query tokens.
+
+    Built in one pass over the records: the window's records in file order,
+    for each indexed query the ids of the posts whose surfaces carry it, and
+    for each post id the rows of its reposts inside the window. Iterating or
+    taking ``len`` gives the window's records. ``filter_window`` reads from
+    an index of its window instead of scanning the corpus again.
+    """
+
+    __slots__ = ("window", "queries", "records", "_carriers", "_heads", "_links")
+
+    def __init__(
+        self,
+        records: Iterable[InteractionRecord],
+        window: TimeWindow,
+        queries: Iterable[str] = (),
+    ) -> None:
+        self.window = window
+        self.queries = frozenset(queries)
+        self.records = [r for r in records if window.contains(r.timestamp)]
+        carriers: dict[str, list[str]] = {q: [] for q in self.queries}
+        # Each post's in-window reposts form a linked list of rows: heads maps
+        # a post id to the row of its last repost, links[row] to the row of
+        # the repost before it (-1 ends the list). One int array, not a list
+        # per post: per-post lists are objects the garbage collector tracks,
+        # and on a 72k-record corpus they cost one more full collection over
+        # the parsed records.
+        heads: dict[str, int] = {}
+        links = array("q")
+        for row, r in enumerate(self.records):
+            for surface, _pos in r.tokens:
+                if surface in carriers:
+                    carriers[surface].append(r.post_id)
+            if r.repost_of is None:
+                links.append(-1)
+            else:
+                links.append(heads.get(r.repost_of[0], -1))
+                heads[r.repost_of[0]] = row
+        self._carriers = carriers
+        self._heads = heads
+        self._links = links
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __iter__(self) -> Iterator[InteractionRecord]:
+        return iter(self.records)
+
+    def select(self, query: str) -> list[InteractionRecord]:
+        """The window's records matching an indexed query, in file order.
+
+        Matches are closed under repost links by one graph search from the
+        carriers' ids, each post id visited once, so chain depth costs
+        nothing extra. Matching is by post id: every record whose id matched
+        is kept.
+        """
+        kept = set(self._carriers[query])
+        frontier = list(kept)
+        while frontier:
+            row = self._heads.get(frontier.pop(), -1)
+            while row >= 0:
+                child = self.records[row].post_id
+                if child not in kept:
+                    kept.add(child)
+                    frontier.append(child)
+                row = self._links[row]
+        return [r for r in self.records if r.post_id in kept]
+
+
 def filter_window(
-    records: Iterable[InteractionRecord],
+    records: Iterable[InteractionRecord] | WindowIndex,
     window: TimeWindow,
     query: str | None = None,
 ) -> list[InteractionRecord]:
@@ -211,21 +289,13 @@ def filter_window(
     A record matches the query when the token appears among its surfaces, or
     when it is a repost of a matching record inside the same window (reposts
     inherit the match of their original; bare reposts rarely repeat the
-    keyword). Inheritance is resolved to a fixpoint so repost chains stay
-    intact.
+    keyword), transitively, so repost chains stay intact. Given a
+    ``WindowIndex`` of this window that indexes the query, the match is read
+    from it; otherwise a one-query index is built over ``records``.
     """
-    in_window = [r for r in records if window.contains(r.timestamp)]
     if query is None:
-        return in_window
-    kept_ids = {r.post_id for r in in_window if query in r.surfaces()}
-    # propagate matches through repost links until stable
-    changed = True
-    while changed:
-        changed = False
-        for r in in_window:
-            if r.post_id in kept_ids or r.repost_of is None:
-                continue
-            if r.repost_of[0] in kept_ids:
-                kept_ids.add(r.post_id)
-                changed = True
-    return [r for r in in_window if r.post_id in kept_ids]
+        return [r for r in records if window.contains(r.timestamp)]
+    if not (isinstance(records, WindowIndex) and records.window == window
+            and query in records.queries):
+        records = WindowIndex(records, window, (query,))
+    return records.select(query)

@@ -1,7 +1,8 @@
 """End-to-end orchestration: subtopics per window, per-cell scoring, reports.
 
 For every time window the pipeline shortlists subtopics (or takes a
-pre-specified query list), filters the records per subtopic, prepares the
+pre-specified query list), indexes the window's records once for all of
+them, reads each subtopic's records from that index, prepares the
 endorsement graph, and scores sized graphs with the bisection + random-walk
 stack; sentiment aggregates ride along when a lexicon is configured. Each
 (subtopic, window) cell yields exactly one report row; failures and
@@ -15,9 +16,10 @@ import hashlib
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 from urllib.parse import quote
 
 from . import sentiment as senti
@@ -25,6 +27,7 @@ from .graph import UnderSized, dump_edgelist, prepare_conversation_graph
 from .ingest import (
     InteractionRecord,
     TimeWindow,
+    WindowIndex,
     filter_window,
     parse_records_file,
     parse_window,
@@ -91,6 +94,9 @@ class PipelineConfig:
             raise ConfigError(f"unknown count_mode: {self.count_mode!r}")
         if self.phase1_scope not in ("window", "global"):
             raise ConfigError(f"unknown phase1_scope: {self.phase1_scope!r}")
+        if self.queries is not None and len(set(self.queries)) < len(self.queries):
+            # each query names one cell per window: one row, one edge dump
+            raise ConfigError(f"queries must not repeat: {list(self.queries)}")
 
 
 @dataclass(frozen=True)
@@ -196,13 +202,12 @@ def cell_seed(seed: int, window_label: str, token: str) -> int:
 
 
 def _score_cell(
-    records: Sequence[InteractionRecord],
+    cell_records: list[InteractionRecord],
     window: TimeWindow,
     token: str,
     cfg: PipelineConfig,
     lexicon: senti.PolarityLexicon | None,
 ) -> ControversyReport:
-    cell_records = filter_window(records, window, token)
     mean = std = None
     matched = None
     if lexicon is not None and cell_records:
@@ -272,34 +277,47 @@ def run_pipeline(
     if cfg.dump_graphs_dir is not None:
         os.makedirs(cfg.dump_graphs_dir, exist_ok=True)
 
-    global_tokens: list[str] | None = None
-    if cfg.queries is None and cfg.phase1_scope == "global":
+    tokens: Sequence[str] | None = cfg.queries
+    if tokens is None and cfg.phase1_scope == "global":
         freq = extract_candidate_tokens(records, stop_cfg, cfg.count_mode)
-        global_tokens = top_n_subtopics(freq, cfg.top_n)
+        tokens = top_n_subtopics(freq, cfg.top_n)
 
-    cells: list[tuple[TimeWindow, str]] = []
-    for window in cfg.windows:
-        if cfg.queries is not None:
-            tokens: Iterable[str] = cfg.queries
-        elif global_tokens is not None:
-            tokens = global_tokens
-        else:
-            window_records = filter_window(records, window)
-            freq = extract_candidate_tokens(window_records, stop_cfg, cfg.count_mode)
-            tokens = top_n_subtopics(freq, cfg.top_n)
-        cells.extend((window, token) for token in tokens)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            reports = list(
-                pool.map(
-                    lambda cell: _score_cell(records, cell[0], cell[1], cfg, lexicon),
-                    cells,
-                )
+    reports: list[ControversyReport] = []
+    with ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
+        for window in cfg.windows:
+            reports.extend(
+                _score_window(records, window, tokens, cfg, stop_cfg, lexicon, pool)
             )
-    else:
-        reports = [_score_cell(records, w, t, cfg, lexicon) for w, t in cells]
     return reports
+
+
+def _score_window(
+    records: Sequence[InteractionRecord],
+    window: TimeWindow,
+    tokens: Sequence[str] | None,
+    cfg: PipelineConfig,
+    stop_cfg: StopwordConfig,
+    lexicon: senti.PolarityLexicon | None,
+    pool: Executor | None,
+) -> list[ControversyReport]:
+    """One window's rows, every cell's records read from one window index.
+
+    ``tokens`` None shortlists the window's own subtopics. The index is
+    dropped once the cells are read, before any is scored, so it never
+    sits beside the graphs and solver arrays.
+    """
+    if tokens is None:
+        records = filter_window(records, window)
+        freq = extract_candidate_tokens(records, stop_cfg, cfg.count_mode)
+        tokens = top_n_subtopics(freq, cfg.top_n)
+    index = WindowIndex(records, window, tokens)
+    cells = [filter_window(index, window, token) for token in tokens]
+    del index
+
+    def score(token: str, cell_records: list[InteractionRecord]) -> ControversyReport:
+        return _score_cell(cell_records, window, token, cfg, lexicon)
+
+    return list((pool.map if pool is not None else map)(score, tokens, cells))
 
 
 # --- report emission ---------------------------------------------------------
@@ -415,6 +433,11 @@ def _emit_json(reports: Sequence[ControversyReport], th: Thresholds) -> str:
     return json.dumps(rows, indent=2, ensure_ascii=False) + "\n"
 
 
+def _md_escape(label: str) -> str:
+    """A label as one table cell: an unescaped ``|`` would end the cell."""
+    return label.replace("|", "\\|")
+
+
 def _emit_markdown(reports: Sequence[ControversyReport], th: Thresholds) -> str:
     """Subtopics-by-windows table: bold above the score cut, dash when unscored."""
     windows: list[str] = []
@@ -426,7 +449,7 @@ def _emit_markdown(reports: Sequence[ControversyReport], th: Thresholds) -> str:
         if r.subtopic not in subtopics:
             subtopics.append(r.subtopic)
         by_cell[(r.subtopic, r.window)] = r
-    lines = ["| " + " | ".join(["Subtopic", *windows]) + " |",
+    lines = ["| " + " | ".join(["Subtopic", *map(_md_escape, windows)]) + " |",
              "| --- |" + " --- |" * len(windows)]
     for subtopic in subtopics:
         cells = []
@@ -438,7 +461,7 @@ def _emit_markdown(reports: Sequence[ControversyReport], th: Thresholds) -> str:
                 cells.append(f"**{r.rwc.score:.3f}**")
             else:
                 cells.append(f"{r.rwc.score:.3f}")
-        lines.append("| " + subtopic + " | " + " | ".join(cells) + " |")
+        lines.append("| " + _md_escape(subtopic) + " | " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 
 

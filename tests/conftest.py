@@ -7,11 +7,19 @@ enumeration) so they exercise none of the code paths they are checking.
 from __future__ import annotations
 
 import itertools
+from typing import Iterable
 
 import numpy as np
+from hypothesis import settings
 
 from controversy_scope.graph import EndorsementGraph, edge_key
-from controversy_scope.ingest import InteractionRecord
+from controversy_scope.ingest import InteractionRecord, TimeWindow
+
+# Property tests replay the same examples on every run and stay quick, so
+# the tier-1 suite is deterministic; raise max_examples locally to search.
+settings.register_profile("tier1", derandomize=True, max_examples=200,
+                          deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 def record(
@@ -57,6 +65,29 @@ def unit_weights(g: EndorsementGraph) -> EndorsementGraph:
 
 
 # --- naive oracles -----------------------------------------------------------
+
+
+def naive_filter_window(
+    records: Iterable[InteractionRecord],
+    window: TimeWindow,
+    query: str | None = None,
+) -> list[InteractionRecord]:
+    """Query match by full sweeps over the window until no repost inherits."""
+    in_window = [r for r in records if window.contains(r.timestamp)]
+    if query is None:
+        return in_window
+    kept_ids = {r.post_id for r in in_window if query in r.surfaces()}
+    # propagate matches through repost links until stable
+    changed = True
+    while changed:
+        changed = False
+        for r in in_window:
+            if r.post_id in kept_ids or r.repost_of is None:
+                continue
+            if r.repost_of[0] in kept_ids:
+                kept_ids.add(r.post_id)
+                changed = True
+    return [r for r in in_window if r.post_id in kept_ids]
 
 
 def edge_counts(g: EndorsementGraph) -> dict[str, int]:

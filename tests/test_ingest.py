@@ -1,11 +1,16 @@
 import json
+import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from controversy_scope.ingest import (
     DuplicatePostId,
     EmptyInput,
+    InteractionRecord,
     TimeWindow,
+    WindowIndex,
     filter_window,
     month_window,
     parse_records,
@@ -13,7 +18,7 @@ from controversy_scope.ingest import (
     serialize_records,
 )
 
-from conftest import record
+from conftest import naive_filter_window, record
 
 
 def lines(*objs):
@@ -164,3 +169,132 @@ def test_filter_window_idempotent_and_subset():
     assert once == twice
     with_query = filter_window(records, W, query="absent")
     assert {r.post_id for r in with_query} <= {r.post_id for r in once}
+
+
+# --- one index per window against the fixpoint oracle ------------------------
+
+IDS = ("a", "b", "c", "d", "e")
+VOCAB = ("vaxx", "mask", "school")
+
+
+def _noun(*surfaces):
+    return tuple((s, "NOUN") for s in surfaces)
+
+
+# few ids and timestamps on both sides of W's bounds, so lists often hold
+# duplicate ids, self-reposts, cycles, out-of-window originals and chains
+# in either file order
+record_lists = st.lists(
+    st.builds(
+        InteractionRecord,
+        post_id=st.sampled_from(IDS),
+        author_id=st.sampled_from(("u1", "u2")),
+        timestamp=st.sampled_from((99, 100, 150, 199, 200)),
+        tokens=st.lists(st.sampled_from(VOCAB), max_size=2).map(lambda ts: _noun(*ts)),
+        repost_of=st.none() | st.tuples(st.sampled_from(IDS), st.just("u1")),
+    ),
+    max_size=12,
+)
+
+
+@given(record_lists)
+@example([  # duplicate ids: the id matched, so both of its records are kept
+    record("a", "u1", 150, _noun("vaxx")),
+    record("a", "u2", 160, _noun("school")),
+    record("b", "u1", 170, (), ("a", "u1")),
+])
+@example([  # a repost of an out-of-window original inherits nothing
+    record("a", "u1", 300, _noun("vaxx")),
+    record("b", "u2", 150, (), ("a", "u1")),
+])
+@example([  # self-reposts
+    record("a", "u1", 150, (), ("a", "u1")),
+    record("b", "u2", 150, _noun("vaxx"), ("b", "u2")),
+])
+@example([  # a cycle fed by one carrier, and one with none
+    record("a", "u1", 150, (), ("b", "u1")),
+    record("b", "u1", 150, (), ("c", "u1")),
+    record("c", "u1", 150, _noun("vaxx"), ("a", "u1")),
+    record("d", "u2", 150, (), ("e", "u2")),
+    record("e", "u2", 150, (), ("d", "u2")),
+])
+@example([  # a chain in reverse file order
+    record("d", "u1", 150, (), ("c", "u1")),
+    record("c", "u1", 150, (), ("b", "u1")),
+    record("b", "u1", 150, (), ("a", "u1")),
+    record("a", "u2", 150, _noun("vaxx")),
+])
+def test_filter_window_matches_fixpoint_oracle(records):
+    index = WindowIndex(records, W, VOCAB[:2])
+    assert list(index) == filter_window(records, W) == naive_filter_window(records, W)
+    for query in VOCAB:
+        expected = naive_filter_window(records, W, query)
+        assert filter_window(records, W, query) == expected
+        # VOCAB[2] is not indexed, so that query is answered from a fresh index
+        assert filter_window(index, W, query) == expected
+
+
+def test_filter_window_linear_on_deep_chain_and_wide_hub():
+    depth, fan = 10_000, 100_000
+    chain = [record(f"c{i}", f"u{i}", 150, (), (f"c{i - 1}", f"u{i - 1}"))
+             for i in range(depth - 1, 0, -1)]
+    chain.append(record("c0", "u0", 150, _noun("vaxx")))
+    hub = [record("h", "uh", 150, _noun("vaxx"))]
+    hub += [record(f"r{j}", f"v{j}", 150, (), ("h", "uh")) for j in range(fan)]
+    records = chain + hub
+    start = time.perf_counter()
+    kept = filter_window(records, W, "vaxx")
+    elapsed = time.perf_counter() - start
+    assert kept == records
+    assert elapsed < 10.0
+
+
+# --- ingest fuzzing ----------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+# objects with the record's keys, holding valid-looking and arbitrary values
+record_like = st.dictionaries(
+    st.sampled_from(("post_id", "author_id", "timestamp", "tokens", "repost_of")),
+    json_values | st.lists(st.lists(st.text(max_size=3), min_size=2, max_size=2), max_size=2),
+).map(json.dumps)
+
+
+@given(st.lists(st.text() | json_values.map(json.dumps) | record_like, max_size=8))
+@example(["1" * 5000])  # an integer past the interpreter's digit limit
+@example(["[" * 100_000])  # nesting past the recursion limit
+@example([json.dumps(GOOD_LINE), json.dumps(dict(GOOD_LINE, post_id="p2"))[:-1]
+          + ',"x":' + "9" * 5000 + "}"])
+def test_parse_records_raises_only_its_own_errors(lines):
+    try:
+        result = parse_records(lines)
+    except (EmptyInput, DuplicatePostId):
+        return
+    assert result.malformed + len(result.records) == sum(1 for line in lines if line.strip())
+
+
+valid_records = st.lists(
+    st.builds(
+        InteractionRecord,
+        post_id=st.text(min_size=1, max_size=6),
+        author_id=st.text(min_size=1, max_size=6),
+        timestamp=st.integers(),
+        tokens=st.lists(st.tuples(st.text(max_size=5), st.text(max_size=5)), max_size=3)
+        .map(tuple),
+        repost_of=st.none() | st.tuples(st.text(max_size=5), st.text(min_size=1, max_size=5)),
+    ).filter(lambda r: r.tokens or r.repost_of),
+    min_size=1,
+    max_size=6,
+    unique_by=lambda r: r.post_id,
+)
+
+
+@given(valid_records)
+def test_serialize_parse_round_trip(records):
+    parsed = parse_records(serialize_records(records).split("\n"))
+    assert parsed.records == tuple(records)
+    assert parsed.malformed == 0

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -7,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from controversy_scope import cli
-from controversy_scope.ingest import TimeWindow, parse_window
+from controversy_scope.ingest import TimeWindow, parse_window, serialize_records
 from controversy_scope.pipeline import (
     ConfigError,
     ControversyReport,
@@ -148,6 +149,16 @@ def test_markdown_bold_and_dash_cells():
     assert lines[0] == "| Subtopic | w1 | w2 |"
     assert lines[2] == "| alpha | **0.840** | - |"
     assert lines[3] == "| beta | 0.120 | -0.310 |"
+
+
+def test_markdown_escapes_pipes_in_labels():
+    text = emit_report([ControversyReport("a|b", "w|1", 50, 1000, False,
+                                          RwcResult(0.9, 0.1, 0.9, 0.1, 0.8))], "markdown")
+    lines = text.splitlines()
+    assert lines[0] == r"| Subtopic | w\|1 |"
+    assert lines[2] == r"| a\|b | **0.800** |"
+    # only unescaped pipes delimit cells: two cells on every line
+    assert all(len(re.split(r"(?<!\\)\|", line)) == 4 for line in lines)
 
 
 def test_markdown_empty_reports_header_only():
@@ -346,6 +357,19 @@ def test_cli_tz_flag_applies_to_config_windows(tmp_path):
     without_config = parsed(["run", *tokyo, "--window", "2020-01"])
     assert with_flag.windows == without_config.windows
     assert with_flag.windows[0].start == 1577804400  # 2020-01-01T00:00+09:00
+
+
+def test_repeated_queries_rejected_by_config_and_cli(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="vaxx"):
+        small_config(queries=("vaxx", "covid", "vaxx"))
+    with pytest.raises(ConfigError, match="vaxx"):
+        config_from_dict({"windows": ["2020-09"], "queries": ["vaxx", "vaxx"]})
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(serialize_records(small_corpus()[:5]), encoding="utf-8")
+    code = cli.main(["rq1", "--input", str(corpus), "--window", "2020-09",
+                     "--queries", "vaxx,vaxx"])
+    assert code == 2
+    assert "repeat" in capsys.readouterr().err
 
 
 def test_cli_requires_window_without_config():
