@@ -9,62 +9,64 @@ list (no subtopic detection); `synth` writes a synthetic corpus (JSONL) or
 a planted two-block graph (edge list + sides) from a JSON spec. Exit code
 is 0 when the batch completes, even if cells are dashes; 1 is reserved for
 enabled monte-carlo cross-check failures, 2 for configuration errors.
+
+Each key of pipeline.CONFIG_KEYS is a flag of `run` and `rq1`, written over
+the config file: `--<key>` with "_" and "." written as "-", except
+`--window`, `--k-top` and `--restart`. `queries` is rq1's `--queries`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import fields
 
 from .graph import dump_edgelist
 from .ingest import parse_window, serialize_records
 from .pipeline import (
+    CONFIG_KEYS,
     ConfigError,
+    ConfigKey,
     PipelineConfig,
-    RwcConfig,
     config_from_dict,
     emit_report,
     has_mc_failures,
     read_config,
     run_pipeline,
-    with_overrides,
     write_output,
 )
 from .synth import CommunitySpec, CorpusSpec, PlantedSpec, planted_partition, synth_corpus
 
+# three flags keep shorter names than --<key>
+_FLAG_NAMES = {"windows": "--window", "rwc.k_top": "--k-top", "rwc.restart_prob": "--restart"}
+# list keys given as one comma-separated value; the other list flags repeat
+_COMMA_LISTS = ("noun_tags", "queries")
+# queries is rq1's required argument, not a run flag
+_QUERIES = next(spec for spec in CONFIG_KEYS if spec.key == "queries")
+_PIPELINE_FLAGS = tuple(spec for spec in CONFIG_KEYS if spec is not _QUERIES)
 
-def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", help="corpus JSONL path")
-    parser.add_argument("--tz", help="IANA timezone for month windows (default UTC)")
-    parser.add_argument("--window", action="append", dest="windows", metavar="SPEC",
-                        help="YYYY-MM or start..end; repeatable")
-    parser.add_argument("--top-n", type=int, help="subtopic shortlist size")
-    parser.add_argument("--stopwords", action="append", metavar="PATH",
-                        help="stopword file; repeatable, files are merged")
-    parser.add_argument("--noun-tags", help="comma-separated POS tags accepted as nouns")
-    parser.add_argument("--count-mode", choices=["occurrences", "documents"])
-    parser.add_argument("--phase1-scope", choices=["window", "global"],
-                        help="count shortlist frequencies per window or corpus-wide")
-    parser.add_argument("--min-rt", type=int, help="repost weight threshold per edge")
-    parser.add_argument("--k-core", type=int, help="k for the k-core pass")
-    parser.add_argument("--min-nodes", type=int, help="minimum graph size to score")
-    parser.add_argument("--balance-eps", type=float, help="bisection balance tolerance")
-    parser.add_argument("--k-top", type=int, help="absorbing nodes per side")
-    parser.add_argument("--restart", type=float, help="walk restart probability")
-    parser.add_argument("--mc-walks", type=int, help="walks per side for --mc-check")
-    parser.add_argument("--mc-check", action="store_true", default=None,
-                        help="cross-check the solver against the simulator")
-    parser.add_argument("--lexicon", help="polarity lexicon TSV path")
-    parser.add_argument("--score-thresh", type=float, help="high-controversy cut")
-    parser.add_argument("--size-thresh", type=int, help="large-subtopic node cut")
-    parser.add_argument("--senti-thresh", type=float, help="low-sentiment cut")
-    parser.add_argument("--seed", type=int, help="base seed for all cells")
-    parser.add_argument("--workers", type=int, help="parallel cell workers")
-    parser.add_argument("--dump-graphs", metavar="DIR",
-                        help="write each scored cell's edge list into DIR")
-    parser.add_argument("--format", choices=["csv", "json", "markdown"], dest="fmt")
-    parser.add_argument("--output", help="write the report here (atomic); default stdout")
+
+def _comma_list(text: str) -> list[str]:
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _add_flag(parser: argparse.ArgumentParser, spec: ConfigKey, **extra: object) -> None:
+    """The flag for one config key: --<key> with "_" and "." written as "-"."""
+    flag = _FLAG_NAMES.get(spec.key, "--" + spec.key.replace("_", "-").replace(".", "-"))
+    kwargs: dict[str, object] = {"dest": spec.key, "help": spec.help}
+    if spec.kind is bool:
+        kwargs.update(action="store_true", default=None)
+    elif isinstance(spec.kind, tuple):
+        kwargs["choices"] = spec.kind
+    else:
+        kwargs["metavar"] = flag[2:].upper().replace("-", "_")
+        if spec.key in _COMMA_LISTS:
+            kwargs["type"] = _comma_list
+        elif spec.kind is list:
+            kwargs["action"] = "append"
+        elif spec.kind is not str:
+            kwargs["type"] = spec.kind
+    parser.add_argument(flag, **kwargs, **extra)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,16 +77,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="full batch: subtopic detection + scoring")
-    run_p.add_argument("--config", help="pipeline config JSON")
-    _add_pipeline_flags(run_p)
     run_p.set_defaults(handler=_handle_run)
-
     rq1_p = sub.add_parser("rq1", help="score a pre-specified query list")
-    rq1_p.add_argument("--config", help="pipeline config JSON")
-    rq1_p.add_argument("--queries", required=True,
-                       help="comma-separated query tokens")
-    _add_pipeline_flags(rq1_p)
     rq1_p.set_defaults(handler=_handle_rq1)
+    _add_flag(rq1_p, _QUERIES, required=True)
+    for pipeline_p in (run_p, rq1_p):
+        pipeline_p.add_argument("--config", help="pipeline config JSON")
+        for spec in _PIPELINE_FLAGS:
+            _add_flag(pipeline_p, spec)
 
     synth_p = sub.add_parser("synth", help="generate a synthetic corpus or graph")
     synth_p.add_argument("--spec", required=True, help="generator spec JSON")
@@ -94,59 +94,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace, queries: tuple[str, ...] | None) -> PipelineConfig:
+    """The config file (or none) with the given flags and rq1's queries written over it.
+
+    One config_from_dict call, so the file's windows and --window share the tz.
+    """
     if args.config:
         raw = read_config(args.config)
     elif args.windows:
         raw = {}
     else:
         raise ConfigError("--window is required when no --config is given")
-    # one parse, so the file's windows and --window flags share the effective tz
-    if args.tz:
-        raw["tz"] = args.tz
-    if args.windows:
-        raw["windows"] = args.windows
-    cfg = config_from_dict(raw)
-    overrides: dict[str, object] = {
-        "input_path": args.input,
-        "top_n": args.top_n,
-        "count_mode": args.count_mode,
-        "phase1_scope": args.phase1_scope,
-        "min_rt": args.min_rt,
-        "k_core_k": args.k_core,
-        "min_nodes": args.min_nodes,
-        "balance_eps": args.balance_eps,
-        "lexicon_path": args.lexicon,
-        "score_thresh": args.score_thresh,
-        "size_thresh": args.size_thresh,
-        "senti_thresh": args.senti_thresh,
-        "seed": args.seed,
-        "workers": args.workers,
-        "mc_walks": args.mc_walks,
-        "mc_check": args.mc_check,
-        "dump_graphs_dir": args.dump_graphs,
-        "output_path": args.output,
-        "output_format": args.fmt,
-    }
-    if args.stopwords:
-        overrides["stopword_paths"] = tuple(args.stopwords)
-    if args.noun_tags:
-        overrides["noun_tags"] = frozenset(
-            tag.strip() for tag in args.noun_tags.split(",") if tag.strip()
-        )
-    if args.k_top is not None or args.restart is not None:
-        overrides["rwc"] = RwcConfig(
-            k_top=args.k_top if args.k_top is not None else cfg.rwc.k_top,
-            restart_prob=args.restart if args.restart is not None else cfg.rwc.restart_prob,
-            solver_tol=cfg.rwc.solver_tol,
-            max_iter=cfg.rwc.max_iter,
-            weighted_walk=cfg.rwc.weighted_walk,
-        )
+    for spec in _PIPELINE_FLAGS:
+        value = getattr(args, spec.key)
+        if value is None:
+            continue
+        section, _, name = spec.key.rpartition(".")
+        target = raw.setdefault(section, {}) if section else raw
+        if not isinstance(target, dict):
+            raise ConfigError(f"{section} must be a JSON object")
+        target[name] = value
     if queries is not None:
-        overrides["queries"] = queries
-    return with_overrides(cfg, **overrides)
+        raw["queries"] = list(queries)
+    return config_from_dict(raw)
 
 
-def _emit(cfg: PipelineConfig, reports) -> None:
+def _handle_run(args: argparse.Namespace, queries: tuple[str, ...] | None = None) -> int:
+    cfg = _config_from_args(args, queries)
+    reports = run_pipeline(cfg)
     text = emit_report(reports, cfg.output_format, cfg.score_thresh,
                        cfg.size_thresh, cfg.senti_thresh)
     if cfg.output_path:
@@ -154,88 +128,74 @@ def _emit(cfg: PipelineConfig, reports) -> None:
         print(f"wrote {len(reports)} report rows to {cfg.output_path}")
     else:
         sys.stdout.write(text)
-
-
-def _handle_run(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, queries=None)
-    reports = run_pipeline(cfg)
-    _emit(cfg, reports)
     return 1 if cfg.mc_check and has_mc_failures(reports) else 0
 
 
 def _handle_rq1(args: argparse.Namespace) -> int:
-    queries = tuple(q.strip() for q in args.queries.split(",") if q.strip())
-    if not queries:
+    if not args.queries:
         raise ConfigError("--queries must name at least one token")
-    cfg = _config_from_args(args, queries=queries)
-    reports = run_pipeline(cfg)
-    _emit(cfg, reports)
-    return 1 if cfg.mc_check and has_mc_failures(reports) else 0
+    return _handle_run(args, tuple(args.queries))
 
 
-_CORPUS_SCALAR_KEYS = (
-    "cross_repost_rate", "seed", "repost_fraction", "topic_post_rate",
-    "n_favorites", "background_cross_rate", "noun_tag", "sentiment_tag",
-)
-_CORPUS_TUPLE_KEYS = ("posts_per_author", "background_tokens", "sentiment_surfaces")
+def _require(raw: dict, keys: tuple[str, ...], what: str) -> None:
+    missing = [key for key in keys if key not in raw]
+    if missing:
+        raise ConfigError(f"{what} requires {missing}")
 
 
 def _corpus_spec_from_dict(raw: dict) -> CorpusSpec:
-    known = {"communities", "window", "tz", *_CORPUS_SCALAR_KEYS, *_CORPUS_TUPLE_KEYS}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(CorpusSpec)} - {"tz"}
     if unknown:
         raise ConfigError(f"unknown corpus spec keys: {sorted(unknown)}")
-    communities = tuple(
-        CommunitySpec(
-            n_authors=c["n_authors"],
-            topic_tokens=tuple(c.get("topic_tokens", ())),
-            polarity_bias=c.get("polarity_bias", 0.0),
-        )
+    _require(raw, ("communities", "window", "cross_repost_rate"), "corpus spec")
+    for c in raw["communities"]:
+        _require(c, ("n_authors",), "each community")
+    kwargs = {key: tuple(value) if isinstance(value, list) else value
+              for key, value in raw.items() if key != "tz"}
+    kwargs["communities"] = tuple(
+        CommunitySpec(c["n_authors"], tuple(c.get("topic_tokens", ())),
+                      c.get("polarity_bias", 0.0))
         for c in raw["communities"]
     )
-    window = parse_window(raw["window"], raw.get("tz", "UTC"))
-    kwargs: dict[str, object] = {
-        key: raw[key] for key in _CORPUS_SCALAR_KEYS if key in raw
-    }
-    for key in _CORPUS_TUPLE_KEYS:
-        if key in raw:
-            kwargs[key] = tuple(raw[key])
-    return CorpusSpec(communities=communities, window=window, **kwargs)
+    kwargs["window"] = parse_window(raw["window"], raw.get("tz", "UTC"))
+    return CorpusSpec(**kwargs)
+
+
+def _planted_spec_from_dict(raw: dict) -> PlantedSpec:
+    unknown = set(raw) - {f.name for f in fields(PlantedSpec)}
+    if unknown:
+        raise ConfigError(f"unknown planted spec keys: {sorted(unknown)}")
+    _require(raw, ("n_per_side", "p_in", "p_out"), "planted spec")
+    return PlantedSpec(**raw)
 
 
 def _handle_synth(args: argparse.Namespace) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_config(args.spec)
     kind = raw.pop("kind", "corpus")
+    if kind not in ("corpus", "planted"):
+        raise ConfigError(f"unknown synth kind: {kind!r}")
+    try:
+        spec = (_corpus_spec_from_dict if kind == "corpus" else _planted_spec_from_dict)(raw)
+    except ValueError as exc:  # a value out of range, or a bad window
+        raise ConfigError(f"{kind} spec: {exc}") from exc
     if kind == "corpus":
-        records = synth_corpus(_corpus_spec_from_dict(raw))
+        records = synth_corpus(spec)
         write_output(args.out, serialize_records(records))
         print(f"wrote {len(records)} records to {args.out}")
         return 0
-    if kind == "planted":
-        unknown = set(raw) - {"n_per_side", "p_in", "p_out", "seed"}
-        if unknown:
-            raise ConfigError(f"unknown planted spec keys: {sorted(unknown)}")
-        spec = PlantedSpec(
-            n_per_side=raw["n_per_side"],
-            p_in=raw["p_in"],
-            p_out=raw["p_out"],
-            seed=raw.get("seed", 0),
-        )
-        planted = planted_partition(spec)
-        write_output(args.out, dump_edgelist(planted.graph))
-        sides_path = args.out + ".sides"
-        lines = [
-            f"{node} {planted.ground_truth.side_of[node]}"
-            for node in sorted(planted.graph.nodes)
-        ]
-        write_output(sides_path, "\n".join(lines) + "\n")
-        print(
-            f"wrote {planted.graph.edge_count} edges to {args.out} "
-            f"({len(planted.bridges)} forced bridges), sides to {sides_path}"
-        )
-        return 0
-    raise ConfigError(f"unknown synth kind: {kind!r}")
+    planted = planted_partition(spec)
+    write_output(args.out, dump_edgelist(planted.graph))
+    sides_path = args.out + ".sides"
+    lines = [
+        f"{node} {planted.ground_truth.side_of[node]}"
+        for node in sorted(planted.graph.nodes)
+    ]
+    write_output(sides_path, "\n".join(lines) + "\n")
+    print(
+        f"wrote {planted.graph.edge_count} edges to {args.out} "
+        f"({len(planted.bridges)} forced bridges), sides to {sides_path}"
+    )
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,7 +6,11 @@ them, reads each subtopic's records from that index, prepares the
 endorsement graph, and scores sized graphs with the bisection + random-walk
 stack; sentiment aggregates ride along when a lexicon is configured. Each
 (subtopic, window) cell yields exactly one report row; failures and
-under-threshold graphs are data in the row, never batch aborts.
+under-threshold graphs are data in the row, never batch aborts. Cells are
+scored one after another.
+
+CONFIG_KEYS is the one table of config keys: config_from_dict checks a
+config file's JSON against it, and the CLI builds its flags from it.
 """
 
 from __future__ import annotations
@@ -16,11 +20,10 @@ import hashlib
 import io
 import json
 import os
-from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 from urllib.parse import quote
+from zoneinfo import ZoneInfoNotFoundError
 
 from . import sentiment as senti
 from .graph import UnderSized, dump_edgelist, prepare_conversation_graph
@@ -78,7 +81,6 @@ class PipelineConfig:
     phase1_scope: str = "window"
     mc_check: bool = False
     mc_walks: int = 100_000
-    workers: int = 1
     dump_graphs_dir: str | None = None
     output_path: str | None = None
     output_format: str = "csv"
@@ -88,12 +90,10 @@ class PipelineConfig:
             raise ConfigError("at least one window is required")
         if self.top_n < 1:
             raise ConfigError(f"top_n must be >= 1, got {self.top_n}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.count_mode not in ("occurrences", "documents"):
-            raise ConfigError(f"unknown count_mode: {self.count_mode!r}")
-        if self.phase1_scope not in ("window", "global"):
-            raise ConfigError(f"unknown phase1_scope: {self.phase1_scope!r}")
+        for spec in CONFIG_KEYS:
+            if isinstance(spec.kind, tuple) and getattr(self, spec.field) not in spec.kind:
+                raise ConfigError(f"{spec.key} must be one of {list(spec.kind)}, "
+                                  f"got {getattr(self, spec.field)!r}")
         if self.queries is not None and len(set(self.queries)) < len(self.queries):
             # each query names one cell per window: one row, one edge dump
             raise ConfigError(f"queries must not repeat: {list(self.queries)}")
@@ -115,56 +115,104 @@ class ControversyReport:
     error: str | None = None
 
 
-_CONFIG_KEYS = {
-    "input": "input_path",
-    "windows": None,
-    "queries": None,
-    "top_n": "top_n",
-    "stopwords": None,
-    "noun_tags": None,
-    "count_mode": "count_mode",
-    "min_rt": "min_rt",
-    "k_core": "k_core_k",
-    "min_nodes": "min_nodes",
-    "balance_eps": "balance_eps",
-    "rwc": None,
-    "lexicon": "lexicon_path",
-    "score_thresh": "score_thresh",
-    "size_thresh": "size_thresh",
-    "senti_thresh": "senti_thresh",
-    "seed": "seed",
-    "tz": "tz",
-    "phase1_scope": "phase1_scope",
-    "mc_check": "mc_check",
-    "mc_walks": "mc_walks",
-    "workers": "workers",
-    "dump_graphs": "dump_graphs_dir",
-    "output": "output_path",
-    "format": "output_format",
-}
+@dataclass(frozen=True)
+class ConfigKey:
+    """A config file key, the field it sets, its kind and its help.
+
+    ``kind`` is str, int, float, bool, list (of str) or a tuple of choices.
+    ``rwc.<name>`` is ``<name>`` in the file's ``rwc`` object and sets that
+    RwcConfig field. A key whose field defaults to None also takes null.
+    """
+
+    key: str
+    field: str
+    kind: type | tuple[str, ...]
+    help: str
+
+
+CONFIG_KEYS: tuple[ConfigKey, ...] = (
+    ConfigKey("input", "input_path", str, "corpus JSONL path"),
+    ConfigKey("tz", "tz", str, "IANA timezone for month windows (default UTC)"),
+    ConfigKey("windows", "windows", list, "YYYY-MM or start..end; repeatable"),
+    ConfigKey("queries", "queries", list, "comma-separated query tokens"),
+    ConfigKey("top_n", "top_n", int, "subtopic shortlist size"),
+    ConfigKey("stopwords", "stopword_paths", list, "stopword file; repeatable, files are merged"),
+    ConfigKey("noun_tags", "noun_tags", list, "comma-separated POS tags accepted as nouns"),
+    ConfigKey("count_mode", "count_mode", ("occurrences", "documents"),
+              "count a token per occurrence or once per record"),
+    ConfigKey("phase1_scope", "phase1_scope", ("window", "global"),
+              "count shortlist frequencies per window or corpus-wide"),
+    ConfigKey("min_rt", "min_rt", int, "repost weight threshold per edge"),
+    ConfigKey("k_core", "k_core_k", int, "k for the k-core pass"),
+    ConfigKey("min_nodes", "min_nodes", int, "minimum graph size to score"),
+    ConfigKey("balance_eps", "balance_eps", float, "bisection balance tolerance"),
+    ConfigKey("rwc.k_top", "k_top", int, "absorbing nodes per side"),
+    ConfigKey("rwc.restart_prob", "restart_prob", float, "walk restart probability"),
+    ConfigKey("rwc.solver_tol", "solver_tol", float, "error bound on each solved probability"),
+    ConfigKey("rwc.max_iter", "max_iter", int, "cap on the solver's sweeps"),
+    ConfigKey("rwc.weighted_walk", "weighted_walk", bool, "step in proportion to edge weight"),
+    ConfigKey("mc_walks", "mc_walks", int, "walks per side for --mc-check"),
+    ConfigKey("mc_check", "mc_check", bool, "cross-check the solver against the simulator"),
+    ConfigKey("lexicon", "lexicon_path", str, "polarity lexicon TSV path"),
+    ConfigKey("score_thresh", "score_thresh", float, "high-controversy cut"),
+    ConfigKey("size_thresh", "size_thresh", int, "large-subtopic node cut"),
+    ConfigKey("senti_thresh", "senti_thresh", float, "low-sentiment cut"),
+    ConfigKey("seed", "seed", int, "base seed for all cells"),
+    ConfigKey("dump_graphs", "dump_graphs_dir", str, "write each scored cell's edge list here"),
+    ConfigKey("format", "output_format", ("csv", "json", "markdown"), "report format"),
+    ConfigKey("output", "output_path", str, "write the report here (atomic); default stdout"),
+)
+
+_KEYS = {spec.key: spec for spec in CONFIG_KEYS}
+_NULLABLE = {f.name for f in fields(PipelineConfig) if f.default is None}
+
+
+def _check_kind(spec: ConfigKey, value: object) -> None:
+    # a choice is checked as a str here and against its choices by PipelineConfig
+    kind = str if isinstance(spec.kind, tuple) else spec.kind
+    if value is None:
+        ok = spec.field in _NULLABLE
+    elif kind is list:
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    elif kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        name = "list of str" if kind is list else kind.__name__
+        raise ConfigError(f"{spec.key} must be {name}, got {value!r}")
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    """Build a PipelineConfig from the JSON config-file shape."""
-    unknown = set(raw) - set(_CONFIG_KEYS)
+    """Build a PipelineConfig from the JSON config-file shape; ConfigError on any bad key."""
+    walk = raw.get("rwc", {})
+    if not isinstance(walk, dict):
+        raise ConfigError("rwc must be a JSON object")
+    flat = {k: v for k, v in raw.items() if k != "rwc"}
+    flat.update({f"rwc.{k}": v for k, v in walk.items()})
+    unknown = set(flat) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "windows" not in raw:
+    if "windows" not in flat:
         raise ConfigError("config requires a windows list")
-    tz = raw.get("tz", "UTC")
-    kwargs: dict[str, object] = {"tz": tz}
-    kwargs["windows"] = tuple(parse_window(w, tz) for w in raw["windows"])
-    if "queries" in raw and raw["queries"] is not None:
-        kwargs["queries"] = tuple(raw["queries"])
-    if "stopwords" in raw:
-        kwargs["stopword_paths"] = tuple(raw["stopwords"])
-    if "noun_tags" in raw:
-        kwargs["noun_tags"] = frozenset(raw["noun_tags"])
-    if "rwc" in raw:
-        kwargs["rwc"] = RwcConfig(**raw["rwc"])
-    for key, attr in _CONFIG_KEYS.items():
-        if attr is not None and key in raw:
-            kwargs[attr] = raw[key]
+    kwargs: dict[str, object] = {}
+    rwc_kwargs: dict[str, object] = {}
+    for key, value in flat.items():
+        spec = _KEYS[key]
+        _check_kind(spec, value)
+        if isinstance(value, list):
+            value = tuple(value)
+        (rwc_kwargs if key.startswith("rwc.") else kwargs)[spec.field] = value
+    try:
+        tz = kwargs.get("tz", "UTC")
+        kwargs["windows"] = tuple(parse_window(w, tz) for w in kwargs["windows"])
+        kwargs["rwc"] = RwcConfig(**rwc_kwargs)
+    except (ValueError, ZoneInfoNotFoundError) as exc:
+        raise ConfigError(str(exc)) from exc
+    if "noun_tags" in kwargs:
+        kwargs["noun_tags"] = frozenset(kwargs["noun_tags"])
     return PipelineConfig(**kwargs)
 
 
@@ -283,11 +331,8 @@ def run_pipeline(
         tokens = top_n_subtopics(freq, cfg.top_n)
 
     reports: list[ControversyReport] = []
-    with ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
-        for window in cfg.windows:
-            reports.extend(
-                _score_window(records, window, tokens, cfg, stop_cfg, lexicon, pool)
-            )
+    for window in cfg.windows:
+        reports.extend(_score_window(records, window, tokens, cfg, stop_cfg, lexicon))
     return reports
 
 
@@ -298,7 +343,6 @@ def _score_window(
     cfg: PipelineConfig,
     stop_cfg: StopwordConfig,
     lexicon: senti.PolarityLexicon | None,
-    pool: Executor | None,
 ) -> list[ControversyReport]:
     """One window's rows, every cell's records read from one window index.
 
@@ -314,10 +358,8 @@ def _score_window(
     cells = [filter_window(index, window, token) for token in tokens]
     del index
 
-    def score(token: str, cell_records: list[InteractionRecord]) -> ControversyReport:
-        return _score_cell(cell_records, window, token, cfg, lexicon)
-
-    return list((pool.map if pool is not None else map)(score, tokens, cells))
+    return [_score_cell(cell, window, token, cfg, lexicon)
+            for token, cell in zip(tokens, cells)]
 
 
 # --- report emission ---------------------------------------------------------
@@ -513,7 +555,3 @@ def write_output(path: str, content: str) -> None:
 def has_mc_failures(reports: Sequence[ControversyReport]) -> bool:
     return any(r.error and r.error.startswith("mc-check failed") for r in reports)
 
-
-def with_overrides(cfg: PipelineConfig, **overrides: object) -> PipelineConfig:
-    """Functional update used by the CLI override flags."""
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})

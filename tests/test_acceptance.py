@@ -305,9 +305,3 @@ def test_criterion_8_determinism(e2e_corpus, tmp_path):
         second = run_pipeline(cfg)
         for fmt in ("csv", "json", "markdown"):
             assert emit_report(first, fmt).encode() == emit_report(second, fmt).encode()
-        parallel_cfg = PipelineConfig(
-            windows=(WINDOW,), input_path=str(corpus_path), seed=5,
-            lexicon_path=lexicon_path(), workers=3,
-        )
-        third = run_pipeline(parallel_cfg)
-        assert emit_report(third, "csv").encode() == emit_report(first, "csv").encode()

@@ -80,14 +80,12 @@ def test_phase1_discovers_planted_token_and_matches_rq1_score():
     assert rq1[0].record_count == phase1_vaxx.record_count
 
 
-def test_pipeline_deterministic_and_worker_invariant():
+def test_pipeline_deterministic():
     records = small_corpus(seed=3)
     cfg = small_config(top_n=5)
     first = run_pipeline(cfg, records=records)
     second = run_pipeline(cfg, records=records)
     assert emit_report(first, "json") == emit_report(second, "json")
-    parallel = run_pipeline(small_config(top_n=5, workers=4), records=records)
-    assert emit_report(parallel, "json") == emit_report(first, "json")
 
 
 def test_sentiment_attached_when_lexicon_given(tmp_path):
@@ -207,6 +205,93 @@ def test_config_rejects_unknown_keys_and_bad_values():
         PipelineConfig(windows=())
     with pytest.raises(ConfigError):
         load_config("/nonexistent/config.json")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("queries", "mask"),
+    ("stopwords", "a.txt"),
+    ("noun_tags", "NN"),
+    ("windows", "2020-01"),
+    ("top_n", "10"),
+    ("min_rt", True),
+    ("format", "xml"),
+    ("rwc", 5),
+])
+def test_config_rejects_values_of_the_wrong_kind(key, value):
+    raw = {"windows": ["2020-01"], key: value}
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict(raw)
+
+
+def test_config_takes_null_only_where_the_field_defaults_to_none():
+    cfg = config_from_dict({"windows": ["2020-01"], "queries": None, "input": None})
+    assert cfg.queries is None and cfg.input_path is None
+    with pytest.raises(ConfigError, match="seed"):
+        config_from_dict({"windows": ["2020-01"], "seed": None})
+
+
+# one non-default value per config key: the file fragment and the same value as flags
+KEY_SAMPLES = {
+    "input": ({"input": "c.jsonl"}, ["--input", "c.jsonl"]),
+    "tz": ({"tz": "Asia/Tokyo"}, ["--tz", "Asia/Tokyo"]),
+    "windows": ({"windows": ["2020-01", "1..2"]}, ["--window", "2020-01", "--window", "1..2"]),
+    "queries": ({"queries": ["a", "b"]}, ["--queries", "a, b"]),
+    "top_n": ({"top_n": 7}, ["--top-n", "7"]),
+    "stopwords": ({"stopwords": ["s.txt", "t.txt"]},
+                  ["--stopwords", "s.txt", "--stopwords", "t.txt"]),
+    "noun_tags": ({"noun_tags": ["NN", "NNP"]}, ["--noun-tags", "NN,NNP"]),
+    "count_mode": ({"count_mode": "documents"}, ["--count-mode", "documents"]),
+    "phase1_scope": ({"phase1_scope": "global"}, ["--phase1-scope", "global"]),
+    "min_rt": ({"min_rt": 3}, ["--min-rt", "3"]),
+    "k_core": ({"k_core": 4}, ["--k-core", "4"]),
+    "min_nodes": ({"min_nodes": 100}, ["--min-nodes", "100"]),
+    "balance_eps": ({"balance_eps": 0.1}, ["--balance-eps", "0.1"]),
+    "rwc.k_top": ({"rwc": {"k_top": 5}}, ["--k-top", "5"]),
+    "rwc.restart_prob": ({"rwc": {"restart_prob": 0.2}}, ["--restart", "0.2"]),
+    "rwc.solver_tol": ({"rwc": {"solver_tol": 1e-8}}, ["--rwc-solver-tol", "1e-8"]),
+    "rwc.max_iter": ({"rwc": {"max_iter": 500}}, ["--rwc-max-iter", "500"]),
+    "rwc.weighted_walk": ({"rwc": {"weighted_walk": True}}, ["--rwc-weighted-walk"]),
+    "mc_walks": ({"mc_walks": 1000}, ["--mc-walks", "1000"]),
+    "mc_check": ({"mc_check": True}, ["--mc-check"]),
+    "lexicon": ({"lexicon": "lex.tsv"}, ["--lexicon", "lex.tsv"]),
+    "score_thresh": ({"score_thresh": 0.4}, ["--score-thresh", "0.4"]),
+    "size_thresh": ({"size_thresh": 500}, ["--size-thresh", "500"]),
+    "senti_thresh": ({"senti_thresh": -0.2}, ["--senti-thresh", "-0.2"]),
+    "seed": ({"seed": 9}, ["--seed", "9"]),
+    "dump_graphs": ({"dump_graphs": "dumps"}, ["--dump-graphs", "dumps"]),
+    "format": ({"format": "json"}, ["--format", "json"]),
+    "output": ({"output": "out.csv"}, ["--output", "out.csv"]),
+}
+
+
+def test_config_table_sets_every_field_once():
+    from dataclasses import fields
+
+    from controversy_scope.pipeline import CONFIG_KEYS
+    from controversy_scope.rwc import RwcConfig
+
+    top = [spec.field for spec in CONFIG_KEYS if not spec.key.startswith("rwc.")]
+    walk = [spec.field for spec in CONFIG_KEYS if spec.key.startswith("rwc.")]
+    assert sorted(top) == sorted(f.name for f in fields(PipelineConfig) if f.name != "rwc")
+    assert sorted(walk) == sorted(f.name for f in fields(RwcConfig))
+    assert sorted(KEY_SAMPLES) == sorted(spec.key for spec in CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("key", sorted(KEY_SAMPLES))
+def test_config_file_key_and_cli_flag_agree(key, tmp_path):
+    fragment, flags = KEY_SAMPLES[key]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"windows": ["2020-03"], **fragment}), encoding="utf-8")
+    from_file = load_config(str(cfg_path))
+    command = "rq1" if key == "queries" else "run"
+    argv = [command, "--window", "2020-03", *flags]
+    if key == "windows":
+        argv = [command, *flags]
+    args = cli._build_parser().parse_args(argv)
+    queries = tuple(args.queries) if command == "rq1" else None
+    from_flags = cli._config_from_args(args, queries)
+    assert from_flags == from_file
+    assert from_file != config_from_dict({"windows": ["2020-03"]})
 
 
 def test_run_pipeline_checks_referenced_files(tmp_path):
@@ -374,6 +459,43 @@ def test_repeated_queries_rejected_by_config_and_cli(tmp_path, capsys):
 
 def test_cli_requires_window_without_config():
     assert cli.main(["rq1", "--queries", "a", "--input", "x.jsonl"]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--window", "2020-13"],
+    ["--window", "2020-01", "--restart", "1.5"],
+    ["--window", "2020-01", "--k-top", "0"],
+    ["--window", "2020-01", "--tz", "Mars/Base"],
+    ["--config", "{rwc_typo}"],
+])
+def test_cli_invalid_values_exit_2_with_an_error_line(flags, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"windows": ["2020-01"], "rwc": {"typo": 1}}),
+                        encoding="utf-8")
+    flags = [f.format(rwc_typo=cfg_path) for f in flags]
+    assert cli.main(["rq1", "--input", "x.jsonl", "--queries", "a", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", [
+    None,
+    "{not json",
+    {"kind": "corpus", "window": "2020-09", "cross_repost_rate": 0.1},
+    {"kind": "corpus", "communities": [{"topic_tokens": ["a"]}], "window": "2020-09",
+     "cross_repost_rate": 0.1},
+    {"kind": "planted", "p_in": 0.5, "p_out": 0.1},
+    {"kind": "planted", "n_per_side": 1, "p_in": 0.5, "p_out": 0.1},
+])
+def test_cli_synth_spec_errors_exit_2(spec, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    if spec is not None:
+        spec_path.write_text(spec if isinstance(spec, str) else json.dumps(spec),
+                             encoding="utf-8")
+    out = tmp_path / "out.txt"
+    assert cli.main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_console_script_help():
