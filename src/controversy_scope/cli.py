@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 
 from .graph import dump_edgelist
 from .ingest import parse_window, serialize_records
@@ -31,6 +30,7 @@ from .pipeline import (
     config_from_dict,
     emit_report,
     has_mc_failures,
+    is_kind,
     read_config,
     run_pipeline,
     write_output,
@@ -137,36 +137,66 @@ def _handle_rq1(args: argparse.Namespace) -> int:
     return _handle_run(args, tuple(args.queries))
 
 
-def _require(raw: dict, keys: tuple[str, ...], what: str) -> None:
-    missing = [key for key in keys if key not in raw]
+# Each synth spec key's kind: a scalar type, [type] for a list of it, [type, type]
+# for a list of exactly two, or (type, None) where null is allowed too.
+_COMMUNITY_KINDS = {"n_authors": int, "topic_tokens": [str], "polarity_bias": float}
+_CORPUS_KINDS = {
+    "communities": [dict], "window": str, "tz": str, "cross_repost_rate": float,
+    "posts_per_author": [int, int], "seed": int, "repost_fraction": float,
+    "topic_post_rate": float, "n_favorites": int, "background_cross_rate": (float, None),
+    "background_tokens": [str], "sentiment_surfaces": [str, str], "noun_tag": str,
+    "sentiment_tag": str,
+}
+_PLANTED_KINDS = {"n_per_side": int, "p_in": float, "p_out": float, "seed": int}
+
+
+def _fits(value: object, kind: type | list | tuple) -> bool:
+    if isinstance(kind, list):
+        return (isinstance(value, list) and len(kind) in (1, len(value))
+                and all(is_kind(v, kind[0]) for v in value))
+    if isinstance(kind, tuple):
+        return value is None or is_kind(value, kind[0])
+    return is_kind(value, kind)
+
+
+def _kind_name(kind: type | list | tuple) -> str:
+    if isinstance(kind, list):
+        return "[" + ", ".join(k.__name__ for k in kind) + (", ...]" if len(kind) == 1 else "]")
+    if isinstance(kind, tuple):
+        return f"{kind[0].__name__} or null"
+    return kind.__name__
+
+
+def _checked_spec(raw: dict, kinds: dict, required: tuple[str, ...], what: str) -> dict:
+    """raw with each value checked against its key's kind and lists made tuples."""
+    unknown = set(raw) - set(kinds)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [key for key in required if key not in raw]
     if missing:
         raise ConfigError(f"{what} requires {missing}")
+    for key, value in raw.items():
+        if not _fits(value, kinds[key]):
+            raise ConfigError(f"{what} {key} must be {_kind_name(kinds[key])}, got {value!r}")
+    return {key: tuple(value) if isinstance(value, list) else value
+            for key, value in raw.items()}
 
 
 def _corpus_spec_from_dict(raw: dict) -> CorpusSpec:
-    unknown = set(raw) - {f.name for f in fields(CorpusSpec)} - {"tz"}
-    if unknown:
-        raise ConfigError(f"unknown corpus spec keys: {sorted(unknown)}")
-    _require(raw, ("communities", "window", "cross_repost_rate"), "corpus spec")
-    for c in raw["communities"]:
-        _require(c, ("n_authors",), "each community")
-    kwargs = {key: tuple(value) if isinstance(value, list) else value
-              for key, value in raw.items() if key != "tz"}
+    kwargs = _checked_spec(raw, _CORPUS_KINDS, ("communities", "window", "cross_repost_rate"),
+                           "corpus spec")
     kwargs["communities"] = tuple(
-        CommunitySpec(c["n_authors"], tuple(c.get("topic_tokens", ())),
-                      c.get("polarity_bias", 0.0))
-        for c in raw["communities"]
+        CommunitySpec(**{"topic_tokens": (),
+                         **_checked_spec(c, _COMMUNITY_KINDS, ("n_authors",), "community")})
+        for c in kwargs["communities"]
     )
-    kwargs["window"] = parse_window(raw["window"], raw.get("tz", "UTC"))
+    kwargs["window"] = parse_window(kwargs["window"], kwargs.pop("tz", "UTC"))
     return CorpusSpec(**kwargs)
 
 
 def _planted_spec_from_dict(raw: dict) -> PlantedSpec:
-    unknown = set(raw) - {f.name for f in fields(PlantedSpec)}
-    if unknown:
-        raise ConfigError(f"unknown planted spec keys: {sorted(unknown)}")
-    _require(raw, ("n_per_side", "p_in", "p_out"), "planted spec")
-    return PlantedSpec(**raw)
+    return PlantedSpec(**_checked_spec(raw, _PLANTED_KINDS, ("n_per_side", "p_in", "p_out"),
+                                       "planted spec"))
 
 
 def _handle_synth(args: argparse.Namespace) -> int:

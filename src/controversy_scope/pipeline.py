@@ -167,6 +167,15 @@ _KEYS = {spec.key: spec for spec in CONFIG_KEYS}
 _NULLABLE = {f.name for f in fields(PipelineConfig) if f.default is None}
 
 
+def is_kind(value: object, kind: type) -> bool:
+    """Whether a JSON value is of a scalar kind: bools are not ints, and ints pass as floats."""
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
 def _check_kind(spec: ConfigKey, value: object) -> None:
     # a choice is checked as a str here and against its choices by PipelineConfig
     kind = str if isinstance(spec.kind, tuple) else spec.kind
@@ -174,12 +183,8 @@ def _check_kind(spec: ConfigKey, value: object) -> None:
         ok = spec.field in _NULLABLE
     elif kind is list:
         ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
-    elif kind is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    elif kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
     else:
-        ok = isinstance(value, kind)
+        ok = is_kind(value, kind)
     if not ok:
         name = "list of str" if kind is list else kind.__name__
         raise ConfigError(f"{spec.key} must be {name}, got {value!r}")

@@ -21,6 +21,16 @@ each side's probabilities from Z (see _solve). The iteration contracts by
 reported probability within solver_tol of the exact value. A Monte Carlo
 simulator provides an independent estimate of the same quantity for
 cross-checking.
+
+M is read straight off the graph's own CSR (EndorsementGraph.csr) as flat
+(row, column, probability) arrays over the transient nodes, built once per
+solve, and each sweep's product M z is one np.bincount per column of Z.
+The sum order is part of the result: floating-point sums depend on it, and
+the solver's last bits reach the report. bincount adds each row's entries
+one after another in ascending column order, starting from zero, the
+order of a sequential CSR product. b_x and b_y are NumPy's add.reduceat
+over each row's absorbing entries in ascending column order, which is how
+a CSR row sum adds them. Both are pinned against per-row loops in the tests.
 """
 
 from __future__ import annotations
@@ -28,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .graph import EndorsementGraph, is_connected
 from .partition import SIDE_X, SIDE_Y, Bipartition, _require_assigned
@@ -153,16 +162,39 @@ class _WalkChain:
         self.t_index = np.full(n, -1, dtype=np.int64)
         self.t_index[self.transient] = np.arange(self.transient.size)
 
-    def transition_blocks(self) -> tuple[csr_matrix, np.ndarray, np.ndarray]:
-        """Row-stochastic pieces over transient rows: to-transient, to-X+, to-Y+."""
-        n = len(self.nodes)
-        prob = self.step_w / np.repeat(self.out_total, np.diff(self.indptr))
-        step = csr_matrix((prob, self.indices, self.indptr), shape=(n, n))
-        from_transient = step[self.transient]
-        matrix = from_transient[:, self.transient]
-        b_x = np.asarray(from_transient[:, self.absorb_x].sum(axis=1)).ravel()
-        b_y = np.asarray(from_transient[:, self.absorb_y].sum(axis=1)).ravel()
-        return matrix, b_x, b_y
+    def transient_system(self) -> tuple[np.ndarray, ...]:
+        """The walk's step from transient rows, in transient numbering.
+
+        Returns (rows, cols, prob, b_x, b_y). The first three list M, the
+        transient-to-transient block, entry by entry in CSR order: by row,
+        then by ascending column. b_x and b_y hold each transient row's
+        one-step chance of entering X+ and Y+.
+        """
+        degree = np.diff(self.indptr)
+        prob = self.step_w / np.repeat(self.out_total, degree)
+        row = np.repeat(self.t_index, degree)  # -1 on entries of absorbing rows
+        target = self.absorb_label[self.indices]
+        into = np.where(row >= 0, target, -1)  # 0 transient, 1 X+, 2 Y+, -1 not a row of M
+        to_transient = into == 0
+        size = self.transient.size
+        return (row[to_transient], self.t_index[self.indices[to_transient]],
+                prob[to_transient], _row_sums(row, prob, into == 1, size),
+                _row_sums(row, prob, into == 2, size))
+
+
+def _row_sums(row: np.ndarray, values: np.ndarray, mask: np.ndarray, size: int) -> np.ndarray:
+    """Per-row sums of values[mask], one add.reduceat run per row in CSR order."""
+    row, values = row[mask], values[mask]
+    sums = np.zeros(size)
+    if row.size:
+        starts = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
+        sums[row[starts]] = np.add.reduceat(values, starts)
+    return sums
+
+
+def _times(rows: np.ndarray, cols: np.ndarray, prob: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """M @ z from M's flat entries: each row's terms added in CSR order, from zero."""
+    return np.bincount(rows, weights=prob * z[cols], minlength=z.size)
 
 
 def _solve(chain: _WalkChain) -> tuple[float, float, float, float]:
@@ -181,17 +213,20 @@ def _solve(chain: _WalkChain) -> tuple[float, float, float, float]:
     cfg = chain.cfg
     alpha = cfg.restart_prob
     keep = 1.0 - alpha
-    matrix, b_x, b_y = chain.transition_blocks()
-    rhs = np.column_stack((keep * b_x, keep * b_y, np.full(b_x.size, alpha)))
+    rows, cols, prob, b_x, b_y = chain.transient_system()
+    size = b_x.size
+    rhs = (keep * b_x, keep * b_y, np.full(size, alpha))
     starts = (chain.t_index[chain.start_x], chain.t_index[chain.start_y])
-    z = np.zeros_like(rhs)
+    z = [np.zeros(size)] * 3
     for _ in range(cfg.max_iter):
-        z_next = keep * (matrix @ z) + rhs
-        error = keep / alpha * float(np.max(np.abs(z_next - z)))
+        z_next = [keep * _times(rows, cols, prob, col) + r for col, r in zip(z, rhs)]
+        error = keep / alpha * max(float(np.max(np.abs(a - b))) for a, b in zip(z_next, z))
         z = z_next
         if error > cfg.solver_tol:  # the bound below cannot hold yet
             continue
-        means = np.stack([z[start].mean(axis=0) for start in starts])
+        # a (size, 3) array's column means add row by row; a 1-D mean adds pairwise
+        stacked = np.column_stack(z)
+        means = np.stack([stacked[start].mean(axis=0) for start in starts])
         absorbed = 1.0 - means[:, 2:]  # absorbed before the first restart
         probs = means[:, :2] / absorbed
         if np.all(error * (1.0 + probs) <= cfg.solver_tol * (absorbed - error)):

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import pytest
 
@@ -23,7 +24,7 @@ from controversy_scope.pipeline import (
     write_output,
 )
 from controversy_scope.rwc import RwcResult
-from controversy_scope.synth import CommunitySpec, CorpusSpec, synth_corpus
+from controversy_scope.synth import CommunitySpec, CorpusSpec, PlantedSpec, synth_corpus
 
 WINDOW = TimeWindow(1_600_000_000, 1_602_592_000, "2020-09")
 
@@ -486,6 +487,13 @@ def test_cli_invalid_values_exit_2_with_an_error_line(flags, tmp_path, capsys):
      "cross_repost_rate": 0.1},
     {"kind": "planted", "p_in": 0.5, "p_out": 0.1},
     {"kind": "planted", "n_per_side": 1, "p_in": 0.5, "p_out": 0.1},
+    {"kind": "planted", "n_per_side": "3", "p_in": 0.5, "p_out": 0.1},
+    {"kind": "corpus", "communities": [5], "window": "2020-09", "cross_repost_rate": 0.1},
+    {"kind": "corpus", "communities": [{"n_authors": 5}], "window": 202001,
+     "cross_repost_rate": 0.1},
+    {"kind": "planted", "n_per_side": True, "p_in": 0.5, "p_out": 0.1},
+    {"kind": "corpus", "communities": [{"n_authors": 5}], "window": "2020-09",
+     "cross_repost_rate": 0.1, "sentiment_surfaces": ["good"]},
 ])
 def test_cli_synth_spec_errors_exit_2(spec, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
@@ -496,6 +504,12 @@ def test_cli_synth_spec_errors_exit_2(spec, tmp_path, capsys):
     assert cli.main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_synth_spec_kinds_cover_every_spec_field():
+    assert set(cli._PLANTED_KINDS) == {f.name for f in fields(PlantedSpec)}
+    assert set(cli._CORPUS_KINDS) == {f.name for f in fields(CorpusSpec)} | {"tz"}
+    assert set(cli._COMMUNITY_KINDS) == {f.name for f in fields(CommunitySpec)}
 
 
 def test_cli_console_script_help():

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import controversy_scope
 from controversy_scope.graph import edge_key
 from controversy_scope.partition import Bipartition, UnassignedNode, bisect, make_bipartition
 from controversy_scope.rwc import (
@@ -8,6 +13,7 @@ from controversy_scope.rwc import (
     RwcConfig,
     RwcError,
     SideTooSmall,
+    _times,
     _WalkChain,
     absorption_probabilities,
     high_degree_nodes,
@@ -16,7 +22,15 @@ from controversy_scope.rwc import (
 )
 from controversy_scope.synth import PlantedSpec, planted_partition
 
-from conftest import clique_edges, dense_absorption, edge_counts, graph_from_edges, random_connected_graph
+from conftest import (
+    clique_edges,
+    dense_absorption,
+    edge_counts,
+    graph_from_edges,
+    naive_times,
+    naive_transient_system,
+    random_connected_graph,
+)
 
 
 def star_graph(center: str, leaves: int):
@@ -236,3 +250,70 @@ def test_max_iter_cap_raises_no_convergence():
     pg = planted_partition(PlantedSpec(30, 0.4, 0.05, seed=8))
     with pytest.raises(NoConvergence):
         rwc_score(pg.graph, pg.ground_truth, RwcConfig(max_iter=1))
+
+
+def test_transient_system_and_product_match_per_row_loops():
+    rng = np.random.default_rng(67)
+    seen_all_absorbing = seen_unsorted_absorb = seen_long_row = False
+    for _ in range(12):
+        base = random_connected_graph(int(rng.integers(24, 40)), float(rng.uniform(0.3, 0.8)), rng)
+        degree = edge_counts(base)
+        hub = min(base.nodes, key=lambda n: (-degree[n], n))
+        # leaves of the hub, which absorbs: transient rows with no transient neighbor
+        g = graph_from_edges({**base.edges, **{edge_key(hub, f"z{i}"): 1 for i in range(3)}})
+        p = make_bipartition(g, random_halves(g, rng))
+        k_top = int(rng.integers(1, 12))
+        for weighted in (False, True):
+            chain = _WalkChain(g, p, RwcConfig(k_top=k_top, weighted_walk=weighted))
+            got = chain.transient_system()
+            want = naive_transient_system(g, chain.absorb_x.tolist(), chain.absorb_y.tolist(),
+                                          weighted)
+            assert [array.tolist() for array in got] == list(want)
+            rows, cols, prob = want[:3]
+            z = rng.random(chain.transient.size)
+            assert _times(*got[:3], z).tolist() == naive_times(rows, cols, prob, z.tolist())
+
+            seen_all_absorbing |= len(set(rows)) < chain.transient.size
+            seen_unsorted_absorb |= any(list(a) != sorted(a) for a in (chain.absorb_x, chain.absorb_y))
+            _, indptr, indices, _ = g.csr
+            into_x = np.isin(indices, chain.absorb_x)
+            seen_long_row |= max(into_x[indptr[v]:indptr[v + 1]].sum() for v in chain.transient) > 8
+    assert seen_all_absorbing and seen_unsorted_absorb and seen_long_row
+
+
+def test_solver_matches_the_sparse_matrix_solver_bit_for_bit():
+    # float.hex of (p_xx, p_xy, p_yy, p_yx) from the scipy.sparse solver this one replaced
+    rng = np.random.default_rng(71)
+    g = random_connected_graph(40, 0.5, rng)
+    p = make_bipartition(g, random_halves(g, rng))
+    planted = planted_partition(PlantedSpec(40, 0.5, 0.05, seed=3))
+    cases = [
+        (g, p, False, ["0x1.022824a2193a0p-1", "0x1.fbafb6bb9fb51p-2",
+                       "0x1.09f5a95961531p-1", "0x1.ec14ad4d0bc60p-2"]),
+        (g, p, True, ["0x1.0d7abc12afe5dp-1", "0x1.e50a87da7a1abp-2",
+                      "0x1.0eb5aa06f5310p-1", "0x1.e294abf1ec446p-2"]),
+        (planted.graph, planted.ground_truth, False,
+         ["0x1.b1733369ff5d3p-1", "0x1.3a33325700299p-3",
+          "0x1.923d2db46f1e8p-1", "0x1.b70b492d56a76p-3"]),
+    ]
+    for graph, partition, weighted, want in cases:
+        r = rwc_score(graph, partition, RwcConfig(k_top=10, weighted_walk=weighted))
+        assert [x.hex() for x in (r.p_xx, r.p_xy, r.p_yy, r.p_yx)] == want
+
+
+def test_scoring_never_imports_scipy():
+    code = (
+        "import sys\n"
+        "import controversy_scope as cs\n"
+        "pg = cs.planted_partition(cs.PlantedSpec(20, 0.5, 0.05, seed=1))\n"
+        "cs.rwc_score(pg.graph, pg.ground_truth)\n"
+        "cs.rwc_monte_carlo(pg.graph, pg.ground_truth, n_walks=100)\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    # the child imports the same package as this test, installed or not
+    package_root = os.path.dirname(os.path.dirname(controversy_scope.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
