@@ -15,10 +15,41 @@ the window's records, the posts carrying each query token and each post's
 in-window reposts. A query's records are then its carriers closed under
 repost links by one graph search, so a window's many subtopic queries cost
 one index build plus a search each, however deep the repost chains run.
+
+Parsing. Each line is stripped of surrounding whitespace; blank lines are
+skipped. A line is decoded by one ``JSONDecoder().raw_decode`` and must be
+exactly one JSON value (what ``json.loads`` accepts: a BOM, trailing data or
+a second value on the line is rejected; ``NaN``/``Infinity`` decode but are
+not integers). A line counts as malformed, and is skipped, when
+
+- it is not valid UTF-8: ``parse_records_file`` reads invalid bytes as lone
+  surrogates (``errors="surrogateescape"``), and a line holding one is
+  rejected, as is any line given to ``parse_records`` that cannot be encoded
+  as UTF-8;
+- it is not one JSON value, or decoding it fails on an integer past the
+  interpreter's digit limit or nesting past the recursion limit;
+- the value is not an object with a non-empty string ``post_id`` and
+  ``author_id``, an integer (not boolean) ``timestamp``, a ``tokens`` list
+  of ``[surface, pos]`` string pairs (absent means empty) and an optional
+  ``repost_of`` ``[post_id, author_id]`` string pair with a non-empty author
+  (``null`` means absent); or it has no tokens and is not a repost;
+- one of the record's strings holds a lone surrogate written as an escape
+  (``"\\ud800"``), which no report could write as UTF-8.
+
+A UTF-8 BOM opening the file is dropped by ``parse_records_file``; a line
+that starts with a BOM is malformed, as ``json.loads`` would have it.
+
+Collection. The parse allocates tracked objects (a record and its token
+pairs) faster than anything frees them, and every collection triggered
+meanwhile would rescan the records parsed so far. So ``parse_records``
+pauses the cyclic garbage collector for its loop and restores the caller's
+``gc.isenabled()`` state when it returns or raises. This is process-wide
+state: another thread allocating meanwhile runs with collection paused too.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 from array import array
@@ -121,75 +152,114 @@ def parse_window(spec: str, tz: str = "UTC") -> TimeWindow:
 
 
 def _record_from_obj(obj: object) -> InteractionRecord | None:
-    """Validate one decoded JSON object; None if it does not form a valid record."""
-    if not isinstance(obj, dict):
+    """Validate one decoded JSON object; None if it does not form a valid record.
+
+    Exact type checks: a JSON decoder yields no tuples and no subclasses of
+    str, int, list or dict, and ``bool`` fails ``type(x) is int``.
+    """
+    if type(obj) is not dict:
         return None
     post_id = obj.get("post_id")
     author_id = obj.get("author_id")
     timestamp = obj.get("timestamp")
     raw_tokens = obj.get("tokens", [])
-    if not isinstance(post_id, str) or not post_id:
+    if type(post_id) is not str or not post_id:
         return None
-    if not isinstance(author_id, str) or not author_id:
+    if type(author_id) is not str or not author_id:
         return None
-    if isinstance(timestamp, bool) or not isinstance(timestamp, int):
-        return None
-    if not isinstance(raw_tokens, list):
+    if type(timestamp) is not int or type(raw_tokens) is not list:
         return None
     tokens: list[tuple[str, str]] = []
     for entry in raw_tokens:
-        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                or not isinstance(entry[0], str) or not isinstance(entry[1], str)):
+        if type(entry) is not list or len(entry) != 2:
             return None
-        tokens.append((entry[0], entry[1]))
-    repost_of: tuple[str, str] | None = None
-    if "repost_of" in obj and obj["repost_of"] is not None:
-        raw = obj["repost_of"]
-        if (not isinstance(raw, (list, tuple)) or len(raw) != 2
-                or not isinstance(raw[0], str) or not isinstance(raw[1], str)
-                or not raw[1]):
+        surface, pos = entry
+        if type(surface) is not str or type(pos) is not str:
             return None
-        repost_of = (raw[0], raw[1])
-    if not tokens and repost_of is None:
+        tokens.append((surface, pos))
+    repost_of = obj.get("repost_of")
+    if repost_of is not None:
+        if type(repost_of) is not list or len(repost_of) != 2:
+            return None
+        target, target_author = repost_of
+        if type(target) is not str or type(target_author) is not str or not target_author:
+            return None
+        repost_of = (target, target_author)
+    elif not tokens:
         # only pure reposts may carry an empty token list
         return None
     return InteractionRecord(post_id, author_id, timestamp, tuple(tokens), repost_of)
+
+
+def _utf8_encodable(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        return False
+    return True
+
+
+def _strings(record: InteractionRecord) -> str:
+    """Every string of the record, joined."""
+    parts = [record.post_id, record.author_id]
+    for surface, pos in record.tokens:
+        parts += (surface, pos)
+    if record.repost_of is not None:
+        parts += record.repost_of
+    return "".join(parts)
+
+
+_decode = json.JSONDecoder().raw_decode
 
 
 def parse_records(stream: Iterable[str]) -> ParseResult:
     """Parse line-delimited JSON into records, skipping (and counting) bad lines.
 
     Raises EmptyInput when no line yields a valid record and DuplicatePostId
-    when a post_id repeats among valid lines.
+    when a post_id repeats among valid lines. The cyclic garbage collector
+    is paused, process-wide, while the lines are read; the caller's
+    ``gc.isenabled()`` state is restored however the parse ends, including
+    on an exception raised by ``stream``.
     """
     records: list[InteractionRecord] = []
     seen: set[str] = set()
     malformed = 0
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError):
-            # JSONDecodeError, an integer past the digit limit, deep nesting
-            malformed += 1
-            continue
-        record = _record_from_obj(obj)
-        if record is None:
-            malformed += 1
-            continue
-        if record.post_id in seen:
-            raise DuplicatePostId(record.post_id)
-        seen.add(record.post_id)
-        records.append(record)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for line in stream:
+            line = line.strip()
+            if not line:
+                continue
+            if not line.isascii() and not _utf8_encodable(line):
+                malformed += 1
+                continue
+            try:
+                obj, end = _decode(line)
+            except (ValueError, RecursionError):
+                # JSONDecodeError, an integer past the digit limit, deep nesting
+                malformed += 1
+                continue
+            record = _record_from_obj(obj) if end == len(line) else None
+            # an encodable line yields a lone surrogate only through an escape
+            if record is None or ("\\" in line and not _utf8_encodable(_strings(record))):
+                malformed += 1
+                continue
+            if record.post_id in seen:
+                raise DuplicatePostId(record.post_id)
+            seen.add(record.post_id)
+            records.append(record)
+    finally:
+        if collecting:
+            gc.enable()
     if not records:
         raise EmptyInput(f"no valid records ({malformed} malformed lines)")
     return ParseResult(tuple(records), malformed)
 
 
 def parse_records_file(path: str) -> ParseResult:
-    with open(path, encoding="utf-8") as fh:
+    """``parse_records`` over a file: a leading BOM is dropped, bad UTF-8 is malformed."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         return parse_records(fh)
 
 

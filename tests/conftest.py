@@ -6,20 +6,47 @@ enumeration) so they exercise none of the code paths they are checking.
 
 from __future__ import annotations
 
+import gc
 import itertools
+import json
 from typing import Iterable
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 from controversy_scope.graph import EndorsementGraph, edge_key
-from controversy_scope.ingest import InteractionRecord, TimeWindow
+from controversy_scope.ingest import (
+    DuplicatePostId,
+    EmptyInput,
+    InteractionRecord,
+    ParseResult,
+    TimeWindow,
+)
 
 # Property tests replay the same examples on every run and stay quick, so
 # the tier-1 suite is deterministic; raise max_examples locally to search.
 settings.register_profile("tier1", derandomize=True, max_examples=200,
                           deadline=None, database=None)
 settings.load_profile("tier1")
+
+
+@pytest.fixture(autouse=True)
+def collector_left_as_found():
+    """Fail a test that leaves the garbage collector paused or objects frozen.
+
+    Parsing pauses collection and ``run_pipeline`` freezes the parsed
+    records, both process-wide; either leaking out of a call would change
+    every later test's memory behaviour without failing it.
+    """
+    yield
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    if not enabled:
+        gc.enable()
+    if frozen:
+        gc.unfreeze()
+    if not enabled or frozen:
+        pytest.fail(f"test left gc.isenabled()={enabled}, gc.get_freeze_count()={frozen}")
 
 
 def record(
@@ -88,6 +115,85 @@ def naive_filter_window(
                 kept_ids.add(r.post_id)
                 changed = True
     return [r for r in in_window if r.post_id in kept_ids]
+
+
+def _naive_record_from_obj(obj: object) -> InteractionRecord | None:
+    if not isinstance(obj, dict):
+        return None
+    post_id = obj.get("post_id")
+    author_id = obj.get("author_id")
+    timestamp = obj.get("timestamp")
+    raw_tokens = obj.get("tokens", [])
+    if not isinstance(post_id, str) or not post_id:
+        return None
+    if not isinstance(author_id, str) or not author_id:
+        return None
+    if isinstance(timestamp, bool) or not isinstance(timestamp, int):
+        return None
+    if not isinstance(raw_tokens, list):
+        return None
+    tokens: list[tuple[str, str]] = []
+    for entry in raw_tokens:
+        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
+                or not isinstance(entry[0], str) or not isinstance(entry[1], str)):
+            return None
+        tokens.append((entry[0], entry[1]))
+    repost_of: tuple[str, str] | None = None
+    if "repost_of" in obj and obj["repost_of"] is not None:
+        raw = obj["repost_of"]
+        if (not isinstance(raw, (list, tuple)) or len(raw) != 2
+                or not isinstance(raw[0], str) or not isinstance(raw[1], str)
+                or not raw[1]):
+            return None
+        repost_of = (raw[0], raw[1])
+    if not tokens and repost_of is None:
+        return None
+    return InteractionRecord(post_id, author_id, timestamp, tuple(tokens), repost_of)
+
+
+def _naive_utf8(line: str, record: InteractionRecord) -> bool:
+    """The line and every string of the record encode as UTF-8."""
+    strings = [line, record.post_id, record.author_id]
+    strings += [text for pair in record.tokens for text in pair]
+    strings += record.repost_of or ()
+    for text in strings:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            return False
+    return True
+
+
+def naive_parse_records(stream: Iterable[str]) -> ParseResult:
+    """``json.loads`` and ``isinstance`` checks on every line, the collector untouched.
+
+    The parser as it stood before its loop was tuned, plus one rule: a line
+    that cannot be encoded as UTF-8, or whose record holds a string that
+    cannot, is malformed.
+    """
+    records: list[InteractionRecord] = []
+    seen: set[str] = set()
+    malformed = 0
+    for line in stream:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError):
+            malformed += 1
+            continue
+        record = _naive_record_from_obj(obj)
+        if record is None or not _naive_utf8(line, record):
+            malformed += 1
+            continue
+        if record.post_id in seen:
+            raise DuplicatePostId(record.post_id)
+        seen.add(record.post_id)
+        records.append(record)
+    if not records:
+        raise EmptyInput(f"no valid records ({malformed} malformed lines)")
+    return ParseResult(tuple(records), malformed)
 
 
 def edge_counts(g: EndorsementGraph) -> dict[str, int]:

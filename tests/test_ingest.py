@@ -1,3 +1,4 @@
+import gc
 import json
 import time
 
@@ -14,11 +15,12 @@ from controversy_scope.ingest import (
     filter_window,
     month_window,
     parse_records,
+    parse_records_file,
     parse_window,
     serialize_records,
 )
 
-from conftest import naive_filter_window, record
+from conftest import naive_filter_window, naive_parse_records, record
 
 
 def lines(*objs):
@@ -298,3 +300,137 @@ def test_serialize_parse_round_trip(records):
     parsed = parse_records(serialize_records(records).split("\n"))
     assert parsed.records == tuple(records)
     assert parsed.malformed == 0
+
+
+# --- the parser against its oracle -------------------------------------------
+
+G1 = json.dumps(GOOD_LINE)
+G2 = json.dumps(dict(GOOD_LINE, post_id="p2"))
+G3 = json.dumps(dict(GOOD_LINE, post_id="p3"))
+
+
+def with_timestamp(text: str) -> str:
+    return G1.replace('"timestamp": 100', f'"timestamp": {text}')
+
+
+# characters, surrogates (which pair up when escaped next to each other) and
+# the characters escapes and BOMs are made of
+any_char = st.characters() | st.sampled_from('\\"\ufeff\ud83d\ude00\udcff')
+any_text = st.text(any_char, max_size=4)
+names = st.sampled_from(["p1", "p2", "u1"]) | any_text
+pairs = st.lists(names, min_size=2, max_size=2)
+# record-shaped objects; record_like varies the value types instead
+record_objs = st.fixed_dictionaries(
+    {"post_id": names, "author_id": names, "timestamp": st.integers(),
+     "tokens": st.lists(pairs, max_size=2)},
+    optional={"repost_of": st.none() | pairs},
+)
+# escaped (ensure_ascii) or raw, alone or with a BOM, a space or trailing data around
+records_json = st.builds(json.dumps, record_objs, ensure_ascii=st.booleans())
+oracle_lines = records_json | st.builds(
+    lambda head, body, tail: head + body + tail,
+    st.sampled_from(["", " ", "\ufeff"]),
+    records_json | json_values.map(json.dumps) | record_like | any_text,
+    st.sampled_from(["", " ", " x", "{}", "\ufeff"]),
+)
+
+
+def parse_outcome(parse, lines):
+    try:
+        return parse(lines)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(st.lists(oracle_lines, max_size=8))
+@example([G1 + " x", G2])  # trailing data
+@example([G1 + G2, G1 + " " + G2])  # two values on one line
+@example([with_timestamp("NaN"), with_timestamp("Infinity"), with_timestamp("-Infinity"), G2])
+@example(["\ufeff" + G1, G2])  # a BOM opening a line
+@example([with_timestamp("1" * 5000), G2])  # an integer past the digit limit
+@example(["[" * 100_000, G1[:-1] + ', "x": ' + "[" * 100_000 + "}", G2])  # deep nesting
+@example([with_timestamp("true"), G2])
+@example([json.dumps(dict(GOOD_LINE, repost_of=None)),
+          json.dumps({"post_id": "p2", "author_id": "u2", "timestamp": 1, "tokens": [],
+                      "repost_of": None})])
+@example([json.dumps({"post_id": "p1", "author_id": "u1", "timestamp": 1, "tokens": [],
+                      "repost_of": ["p0", ""]}),
+          json.dumps({"post_id": "p2", "author_id": "u2", "timestamp": 1, "tokens": [],
+                      "repost_of": ["", "u1"]})])  # an empty target author, an empty target
+@example([json.dumps(dict(GOOD_LINE, tokens=[["\ud800x", "NOUN"]])), G2])  # escaped surrogate
+@example([json.dumps(dict(GOOD_LINE, post_id="p\udcff"), ensure_ascii=False), G2])  # raw
+@example([json.dumps(dict(GOOD_LINE, author_id="\U0001f600")), G2])  # an escaped pair is fine
+@example([G1[:-1] + ', "x": "\\ud800"}', G2])  # a surrogate outside the record's fields
+@example([G1, G1])
+def test_parse_records_matches_naive_parser(lines):
+    assert parse_outcome(parse_records, lines) == parse_outcome(naive_parse_records, lines)
+
+
+def test_parse_file_counts_an_invalid_utf8_line_as_malformed(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes("\n".join([G1, G2.replace('"p2"', '"p\udcff2"'), G3, ""])
+                     .encode("utf-8", "surrogateescape"))
+    assert b"\xff" in path.read_bytes()
+    result = parse_records_file(str(path))
+    assert [r.post_id for r in result.records] == ["p1", "p3"]
+    assert result.malformed == 1
+
+
+def test_parse_file_counts_an_escaped_lone_surrogate_as_malformed(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    bad = json.dumps(dict(GOOD_LINE, post_id="p2", tokens=[["\ud800x", "NOUN"]]))
+    path.write_text("\n".join([G1, bad, G3]), encoding="utf-8")
+    result = parse_records_file(str(path))
+    assert [r.post_id for r in result.records] == ["p1", "p3"]
+    assert result.malformed == 1
+
+
+def test_parse_file_drops_a_leading_bom_only(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join([G1, G2]), encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    result = parse_records_file(str(path))
+    assert [r.post_id for r in result.records] == ["p1", "p2"]
+    assert result.malformed == 0
+    assert parse_records(["\ufeff" + G1, G2]).malformed == 1
+
+
+# --- the collector around a parse --------------------------------------------
+
+
+class StreamFailed(Exception):
+    pass
+
+
+def failing_stream():
+    yield G1
+    raise StreamFailed
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("stream, error", [
+    (lambda: iter([G1, G2]), None),
+    (lambda: iter([G1, G1]), DuplicatePostId),
+    (lambda: iter(["not json"]), EmptyInput),
+    (failing_stream, StreamFailed),
+])
+def test_parse_records_pauses_then_restores_the_collector(enabled, stream, error):
+    during = []
+
+    def watched():
+        for line in stream():
+            during.append(gc.isenabled())
+            yield line
+
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            parse_records(watched())
+        else:
+            with pytest.raises(error):
+                parse_records(watched())
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    assert during and not any(during)
+    assert after == enabled

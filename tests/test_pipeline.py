@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -671,3 +672,37 @@ def test_dump_graphs_writes_edge_lists(tmp_path):
     for line in lines:
         u, v, w = line.split()
         assert u < v and int(w) >= 2
+
+
+BAD_UTF8_LINE = (b'{"post_id": "bad\xff", "author_id": "u1", "timestamp": 1600000000, '
+                 b'"tokens": [["vaxx", "NOUN"]]}')
+SURROGATE_LINE = (b'{"post_id": "bad", "author_id": "u1", "timestamp": 1600000000, '
+                  b'"tokens": [["\\ud800x", "NOUN"]]}')
+
+
+@pytest.mark.parametrize("bad_line", [BAD_UTF8_LINE, SURROGATE_LINE],
+                         ids=["invalid-utf8", "escaped-lone-surrogate"])
+def test_cli_run_skips_a_line_no_report_could_write(bad_line, tmp_path):
+    lines = serialize_records(small_corpus()[:200]).encode("utf-8").splitlines()
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(b"\n".join(lines[:100] + [bad_line] + lines[100:]) + b"\n")
+    out = tmp_path / "report.csv"
+    code = cli.main(["run", "--input", str(corpus), "--window", "2020-09", "--top-n", "50",
+                     "--output", str(out)])
+    assert code == 0
+    reports = parse_report_csv(out.read_text(encoding="utf-8"))
+    assert "vaxx" in {r.subtopic for r in reports}
+
+
+def test_run_pipeline_leaves_a_callers_freeze_as_it_was(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(serialize_records(small_corpus()[:300]), encoding="utf-8")
+    cfg = small_config(input_path=str(corpus), queries=("vaxx",))
+    gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        run_pipeline(cfg)
+        after = gc.get_freeze_count(), gc.isenabled()
+    finally:
+        gc.unfreeze()
+    assert before > 0 and after == (before, True)
