@@ -8,7 +8,8 @@
 list (no subtopic detection); `synth` writes a synthetic corpus (JSONL) or
 a planted two-block graph (edge list + sides) from a JSON spec. Exit code
 is 0 when the batch completes, even if cells are dashes; 1 is reserved for
-enabled monte-carlo cross-check failures, 2 for configuration errors.
+enabled monte-carlo cross-check failures; 2 is a configuration error or a
+bad input, stopword or lexicon file, reported as one `error: ...` line.
 
 Each key of pipeline.CONFIG_KEYS is a flag of `run` and `rq1`, written over
 the config file: `--<key>` with "_" and "." written as "-", except
@@ -27,10 +28,10 @@ from .pipeline import (
     ConfigError,
     ConfigKey,
     PipelineConfig,
+    checked,
     config_from_dict,
     emit_report,
     has_mc_failures,
-    is_kind,
     read_config,
     run_pipeline,
     write_output,
@@ -62,7 +63,7 @@ def _add_flag(parser: argparse.ArgumentParser, spec: ConfigKey, **extra: object)
         kwargs["metavar"] = flag[2:].upper().replace("-", "_")
         if spec.key in _COMMA_LISTS:
             kwargs["type"] = _comma_list
-        elif spec.kind is list:
+        elif isinstance(spec.kind, list):
             kwargs["action"] = "append"
         elif spec.kind is not str:
             kwargs["type"] = spec.kind
@@ -137,57 +138,24 @@ def _handle_rq1(args: argparse.Namespace) -> int:
     return _handle_run(args, tuple(args.queries))
 
 
-# Each synth spec key's kind: a scalar type, [type] for a list of it, [type, type]
-# for a list of exactly two, or (type, None) where null is allowed too.
+# Each synth spec key's kind, as pipeline.is_kind reads it
 _COMMUNITY_KINDS = {"n_authors": int, "topic_tokens": [str], "polarity_bias": float}
 _CORPUS_KINDS = {
     "communities": [dict], "window": str, "tz": str, "cross_repost_rate": float,
     "posts_per_author": [int, int], "seed": int, "repost_fraction": float,
-    "topic_post_rate": float, "n_favorites": int, "background_cross_rate": (float, None),
+    "topic_post_rate": float, "n_favorites": int, "background_cross_rate": float,
     "background_tokens": [str], "sentiment_surfaces": [str, str], "noun_tag": str,
     "sentiment_tag": str,
 }
 _PLANTED_KINDS = {"n_per_side": int, "p_in": float, "p_out": float, "seed": int}
 
 
-def _fits(value: object, kind: type | list | tuple) -> bool:
-    if isinstance(kind, list):
-        return (isinstance(value, list) and len(kind) in (1, len(value))
-                and all(is_kind(v, kind[0]) for v in value))
-    if isinstance(kind, tuple):
-        return value is None or is_kind(value, kind[0])
-    return is_kind(value, kind)
-
-
-def _kind_name(kind: type | list | tuple) -> str:
-    if isinstance(kind, list):
-        return "[" + ", ".join(k.__name__ for k in kind) + (", ...]" if len(kind) == 1 else "]")
-    if isinstance(kind, tuple):
-        return f"{kind[0].__name__} or null"
-    return kind.__name__
-
-
-def _checked_spec(raw: dict, kinds: dict, required: tuple[str, ...], what: str) -> dict:
-    """raw with each value checked against its key's kind and lists made tuples."""
-    unknown = set(raw) - set(kinds)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    missing = [key for key in required if key not in raw]
-    if missing:
-        raise ConfigError(f"{what} requires {missing}")
-    for key, value in raw.items():
-        if not _fits(value, kinds[key]):
-            raise ConfigError(f"{what} {key} must be {_kind_name(kinds[key])}, got {value!r}")
-    return {key: tuple(value) if isinstance(value, list) else value
-            for key, value in raw.items()}
-
-
 def _corpus_spec_from_dict(raw: dict) -> CorpusSpec:
-    kwargs = _checked_spec(raw, _CORPUS_KINDS, ("communities", "window", "cross_repost_rate"),
-                           "corpus spec")
+    kwargs = checked(raw, _CORPUS_KINDS, ("communities", "window", "cross_repost_rate"),
+                     ("background_cross_rate",), "corpus spec")
     kwargs["communities"] = tuple(
         CommunitySpec(**{"topic_tokens": (),
-                         **_checked_spec(c, _COMMUNITY_KINDS, ("n_authors",), "community")})
+                         **checked(c, _COMMUNITY_KINDS, ("n_authors",), (), "community")})
         for c in kwargs["communities"]
     )
     kwargs["window"] = parse_window(kwargs["window"], kwargs.pop("tz", "UTC"))
@@ -195,8 +163,8 @@ def _corpus_spec_from_dict(raw: dict) -> CorpusSpec:
 
 
 def _planted_spec_from_dict(raw: dict) -> PlantedSpec:
-    return PlantedSpec(**_checked_spec(raw, _PLANTED_KINDS, ("n_per_side", "p_in", "p_out"),
-                                       "planted spec"))
+    return PlantedSpec(**checked(raw, _PLANTED_KINDS, ("n_per_side", "p_in", "p_out"), (),
+                                 "planted spec"))
 
 
 def _handle_synth(args: argparse.Namespace) -> int:

@@ -81,10 +81,6 @@ class InteractionRecord:
     tokens: tuple[tuple[str, str], ...]
     repost_of: tuple[str, str] | None = None
 
-    @property
-    def is_repost(self) -> bool:
-        return self.repost_of is not None
-
     def surfaces(self) -> tuple[str, ...]:
         return tuple(surface for surface, _pos in self.tokens)
 

@@ -9,8 +9,12 @@ stack; sentiment aggregates ride along when a lexicon is configured. Each
 under-threshold graphs are data in the row, never batch aborts. Cells are
 scored one after another.
 
-CONFIG_KEYS is the one table of config keys: config_from_dict checks a
-config file's JSON against it, and the CLI builds its flags from it.
+Each external format is written down once. CONFIG_KEYS is the one table
+of config keys: config_from_dict checks a config file's JSON against it, and
+the CLI builds its flags from it. checked is the one check of a JSON
+object's keys and kinds, for the config file and every synth spec alike.
+_row is the one report row: the json format writes it as is, the csv format
+flattens it.
 """
 
 from __future__ import annotations
@@ -20,14 +24,16 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import dataclass, field, fields
-from typing import Sequence
+from dataclasses import asdict, dataclass, field, fields
+from typing import Callable, Collection, Sequence, TypeVar
 from urllib.parse import quote
 from zoneinfo import ZoneInfoNotFoundError
 
 from . import sentiment as senti
 from .graph import UnderSized, dump_edgelist, prepare_conversation_graph
 from .ingest import (
+    DuplicatePostId,
+    EmptyInput,
     InteractionRecord,
     TimeWindow,
     WindowIndex,
@@ -35,7 +41,6 @@ from .ingest import (
     parse_records_file,
     parse_window,
 )
-from .ingest import EmptyInput
 from .partition import bisect
 from .rwc import RwcConfig, RwcResult, rwc_monte_carlo, rwc_score
 from .stats import Thresholds
@@ -43,11 +48,13 @@ from .subtopics import (
     DEFAULT_NOUN_TAGS,
     StopwordConfig,
     extract_candidate_tokens,
-    load_stopwords,
+    load_stopword_file,
     top_n_subtopics,
 )
 
 MC_CHECK_TOLERANCE = 0.02
+
+T = TypeVar("T")
 
 
 class ConfigError(Exception):
@@ -119,25 +126,25 @@ class ControversyReport:
 class ConfigKey:
     """A config file key, the field it sets, its kind and its help.
 
-    ``kind`` is str, int, float, bool, list (of str) or a tuple of choices.
+    ``kind`` is a kind as is_kind reads it, or a tuple of the str values allowed.
     ``rwc.<name>`` is ``<name>`` in the file's ``rwc`` object and sets that
     RwcConfig field. A key whose field defaults to None also takes null.
     """
 
     key: str
     field: str
-    kind: type | tuple[str, ...]
+    kind: type | list[type] | tuple[str, ...]
     help: str
 
 
 CONFIG_KEYS: tuple[ConfigKey, ...] = (
     ConfigKey("input", "input_path", str, "corpus JSONL path"),
     ConfigKey("tz", "tz", str, "IANA timezone for month windows (default UTC)"),
-    ConfigKey("windows", "windows", list, "YYYY-MM or start..end; repeatable"),
-    ConfigKey("queries", "queries", list, "comma-separated query tokens"),
+    ConfigKey("windows", "windows", [str], "YYYY-MM or start..end; repeatable"),
+    ConfigKey("queries", "queries", [str], "comma-separated query tokens"),
     ConfigKey("top_n", "top_n", int, "subtopic shortlist size"),
-    ConfigKey("stopwords", "stopword_paths", list, "stopword file; repeatable, files are merged"),
-    ConfigKey("noun_tags", "noun_tags", list, "comma-separated POS tags accepted as nouns"),
+    ConfigKey("stopwords", "stopword_paths", [str], "stopword file; repeatable, files are merged"),
+    ConfigKey("noun_tags", "noun_tags", [str], "comma-separated POS tags accepted as nouns"),
     ConfigKey("count_mode", "count_mode", ("occurrences", "documents"),
               "count a token per occurrence or once per record"),
     ConfigKey("phase1_scope", "phase1_scope", ("window", "global"),
@@ -164,11 +171,19 @@ CONFIG_KEYS: tuple[ConfigKey, ...] = (
 )
 
 _KEYS = {spec.key: spec for spec in CONFIG_KEYS}
-_NULLABLE = {f.name for f in fields(PipelineConfig) if f.default is None}
+# a choice is checked as a str here and against its choices by PipelineConfig
+_KINDS = {spec.key: str if isinstance(spec.kind, tuple) else spec.kind for spec in CONFIG_KEYS}
+_NULLABLE = {spec.key for spec in CONFIG_KEYS
+             if any(f.name == spec.field and f.default is None for f in fields(PipelineConfig))}
 
 
-def is_kind(value: object, kind: type) -> bool:
-    """Whether a JSON value is of a scalar kind: bools are not ints, and ints pass as floats."""
+def is_kind(value: object, kind: type | list[type]) -> bool:
+    """Whether a JSON value is of a kind: a scalar type, [type] for a list of
+    any length, or [type, type] for a list of exactly two. Bools are not
+    ints, and ints pass as floats."""
+    if isinstance(kind, list):
+        return (isinstance(value, list) and len(kind) in (1, len(value))
+                and all(is_kind(v, kind[0]) for v in value))
     if kind is float:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is int:
@@ -176,18 +191,30 @@ def is_kind(value: object, kind: type) -> bool:
     return isinstance(value, kind)
 
 
-def _check_kind(spec: ConfigKey, value: object) -> None:
-    # a choice is checked as a str here and against its choices by PipelineConfig
-    kind = str if isinstance(spec.kind, tuple) else spec.kind
-    if value is None:
-        ok = spec.field in _NULLABLE
-    elif kind is list:
-        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
-    else:
-        ok = is_kind(value, kind)
-    if not ok:
-        name = "list of str" if kind is list else kind.__name__
-        raise ConfigError(f"{spec.key} must be {name}, got {value!r}")
+def _kind_name(kind: type | list[type]) -> str:
+    if isinstance(kind, list):
+        return "[" + ", ".join(k.__name__ for k in kind) + (", ...]" if len(kind) == 1 else "]")
+    return kind.__name__
+
+
+def checked(raw: dict, kinds: dict, required: Collection[str],
+            nullable: Collection[str], what: str) -> dict:
+    """raw with every key known, every required key present and every value
+    of its key's kind or an allowed null; lists become tuples. ConfigError
+    naming the key otherwise."""
+    unknown = set(raw) - set(kinds)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise ConfigError(f"{what} requires {missing}")
+    for key, value in raw.items():
+        if not (is_kind(value, kinds[key]) or value is None and key in nullable):
+            null = " or null" if key in nullable else ""
+            raise ConfigError(f"{what} {key} must be {_kind_name(kinds[key])}{null}, "
+                              f"got {value!r}")
+    return {key: tuple(value) if isinstance(value, list) else value
+            for key, value in raw.items()}
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
@@ -197,19 +224,10 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         raise ConfigError("rwc must be a JSON object")
     flat = {k: v for k, v in raw.items() if k != "rwc"}
     flat.update({f"rwc.{k}": v for k, v in walk.items()})
-    unknown = set(flat) - set(_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "windows" not in flat:
-        raise ConfigError("config requires a windows list")
     kwargs: dict[str, object] = {}
     rwc_kwargs: dict[str, object] = {}
-    for key, value in flat.items():
-        spec = _KEYS[key]
-        _check_kind(spec, value)
-        if isinstance(value, list):
-            value = tuple(value)
-        (rwc_kwargs if key.startswith("rwc.") else kwargs)[spec.field] = value
+    for key, value in checked(flat, _KINDS, ("windows",), _NULLABLE, "config").items():
+        (rwc_kwargs if key.startswith("rwc.") else kwargs)[_KEYS[key].field] = value
     try:
         tz = kwargs.get("tz", "UTC")
         kwargs["windows"] = tuple(parse_window(w, tz) for w in kwargs["windows"])
@@ -246,6 +264,14 @@ def _check_files_exist(cfg: PipelineConfig) -> None:
     for path in paths:
         if not os.path.exists(path):
             raise ConfigError(f"referenced file does not exist: {path}")
+
+
+def _load_file(load: Callable[[str], T], path: str) -> T:
+    """load(path); a file that cannot be read or holds bad data is a ConfigError naming it."""
+    try:
+        return load(path)
+    except (OSError, ValueError, DuplicatePostId) as exc:
+        raise ConfigError(f"cannot load {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def cell_seed(seed: int, window_label: str, token: str) -> int:
@@ -307,9 +333,9 @@ def _score_cell(
 
 
 def _stopword_config(cfg: PipelineConfig) -> StopwordConfig:
-    custom = load_stopwords(cfg.stopword_paths) if cfg.stopword_paths else frozenset()
-    return StopwordConfig(standard=frozenset(), custom=custom,
-                          noun_pos_tags=frozenset(cfg.noun_tags))
+    stopwords = frozenset().union(*(_load_file(load_stopword_file, path)
+                                    for path in cfg.stopword_paths))
+    return StopwordConfig(stopwords, frozenset(cfg.noun_tags))
 
 
 def run_pipeline(
@@ -322,10 +348,10 @@ def run_pipeline(
         if cfg.input_path is None:
             raise ConfigError("config has no input path and no records were supplied")
         try:
-            records = parse_records_file(cfg.input_path).records
+            records = _load_file(parse_records_file, cfg.input_path).records
         except EmptyInput:
             records = ()
-    lexicon = senti.load_lexicon(cfg.lexicon_path) if cfg.lexicon_path else None
+    lexicon = _load_file(senti.load_lexicon, cfg.lexicon_path) if cfg.lexicon_path else None
     stop_cfg = _stopword_config(cfg)
     if cfg.dump_graphs_dir is not None:
         os.makedirs(cfg.dump_graphs_dir, exist_ok=True)
@@ -369,12 +395,30 @@ def _score_window(
 
 # --- report emission ---------------------------------------------------------
 
-_CSV_COLUMNS = [
-    "subtopic", "window", "record_count", "node_count", "undersized",
-    "rwc_score", "p_xx", "p_xy", "p_yy", "p_yx",
-    "sentiment_mean", "sentiment_std", "sentiment_matched",
-    "high_controversy", "large", "low_sentiment", "error",
-]
+_FLAGS = ("high_controversy", "large", "low_sentiment")
+_RWC_COLUMNS = ("rwc_score", "p_xx", "p_xy", "p_yy", "p_yx")
+
+
+def _row(r: ControversyReport, th: Thresholds) -> dict:
+    """One report row: the report's fields, then the group flags before ``error``."""
+    row = asdict(r)
+    row.update(zip(_FLAGS, th.flags(r)), error=row.pop("error"))
+    return row
+
+
+def _flat(row: dict) -> dict:
+    """A row as CSV cells: the rwc object spread over _RWC_COLUMNS."""
+    rwc = row["rwc"] or {}
+    cells: dict = {}
+    for key, value in row.items():
+        if key == "rwc":
+            cells.update((c, rwc.get(c.removeprefix("rwc_"))) for c in _RWC_COLUMNS)
+        else:
+            cells[key] = value
+    return cells
+
+
+_CSV_COLUMNS = list(_flat(_row(ControversyReport("", "", 0, 0, False, None), Thresholds())))
 
 
 def _opt(value: object) -> str:
@@ -387,35 +431,12 @@ def _opt(value: object) -> str:
     return str(value)
 
 
-def _report_row(r: ControversyReport, th: Thresholds) -> list[str]:
-    high, large, low_senti = th.flags(r)
-    return [
-        r.subtopic,
-        r.window,
-        str(r.record_count),
-        str(r.node_count),
-        "1" if r.undersized else "0",
-        _opt(r.rwc.score if r.rwc else None),
-        _opt(r.rwc.p_xx if r.rwc else None),
-        _opt(r.rwc.p_xy if r.rwc else None),
-        _opt(r.rwc.p_yy if r.rwc else None),
-        _opt(r.rwc.p_yx if r.rwc else None),
-        _opt(r.sentiment_mean),
-        _opt(r.sentiment_std),
-        _opt(r.sentiment_matched),
-        _opt(high),
-        _opt(large),
-        _opt(low_senti),
-        r.error or "",
-    ]
-
-
 def _emit_csv(reports: Sequence[ControversyReport], th: Thresholds) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for r in reports:
-        writer.writerow(_report_row(r, th))
+        writer.writerow(map(_opt, _flat(_row(r, th)).values()))
     return buf.getvalue()
 
 
@@ -430,11 +451,7 @@ def parse_report_csv(text: str) -> list[ControversyReport]:
         cells = dict(zip(_CSV_COLUMNS, row))
         rwc = None
         if cells["rwc_score"]:
-            rwc = RwcResult(
-                float(cells["p_xx"]), float(cells["p_xy"]),
-                float(cells["p_yy"]), float(cells["p_yx"]),
-                float(cells["rwc_score"]),
-            )
+            rwc = RwcResult(**{c.removeprefix("rwc_"): float(cells[c]) for c in _RWC_COLUMNS})
         out.append(
             ControversyReport(
                 cells["subtopic"],
@@ -453,35 +470,14 @@ def parse_report_csv(text: str) -> list[ControversyReport]:
 
 
 def _emit_json(reports: Sequence[ControversyReport], th: Thresholds) -> str:
-    rows = []
-    for r in reports:
-        high, large, low_senti = th.flags(r)
-        rows.append(
-            {
-                "subtopic": r.subtopic,
-                "window": r.window,
-                "record_count": r.record_count,
-                "node_count": r.node_count,
-                "undersized": r.undersized,
-                "rwc": None if r.rwc is None else {
-                    "p_xx": r.rwc.p_xx, "p_xy": r.rwc.p_xy,
-                    "p_yy": r.rwc.p_yy, "p_yx": r.rwc.p_yx,
-                    "score": r.rwc.score,
-                },
-                "sentiment_mean": r.sentiment_mean,
-                "sentiment_std": r.sentiment_std,
-                "sentiment_matched": r.sentiment_matched,
-                "high_controversy": high,
-                "large": large,
-                "low_sentiment": low_senti,
-                "error": r.error,
-            }
-        )
-    return json.dumps(rows, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps([_row(r, th) for r in reports], indent=2, ensure_ascii=False) + "\n"
 
 
 def _md_escape(label: str) -> str:
-    """A label as one table cell: an unescaped ``|`` would end the cell."""
+    """A label as one table cell: an unescaped ``|`` would end the cell, and a
+    line break would end the row, so each line break becomes one space."""
+    for line_break in ("\r\n", "\r", "\n"):
+        label = label.replace(line_break, " ")
     return label.replace("|", "\\|")
 
 

@@ -1,8 +1,8 @@
-"""Subtopic shortlisting: noun filtering, stopword layers, top-N by frequency.
+"""Subtopic shortlisting: noun filtering, stopwords, top-N by frequency.
 
 Candidate subtopics are single tokens. A token occurrence counts when its
-POS tag is in the accepted noun set and its surface is in neither stopword
-layer. Stopword files are UTF-8, one surface per line, '#' starts a comment
+POS tag is in the accepted noun set and its surface is not a stopword.
+Stopword files are UTF-8, one surface per line, '#' starts a comment
 line.
 """
 
@@ -19,19 +19,16 @@ DEFAULT_NOUN_TAGS = frozenset({"NOUN", "PROPN"})
 
 @dataclass(frozen=True)
 class StopwordConfig:
-    """Filtering configuration: ordinary stopwords, custom stopwords, noun tags.
+    """Filtering configuration: stopwords and the accepted noun tags.
 
-    The custom layer is where corpus-specific lists go: words for the topic
-    itself, news/broadcast words, announcement phrasing, region/name/time/
-    person words, and meaningless filler. Matching is exact-surface.
+    The stopwords merge every list: ordinary stopwords and corpus-specific
+    ones such as words for the topic itself, news/broadcast words,
+    announcement phrasing, region/name/time/person words, and meaningless
+    filler. Matching is exact-surface.
     """
 
-    standard: frozenset[str] = frozenset()
-    custom: frozenset[str] = frozenset()
+    stopwords: frozenset[str] = frozenset()
     noun_pos_tags: frozenset[str] = field(default=DEFAULT_NOUN_TAGS)
-
-    def is_stopword(self, surface: str) -> bool:
-        return surface in self.standard or surface in self.custom
 
 
 def load_stopword_file(path: str) -> frozenset[str]:
@@ -72,7 +69,7 @@ def extract_candidate_tokens(
         eligible = (
             surface
             for surface, pos in record.tokens
-            if pos in cfg.noun_pos_tags and not cfg.is_stopword(surface)
+            if pos in cfg.noun_pos_tags and surface not in cfg.stopwords
         )
         if count_mode == "documents":
             counts.update(set(eligible))

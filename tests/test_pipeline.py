@@ -161,10 +161,189 @@ def test_markdown_escapes_pipes_in_labels():
     assert all(len(re.split(r"(?<!\\)\|", line)) == 4 for line in lines)
 
 
+def test_markdown_keeps_a_label_with_line_breaks_on_one_row():
+    labels = ["mask\nwearing", "a\r\nb", "c\rd"]
+    reports = [ControversyReport(label, "w\n1", 50, 1000, False,
+                                 RwcResult(0.9, 0.1, 0.9, 0.1, 0.8)) for label in labels]
+    assert emit_report(reports, "markdown") == (
+        "| Subtopic | w 1 |\n| --- | --- |\n"
+        "| mask wearing | **0.800** |\n| a b | **0.800** |\n| c d | **0.800** |\n")
+    # csv and json keep the exact labels
+    csv_text = emit_report(reports, "csv")
+    assert all(label in csv_text for label in labels)
+    assert [r["subtopic"] for r in json.loads(emit_report(reports, "json"))] == labels
+
+
 def test_markdown_empty_reports_header_only():
     text = emit_report([], "markdown")
     assert text.splitlines()[0] == "| Subtopic |"
     assert len(text.splitlines()) == 2
+
+
+def _golden_reports():
+    """Every kind of row: flagged, errored, no sentiment, -0.0, empty error, undersized."""
+    return [
+        ControversyReport("vaxx", "2020-09", 60000, 12000, False,
+                          RwcResult(0.9, 0.1, 0.85, 0.15, 0.7), -0.8, 0.2, 50),
+        ControversyReport("mask", "2020-09", 900, 0, False, None,
+                          error="SideTooSmall: side X has 3 nodes, k_top 10"),
+        ControversyReport("school", "2020-09", 3000, 900, False,
+                          RwcResult(0.55, 0.45, 0.55, 0.45, 0.1)),
+        ControversyReport("a|b", "2020-10", 100, 850, False,
+                          RwcResult(0.5, 0.5, 0.5, 0.5, -0.0), -0.0, 1e-300, 0, ""),
+        ControversyReport('say "no", please', "2020-10", 40, 2000, False,
+                          RwcResult(0.6, 0.4, 0.7, 0.3, 0.31), 0.25, 0.5, 7,
+                          "mc-check failed: |exact - monte-carlo| = 0.0312 > 0.02"),
+        ControversyReport("ワクチン", "2020-10", 12, 3, True, None, 0.1, 0.3, 4),
+    ]
+
+
+GOLDEN_CSV = """\
+subtopic,window,record_count,node_count,undersized,rwc_score,p_xx,p_xy,p_yy,p_yx,sentiment_mean,sentiment_std,sentiment_matched,high_controversy,large,low_sentiment,error
+vaxx,2020-09,60000,12000,0,0.7,0.9,0.1,0.85,0.15,-0.8,0.2,50,1,1,1,
+mask,2020-09,900,0,0,,,,,,,,,,0,,"SideTooSmall: side X has 3 nodes, k_top 10"
+school,2020-09,3000,900,0,0.1,0.55,0.45,0.55,0.45,,,,0,0,,
+a|b,2020-10,100,850,0,-0.0,0.5,0.5,0.5,0.5,-0.0,1e-300,0,0,0,0,
+"say ""no"", please",2020-10,40,2000,0,0.31,0.6,0.4,0.7,0.3,0.25,0.5,7,1,0,0,mc-check failed: |exact - monte-carlo| = 0.0312 > 0.02
+ワクチン,2020-10,12,3,1,,,,,,0.1,0.3,4,,0,0,
+"""
+
+GOLDEN_JSON = """\
+[
+  {
+    "subtopic": "vaxx",
+    "window": "2020-09",
+    "record_count": 60000,
+    "node_count": 12000,
+    "undersized": false,
+    "rwc": {
+      "p_xx": 0.9,
+      "p_xy": 0.1,
+      "p_yy": 0.85,
+      "p_yx": 0.15,
+      "score": 0.7
+    },
+    "sentiment_mean": -0.8,
+    "sentiment_std": 0.2,
+    "sentiment_matched": 50,
+    "high_controversy": true,
+    "large": true,
+    "low_sentiment": true,
+    "error": null
+  },
+  {
+    "subtopic": "mask",
+    "window": "2020-09",
+    "record_count": 900,
+    "node_count": 0,
+    "undersized": false,
+    "rwc": null,
+    "sentiment_mean": null,
+    "sentiment_std": null,
+    "sentiment_matched": null,
+    "high_controversy": null,
+    "large": false,
+    "low_sentiment": null,
+    "error": "SideTooSmall: side X has 3 nodes, k_top 10"
+  },
+  {
+    "subtopic": "school",
+    "window": "2020-09",
+    "record_count": 3000,
+    "node_count": 900,
+    "undersized": false,
+    "rwc": {
+      "p_xx": 0.55,
+      "p_xy": 0.45,
+      "p_yy": 0.55,
+      "p_yx": 0.45,
+      "score": 0.1
+    },
+    "sentiment_mean": null,
+    "sentiment_std": null,
+    "sentiment_matched": null,
+    "high_controversy": false,
+    "large": false,
+    "low_sentiment": null,
+    "error": null
+  },
+  {
+    "subtopic": "a|b",
+    "window": "2020-10",
+    "record_count": 100,
+    "node_count": 850,
+    "undersized": false,
+    "rwc": {
+      "p_xx": 0.5,
+      "p_xy": 0.5,
+      "p_yy": 0.5,
+      "p_yx": 0.5,
+      "score": -0.0
+    },
+    "sentiment_mean": -0.0,
+    "sentiment_std": 1e-300,
+    "sentiment_matched": 0,
+    "high_controversy": false,
+    "large": false,
+    "low_sentiment": false,
+    "error": ""
+  },
+  {
+    "subtopic": "say \\"no\\", please",
+    "window": "2020-10",
+    "record_count": 40,
+    "node_count": 2000,
+    "undersized": false,
+    "rwc": {
+      "p_xx": 0.6,
+      "p_xy": 0.4,
+      "p_yy": 0.7,
+      "p_yx": 0.3,
+      "score": 0.31
+    },
+    "sentiment_mean": 0.25,
+    "sentiment_std": 0.5,
+    "sentiment_matched": 7,
+    "high_controversy": true,
+    "large": false,
+    "low_sentiment": false,
+    "error": "mc-check failed: |exact - monte-carlo| = 0.0312 > 0.02"
+  },
+  {
+    "subtopic": "ワクチン",
+    "window": "2020-10",
+    "record_count": 12,
+    "node_count": 3,
+    "undersized": true,
+    "rwc": null,
+    "sentiment_mean": 0.1,
+    "sentiment_std": 0.3,
+    "sentiment_matched": 4,
+    "high_controversy": null,
+    "large": false,
+    "low_sentiment": false,
+    "error": null
+  }
+]
+"""
+
+GOLDEN_MARKDOWN = """\
+| Subtopic | 2020-09 | 2020-10 |
+| --- | --- | --- |
+| vaxx | **0.700** | - |
+| mask | - | - |
+| school | 0.100 | - |
+| a\\|b | - | -0.000 |
+| say "no", please | - | **0.310** |
+| ワクチン | - | - |
+"""
+
+
+@pytest.mark.parametrize("fmt, expected", [
+    ("csv", GOLDEN_CSV), ("json", GOLDEN_JSON), ("markdown", GOLDEN_MARKDOWN),
+])
+def test_report_bytes_match_golden_text(fmt, expected):
+    assert emit_report(_golden_reports(), fmt) == expected
 
 
 def test_unsupported_format_raises():
@@ -459,6 +638,34 @@ def test_repeated_queries_rejected_by_config_and_cli(tmp_path, capsys):
     assert "repeat" in capsys.readouterr().err
 
 
+# each bad input file: the flag that names it and its name in the test's directory
+BAD_INPUT_FILES = {
+    "duplicate-record": ("--input", "dup.jsonl"),
+    "input-directory": ("--input", ""),
+    "stopwords-directory": ("--stopwords", ""),
+    "lexicon-out-of-range": ("--lexicon", "lex.tsv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT_FILES))
+@pytest.mark.parametrize("command", ["run", "rq1"])
+def test_cli_bad_input_file_exits_2_with_an_error_line(case, command, tmp_path, capsys):
+    lines = serialize_records(small_corpus()[:5]).splitlines(keepends=True)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(lines), encoding="utf-8")
+    (tmp_path / "dup.jsonl").write_text("".join(lines + lines[:1]), encoding="utf-8")
+    (tmp_path / "lex.tsv").write_text("vaxx\t2\n", encoding="utf-8")
+    flag, name = BAD_INPUT_FILES[case]
+    queries = ["--queries", "vaxx"] if command == "rq1" else []
+    out = tmp_path / "report.csv"
+    code = cli.main([command, "--window", "2020-09", *queries, "--input", str(corpus),
+                     flag, str(tmp_path / name), "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and str(tmp_path / name) in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_requires_window_without_config():
     assert cli.main(["rq1", "--queries", "a", "--input", "x.jsonl"]) == 2
 
@@ -505,6 +712,38 @@ def test_cli_synth_spec_errors_exit_2(spec, tmp_path, capsys):
     assert cli.main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+CORPUS_SPEC = {"kind": "corpus", "communities": [{"n_authors": 5}], "window": "2020-09",
+               "cross_repost_rate": 0.1}
+
+
+@pytest.mark.parametrize("key, spec", [
+    ("posts_per_author", {**CORPUS_SPEC, "posts_per_author": [5]}),
+    ("posts_per_author", {**CORPUS_SPEC, "posts_per_author": [5, 9, 12]}),
+    ("communities", {**CORPUS_SPEC, "communities": [{"n_authors": 5}, "c2"]}),
+    ("topic_tokens", {**CORPUS_SPEC, "communities": [{"n_authors": 5, "topic_tokens": [1]}]}),
+    ("seed", {**CORPUS_SPEC, "seed": None}),
+    ("n_authors", {**CORPUS_SPEC, "communities": [{"n_authors": None}]}),
+    ("p_out", {"kind": "planted", "n_per_side": 3, "p_in": 0.5, "p_out": None}),
+])
+def test_cli_synth_spec_bad_kind_names_the_key(key, spec, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "out.txt"
+    assert cli.main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not out.exists()
+
+
+def test_cli_synth_spec_takes_null_background_cross_rate(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**CORPUS_SPEC, "background_cross_rate": None}),
+                         encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 0
+    assert out.stat().st_size > 0
 
 
 def test_synth_spec_kinds_cover_every_spec_field():
