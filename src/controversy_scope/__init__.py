@@ -24,7 +24,6 @@ from .pipeline import (
 from .rwc import (
     RwcConfig,
     RwcResult,
-    absorption_probabilities,
     high_degree_nodes,
     rwc_monte_carlo,
     rwc_score,
@@ -59,7 +58,6 @@ __all__ = [
     "TimeWindow",
     "UnderSized",
     "WindowIndex",
-    "absorption_probabilities",
     "aggregate_sentiment",
     "bisect",
     "build_graph",

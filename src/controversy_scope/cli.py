@@ -133,8 +133,6 @@ def _handle_run(args: argparse.Namespace, queries: tuple[str, ...] | None = None
 
 
 def _handle_rq1(args: argparse.Namespace) -> int:
-    if not args.queries:
-        raise ConfigError("--queries must name at least one token")
     return _handle_run(args, tuple(args.queries))
 
 

@@ -129,9 +129,8 @@ def month_window(label: str, tz: str = "UTC") -> TimeWindow:
 
 
 def _parse_instant(text: str, tz: str) -> int:
-    if _DATE_RE.match(text):
-        d = _DATE_RE.match(text)
-        assert d is not None
+    d = _DATE_RE.match(text)
+    if d:
         return int(datetime(int(d.group(1)), int(d.group(2)), int(d.group(3)),
                             tzinfo=ZoneInfo(tz)).timestamp())
     return int(text)

@@ -63,24 +63,23 @@ class Bipartition:
 
 def cut_size(g: EndorsementGraph, p: Bipartition) -> int:
     """Number of edges whose endpoints sit on opposite sides."""
-    _require_assigned(g, p)
-    return sum(1 for (u, v) in g.edges if p.side_of[u] != p.side_of[v])
+    return make_bipartition(g, p.side_of).cut
 
 
 def cut_weight(g: EndorsementGraph, p: Bipartition) -> int:
     """Total weight of crossing edges."""
-    _require_assigned(g, p)
-    return sum(w for (u, v), w in g.edges.items() if p.side_of[u] != p.side_of[v])
+    return make_bipartition(g, p.side_of).cut_weight
 
 
-def _require_assigned(g: EndorsementGraph, p: Bipartition) -> None:
-    missing = g.nodes - p.side_of.keys()
+def _require_assigned(g: EndorsementGraph, side_of: dict[str, str]) -> None:
+    missing = g.nodes - side_of.keys()
     if missing:
         raise UnassignedNode(f"{len(missing)} nodes unassigned, e.g. {min(missing)!r}")
 
 
 def make_bipartition(g: EndorsementGraph, side_of: dict[str, str]) -> Bipartition:
     """Assemble a Bipartition with cut/balance computed from the graph."""
+    _require_assigned(g, side_of)
     cut = 0
     cutw = 0
     for (u, v), w in g.edges.items():

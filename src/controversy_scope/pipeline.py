@@ -15,6 +15,12 @@ the CLI builds its flags from it. checked is the one check of a JSON
 object's keys and kinds, for the config file and every synth spec alike.
 _row is the one report row: the json format writes it as is, the csv format
 flattens it.
+
+Each rule is written down once too. PipelineConfig.__post_init__ checks
+every value, from a config file, the CLI or a library caller alike: choices,
+ranges and the queries list. _load_file is the one loader of an input file:
+run_pipeline loads the lexicon and stopword files through it before the
+corpus, so a bad side file fails before the parse.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import io
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Collection, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Sequence, TypeVar
 from urllib.parse import quote
 from zoneinfo import ZoneInfoNotFoundError
 
@@ -95,12 +101,18 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not self.windows:
             raise ConfigError("at least one window is required")
-        if self.top_n < 1:
-            raise ConfigError(f"top_n must be >= 1, got {self.top_n}")
+        for key in ("top_n", "min_rt", "k_core", "mc_walks"):
+            value = getattr(self, _KEYS[key].field)
+            if value < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value}")
+        if not 0.0 <= self.balance_eps <= 0.1:
+            raise ConfigError(f"balance_eps must be within [0, 0.1], got {self.balance_eps}")
         for spec in CONFIG_KEYS:
             if isinstance(spec.kind, tuple) and getattr(self, spec.field) not in spec.kind:
                 raise ConfigError(f"{spec.key} must be one of {list(spec.kind)}, "
                                   f"got {getattr(self, spec.field)!r}")
+        if self.queries is not None and not self.queries:
+            raise ConfigError("queries must name at least one token")
         if self.queries is not None and len(set(self.queries)) < len(self.queries):
             # each query names one cell per window: one row, one edge dump
             raise ConfigError(f"queries must not repeat: {list(self.queries)}")
@@ -222,6 +234,9 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     walk = raw.get("rwc", {})
     if not isinstance(walk, dict):
         raise ConfigError("rwc must be a JSON object")
+    dotted = sorted(k for k in raw if "." in k)  # rwc.<name> is spelt only as nested
+    if dotted:
+        raise ConfigError(f"unknown config keys: {dotted}")
     flat = {k: v for k, v in raw.items() if k != "rwc"}
     flat.update({f"rwc.{k}": v for k, v in walk.items()})
     kwargs: dict[str, object] = {}
@@ -253,17 +268,6 @@ def read_config(path: str) -> dict:
 
 def load_config(path: str) -> PipelineConfig:
     return config_from_dict(read_config(path))
-
-
-def _check_files_exist(cfg: PipelineConfig) -> None:
-    paths = list(cfg.stopword_paths)
-    if cfg.input_path is not None:
-        paths.append(cfg.input_path)
-    if cfg.lexicon_path is not None:
-        paths.append(cfg.lexicon_path)
-    for path in paths:
-        if not os.path.exists(path):
-            raise ConfigError(f"referenced file does not exist: {path}")
 
 
 def _load_file(load: Callable[[str], T], path: str) -> T:
@@ -343,7 +347,8 @@ def run_pipeline(
     records: Sequence[InteractionRecord] | None = None,
 ) -> list[ControversyReport]:
     """Score every (subtopic, window) cell; rows come back in window-major order."""
-    _check_files_exist(cfg)
+    lexicon = _load_file(senti.load_lexicon, cfg.lexicon_path) if cfg.lexicon_path else None
+    stop_cfg = _stopword_config(cfg)
     if records is None:
         if cfg.input_path is None:
             raise ConfigError("config has no input path and no records were supplied")
@@ -351,8 +356,6 @@ def run_pipeline(
             records = _load_file(parse_records_file, cfg.input_path).records
         except EmptyInput:
             records = ()
-    lexicon = _load_file(senti.load_lexicon, cfg.lexicon_path) if cfg.lexicon_path else None
-    stop_cfg = _stopword_config(cfg)
     if cfg.dump_graphs_dir is not None:
         os.makedirs(cfg.dump_graphs_dir, exist_ok=True)
 
@@ -431,13 +434,21 @@ def _opt(value: object) -> str:
     return str(value)
 
 
-def _emit_csv(reports: Sequence[ControversyReport], th: Thresholds) -> str:
+def _csv_line(cells: Iterable[str]) -> str:
+    """One CSV row, ended by a line feed.
+
+    The writer quotes a field for the characters of its line terminator but
+    not for a lone carriage return, so it writes CR LF, which quotes both,
+    and the CR is dropped after it.
+    """
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for r in reports:
-        writer.writerow(map(_opt, _flat(_row(r, th)).values()))
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2] + "\n"
+
+
+def _emit_csv(reports: Sequence[ControversyReport], th: Thresholds) -> str:
+    rows = (map(_opt, _flat(_row(r, th)).values()) for r in reports)
+    return "".join(map(_csv_line, [_CSV_COLUMNS, *rows]))
 
 
 def parse_report_csv(text: str) -> list[ControversyReport]:

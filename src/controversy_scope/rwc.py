@@ -20,7 +20,9 @@ each side's probabilities from Z (see _solve). The iteration contracts by
 1-alpha per sweep, so it stops once an a-posteriori bound puts every
 reported probability within solver_tol of the exact value. A Monte Carlo
 simulator provides an independent estimate of the same quantity for
-cross-checking.
+cross-checking. rwc_score and rwc_monte_carlo are the two walk entries. Both
+build one _WalkChain, which alone checks that the graph is connected and
+that every node has a side.
 
 M is read straight off the graph's own CSR (EndorsementGraph.csr) as flat
 (row, column, probability) arrays over the transient nodes, built once per
@@ -130,7 +132,9 @@ class _WalkChain:
     """Index-space view of the absorbing walk shared by solver and simulator."""
 
     def __init__(self, g: EndorsementGraph, p: Bipartition, cfg: RwcConfig):
-        _require_assigned(g, p)
+        if not is_connected(g):
+            raise RwcError("controversy scoring requires a connected graph")
+        _require_assigned(g, p.side_of)
         self.cfg = cfg
         self.nodes, self.indptr, self.indices, weights = g.csr
         n = len(self.nodes)
@@ -235,21 +239,9 @@ def _solve(chain: _WalkChain) -> tuple[float, float, float, float]:
     raise NoConvergence(f"no convergence within {cfg.max_iter} iterations")
 
 
-def absorption_probabilities(
-    g: EndorsementGraph, p: Bipartition, cfg: RwcConfig, start_side: str
-) -> tuple[float, float]:
-    """Exact (p_same, p_cross) for walks started uniformly in start_side."""
-    if start_side not in (SIDE_X, SIDE_Y):
-        raise ValueError(f"start_side must be {SIDE_X!r} or {SIDE_Y!r}, got {start_side!r}")
-    p_xx, p_xy, p_yy, p_yx = _solve(_WalkChain(g, p, cfg))
-    return (p_xx, p_xy) if start_side == SIDE_X else (p_yy, p_yx)
-
-
 def rwc_score(g: EndorsementGraph, p: Bipartition, cfg: RwcConfig | None = None) -> RwcResult:
     """Exact controversy score of a partitioned connected graph."""
     cfg = cfg or RwcConfig()
-    if not is_connected(g):
-        raise RwcError("controversy scoring requires a connected graph")
     p_xx, p_xy, p_yy, p_yx = _solve(_WalkChain(g, p, cfg))
     return RwcResult(p_xx, p_xy, p_yy, p_yx, p_xx * p_yy - p_xy * p_yx)
 
@@ -316,8 +308,6 @@ def rwc_monte_carlo(
     cfg = cfg or RwcConfig()
     if n_walks < 1:
         raise ValueError(f"n_walks must be >= 1, got {n_walks}")
-    if not is_connected(g):
-        raise RwcError("controversy scoring requires a connected graph")
     chain = _WalkChain(g, p, cfg)
     x_same, x_cross = _simulate_side(chain, chain.start_x, n_walks, (seed, 0))
     y_cross, y_same = _simulate_side(chain, chain.start_y, n_walks, (seed, 1))

@@ -43,14 +43,6 @@ def load_stopword_file(path: str) -> frozenset[str]:
     return frozenset(surfaces)
 
 
-def load_stopwords(paths: Iterable[str]) -> frozenset[str]:
-    """Union of several stopword files (the custom categories ship separately)."""
-    merged: set[str] = set()
-    for path in paths:
-        merged |= load_stopword_file(path)
-    return frozenset(merged)
-
-
 def extract_candidate_tokens(
     records: Iterable[InteractionRecord],
     cfg: StopwordConfig,

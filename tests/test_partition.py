@@ -169,6 +169,10 @@ def test_cut_size_unassigned_node():
     p = Bipartition({"a": "X", "b": "Y"}, 0, 0, 0.5)
     with pytest.raises(UnassignedNode):
         cut_size(g, p)
+    with pytest.raises(UnassignedNode):
+        cut_weight(g, p)
+    with pytest.raises(UnassignedNode):
+        make_bipartition(g, p.side_of)
 
 
 def test_swapped_labels_preserve_structure():

@@ -5,11 +5,11 @@ import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
-from controversy_scope import cli
+from controversy_scope import cli, pipeline
 from controversy_scope.ingest import TimeWindow, parse_window, serialize_records
 from controversy_scope.pipeline import (
     ConfigError,
@@ -134,6 +134,12 @@ def test_csv_round_trip_identity():
     reports = _fixture_reports()
     text = emit_report(reports, "csv")
     assert parse_report_csv(text) == reports
+
+
+@pytest.mark.parametrize("label", ["c\rd", "\r", "a\r"])
+def test_csv_round_trips_a_label_with_a_carriage_return(label):
+    reports = [replace(r, subtopic=label, window=label) for r in _fixture_reports()]
+    assert parse_report_csv(emit_report(reports, "csv")) == reports
 
 
 def test_json_output_shape():
@@ -386,6 +392,10 @@ def test_config_rejects_unknown_keys_and_bad_values():
         PipelineConfig(windows=())
     with pytest.raises(ConfigError):
         load_config("/nonexistent/config.json")
+    with pytest.raises(ConfigError, match="rwc.k_top"):
+        config_from_dict({"windows": ["2020-02"], "rwc.k_top": 3})
+    with pytest.raises(ConfigError, match="rwc.k_top"):
+        config_from_dict({"windows": ["2020-02"], "rwc.k_top": 3, "rwc": {"k_top": 5}})
 
 
 @pytest.mark.parametrize("key, value", [
@@ -477,8 +487,27 @@ def test_config_file_key_and_cli_flag_agree(key, tmp_path):
 
 def test_run_pipeline_checks_referenced_files(tmp_path):
     cfg = small_config(input_path=str(tmp_path / "missing.jsonl"))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="missing.jsonl: FileNotFoundError"):
         run_pipeline(cfg)
+    assert run_pipeline(cfg, records=[]) == []  # the unread input path is not checked
+
+
+@pytest.mark.parametrize("side_file", ["lexicon", "stopwords"])
+def test_run_pipeline_fails_on_a_bad_side_file_before_the_parse(side_file, tmp_path,
+                                                                 monkeypatch):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(serialize_records(small_corpus()[:5]), encoding="utf-8")
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text("vaxx\t2\n", encoding="utf-8")
+    bad = {"lexicon": {"lexicon_path": str(lexicon)},
+           "stopwords": {"stopword_paths": (str(tmp_path / "missing.txt"),)}}[side_file]
+
+    def parse_not_reached(path):
+        pytest.fail("the corpus was parsed before the side files loaded")
+
+    monkeypatch.setattr(pipeline, "parse_records_file", parse_not_reached)
+    with pytest.raises(ConfigError, match="cannot load"):
+        run_pipeline(small_config(input_path=str(corpus), **bad))
 
 
 def test_write_output_atomic(tmp_path):
@@ -638,6 +667,21 @@ def test_repeated_queries_rejected_by_config_and_cli(tmp_path, capsys):
     assert "repeat" in capsys.readouterr().err
 
 
+def test_empty_queries_exit_2_from_a_config_file_and_the_cli(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(serialize_records(small_corpus()[:5]), encoding="utf-8")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"windows": ["2020-09"], "input": str(corpus),
+                                    "queries": []}), encoding="utf-8")
+    out = tmp_path / "report.csv"
+    assert cli.main(["run", "--config", str(cfg_path), "--output", str(out)]) == 2
+    from_file = capsys.readouterr().err
+    assert cli.main(["rq1", "--input", str(corpus), "--window", "2020-09",
+                     "--queries", ",", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == from_file == "error: queries must name at least one token\n"
+    assert not out.exists()
+
+
 # each bad input file: the flag that names it and its name in the test's directory
 BAD_INPUT_FILES = {
     "duplicate-record": ("--input", "dup.jsonl"),
@@ -676,6 +720,10 @@ def test_cli_requires_window_without_config():
     ["--window", "2020-01", "--k-top", "0"],
     ["--window", "2020-01", "--tz", "Mars/Base"],
     ["--config", "{rwc_typo}"],
+    ["--window", "2020-01", "--min-rt", "0"],
+    ["--window", "2020-01", "--k-core", "0"],
+    ["--window", "2020-01", "--balance-eps", "0.5"],
+    ["--window", "2020-01", "--mc-check", "--mc-walks", "0"],
 ])
 def test_cli_invalid_values_exit_2_with_an_error_line(flags, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
@@ -684,7 +732,8 @@ def test_cli_invalid_values_exit_2_with_an_error_line(flags, tmp_path, capsys):
     flags = [f.format(rwc_typo=cfg_path) for f in flags]
     assert cli.main(["rq1", "--input", "x.jsonl", "--queries", "a", *flags]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    # the value itself is the error, caught before the input file is looked at
+    assert err.startswith("error: ") and "Traceback" not in err and "x.jsonl" not in err
 
 
 @pytest.mark.parametrize("spec", [

@@ -15,7 +15,6 @@ from controversy_scope.rwc import (
     SideTooSmall,
     _times,
     _WalkChain,
-    absorption_probabilities,
     high_degree_nodes,
     rwc_monte_carlo,
     rwc_score,
@@ -76,7 +75,8 @@ def test_high_degree_side_too_small():
 def test_absorption_conservation_and_symmetric_half():
     pg = planted_partition(PlantedSpec(40, 1.0, 1.0, seed=2))  # complete K_80
     cfg = RwcConfig(k_top=5)
-    p_same, p_cross = absorption_probabilities(pg.graph, pg.ground_truth, cfg, "X")
+    r = rwc_score(pg.graph, pg.ground_truth, cfg)
+    p_same, p_cross = r.p_xx, r.p_xy
     assert p_same + p_cross == pytest.approx(1.0, abs=1e-8)
     assert p_same == pytest.approx(0.5, abs=1e-6)
 
@@ -84,7 +84,8 @@ def test_absorption_conservation_and_symmetric_half():
 def test_clique_bridge_absorption_vs_monte_carlo():
     pg = planted_partition(PlantedSpec(50, 1.0, 0.0, seed=3))
     cfg = RwcConfig(k_top=2)
-    p_same, p_cross = absorption_probabilities(pg.graph, pg.ground_truth, cfg, "X")
+    r = rwc_score(pg.graph, pg.ground_truth, cfg)
+    p_same, p_cross = r.p_xx, r.p_xy
     assert p_cross < 0.1
     mc = rwc_monte_carlo(pg.graph, pg.ground_truth, cfg, n_walks=1_000_000, seed=9)
     assert abs(mc.p_xx - p_same) < 0.01
@@ -172,6 +173,11 @@ def test_rwc_requires_connected_graph():
         rwc_score(g, p, RwcConfig(k_top=1))
     with pytest.raises(RwcError):
         rwc_monte_carlo(g, p, RwcConfig(k_top=1), n_walks=10, seed=0)
+    # the walk itself checks, ahead of the side map
+    with pytest.raises(RwcError, match="connected"):
+        _WalkChain(g, p, RwcConfig(k_top=1))
+    with pytest.raises(RwcError, match="connected"):
+        _WalkChain(g, Bipartition({"a": "X"}, 0, 0, 1.0), RwcConfig(k_top=1))
 
 
 def test_config_validation():
@@ -206,9 +212,9 @@ def test_exact_solver_matches_dense_oracle():
         for weighted in (False, True):
             cfg = RwcConfig(k_top=2, restart_prob=float(rng.uniform(0.05, 0.5)),
                             weighted_walk=weighted)
-            for side in ("X", "Y"):
+            r = rwc_score(g, p, cfg)
+            for side, got in (("X", (r.p_xx, r.p_xy)), ("Y", (r.p_yy, r.p_yx))):
                 want = dense_absorption(g, side_of, 2, cfg.restart_prob, weighted, side)
-                got = absorption_probabilities(g, p, cfg, side)
                 assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -242,8 +248,6 @@ def test_unassigned_node_raises_instead_of_joining_side_y():
         rwc_score(pg.graph, p)
     with pytest.raises(UnassignedNode):
         rwc_monte_carlo(pg.graph, p, n_walks=10, seed=0)
-    with pytest.raises(UnassignedNode):
-        absorption_probabilities(pg.graph, p, RwcConfig(), "X")
 
 
 def test_max_iter_cap_raises_no_convergence():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from controversy_scope.ingest import month_window
+from controversy_scope.pipeline import PipelineConfig, _stopword_config
 from controversy_scope.subtopics import (
     StopwordConfig,
     extract_candidate_tokens,
     load_stopword_file,
-    load_stopwords,
     top_n_subtopics,
 )
 
@@ -97,4 +98,5 @@ def test_stopword_file_loading(tmp_path):
     two = tmp_path / "two.txt"
     two.write_text("news\nvirus\n", encoding="utf-8")
     assert load_stopword_file(str(one)) == frozenset({"virus", "corona"})
-    assert load_stopwords([str(one), str(two)]) == frozenset({"virus", "corona", "news"})
+    cfg = PipelineConfig(windows=(month_window("2020-01"),), stopword_paths=(str(one), str(two)))
+    assert _stopword_config(cfg).stopwords == frozenset({"virus", "corona", "news"})
