@@ -101,7 +101,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not self.windows:
             raise ConfigError("at least one window is required")
-        for key in ("top_n", "min_rt", "k_core", "mc_walks"):
+        for key in ("top_n", "min_rt", "k_core", "min_nodes", "mc_walks"):
             value = getattr(self, _KEYS[key].field)
             if value < 1:
                 raise ConfigError(f"{key} must be >= 1, got {value}")
@@ -113,6 +113,9 @@ class PipelineConfig:
                                   f"got {getattr(self, spec.field)!r}")
         if self.queries is not None and not self.queries:
             raise ConfigError("queries must name at least one token")
+        for query in self.queries or ():
+            if not query.strip():
+                raise ConfigError(f"queries must not be blank: {query!r}")
         if self.queries is not None and len(set(self.queries)) < len(self.queries):
             # each query names one cell per window: one row, one edge dump
             raise ConfigError(f"queries must not repeat: {list(self.queries)}")

@@ -24,6 +24,15 @@ cross-checking. rwc_score and rwc_monte_carlo are the two walk entries. Both
 build one _WalkChain, which alone checks that the graph is connected and
 that every node has a side.
 
+The simulator moves every live walker with one uniform draw u per step
+(_pick): u < alpha restarts it, to a start slot scaled from u / alpha, and
+otherwise u, rescaled past alpha, picks the neighbor, along the row's
+cumulative weights on a weighted walk. Float rounding can carry either
+index one past its range for u just below alpha or 1, so both are clipped
+into range. This one-draw step replaced a step of two or three draws, so a
+given seed gives other estimates than that step did. Estimates reach a
+report only through a failed check, so reports are unchanged.
+
 M is read straight off the graph's own CSR (EndorsementGraph.csr) as flat
 (row, column, probability) arrays over the transient nodes, built once per
 solve, and each sweep's product M z is one np.bincount per column of Z.
@@ -38,6 +47,7 @@ a CSR row sum adds them. Both are pinned against per-row loops in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -166,6 +176,20 @@ class _WalkChain:
         self.t_index = np.full(n, -1, dtype=np.int64)
         self.t_index[self.transient] = np.arange(self.transient.size)
 
+    @cached_property
+    def walk_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """Per-node (first, last, scale, cum0) for _pick: the simulator's view.
+
+        first and last are each row's first and last edge, scale its width
+        (degree, or total weight on a weighted walk) over (1 - alpha), and
+        cum0 the cumulative edge weights from 0 on a weighted walk, else None.
+        """
+        keep = 1.0 - self.cfg.restart_prob
+        if self.cfg.weighted_walk:
+            cum0 = np.concatenate(([0.0], np.cumsum(self.step_w)))
+            return self.indptr[:-1], self.indptr[1:] - 1, self.out_total / keep, cum0
+        return self.indptr[:-1], self.indptr[1:] - 1, np.diff(self.indptr) / keep, None
+
     def transient_system(self) -> tuple[np.ndarray, ...]:
         """The walk's step from transient rows, in transient numbering.
 
@@ -249,46 +273,73 @@ def rwc_score(g: EndorsementGraph, p: Bipartition, cfg: RwcConfig | None = None)
 _SHARD_WALKS = 25_000
 
 
-def _simulate_side(
-    chain: _WalkChain, start: np.ndarray, n_walks: int, seed_key: tuple[int, int]
+def _pick(
+    u: np.ndarray, alpha: float, n_start: int, first: np.ndarray, last: np.ndarray,
+    scale: np.ndarray, cum0: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One step's move for each walker, from its one uniform draw u in [0, 1).
+
+    first and last are the walker's row's first and last edge, and scale is
+    the row's width over (1 - alpha): its degree, or on a weighted walk
+    (cum0 holds the cumulative edge weights from 0) its total weight.
+    Returns (restart, slot, edge). A walker with u < alpha restarts, to
+    start slot floor(u * n_start / alpha). Any other walker goes
+    (u - alpha) * scale into its row: to edge first + floor of that, or to
+    the edge whose cumulative-weight interval holds it. Rounding carries
+    u * n_start / alpha up to n_start for u just below alpha, and the row
+    offset up to the width for u just below 1, so both are clipped: every
+    slot is below n_start and every edge lies in its walker's row.
+    """
+    restart = u < alpha
+    slot = np.minimum((u * (n_start / alpha)).astype(np.intp), n_start - 1)
+    offset = (u - alpha) * scale
+    if cum0 is None:
+        edge = first + offset.astype(np.intp)
+    else:
+        edge = np.searchsorted(cum0, cum0[first] + offset, side="right") - 1
+    return restart, slot, np.clip(edge, first, last)
+
+
+def _walk_shard(
+    chain: _WalkChain, start: np.ndarray, count: int, rng: np.random.Generator
 ) -> tuple[int, int]:
-    """Count absorptions (same-as-X+, same-as-Y+) over n_walks simulated walks."""
+    """Absorptions in (X+, Y+) of count walks from uniform starts, drawn from rng."""
     alpha = chain.cfg.restart_prob
-    weighted = chain.cfg.weighted_walk
-    indptr, indices = chain.indptr, chain.indices
-    degree = (indptr[1:] - indptr[:-1]).astype(np.int64)
-    if weighted:
-        cum_w = np.cumsum(chain.step_w)
-        base_w = np.concatenate(([0.0], cum_w))[indptr[:-1]]
+    first, last, scale, cum0 = chain.walk_rows
     label = chain.absorb_label
     hit_x = 0
     hit_y = 0
-    remaining = n_walks
-    shard_index = 0
-    while remaining > 0:
-        count = min(_SHARD_WALKS, remaining)
-        remaining -= count
-        rng = np.random.default_rng((*seed_key, shard_index))
-        shard_index += 1
-        pos = start[rng.integers(0, start.size, count)]
-        while pos.size:
-            restart = rng.random(pos.size) < alpha
-            n_restart = int(restart.sum())
-            if n_restart:
-                pos[restart] = start[rng.integers(0, start.size, n_restart)]
-            movers = np.flatnonzero(~restart)
-            if movers.size:
-                at = pos[movers]
-                if weighted:
-                    targets = base_w[at] + rng.random(movers.size) * chain.out_total[at]
-                    picked = np.searchsorted(cum_w, targets, side="right")
-                else:
-                    picked = indptr[at] + rng.integers(0, degree[at])
-                pos[movers] = indices[picked]
-            absorbed = label[pos]
-            hit_x += int((absorbed == 1).sum())
-            hit_y += int((absorbed == 2).sum())
-            pos = pos[absorbed == 0]
+    pos = start[rng.integers(0, start.size, count)]
+    while pos.size:
+        restart, slot, edge = _pick(rng.random(pos.size), alpha, start.size, first[pos],
+                                    last[pos], scale[pos], cum0)
+        pos = np.where(restart, start[slot], chain.indices[edge])
+        absorbed = label[pos]
+        live = absorbed == 0
+        n_live = np.count_nonzero(live)
+        if n_live < pos.size:
+            x = np.count_nonzero(absorbed == 1)
+            hit_x += x
+            hit_y += pos.size - n_live - x
+            pos = pos[live]
+    return hit_x, hit_y
+
+
+def _simulate_side(
+    chain: _WalkChain, start: np.ndarray, n_walks: int, seed_key: tuple[int, int]
+) -> tuple[int, int]:
+    """Count absorptions (same-as-X+, same-as-Y+) over n_walks simulated walks.
+
+    Shard i of up to _SHARD_WALKS walks draws from the substream
+    (*seed_key, i), so the counts are the sums of the shards' counts.
+    """
+    hit_x = 0
+    hit_y = 0
+    for shard, done in enumerate(range(0, n_walks, _SHARD_WALKS)):
+        rng = np.random.default_rng((*seed_key, shard))
+        x, y = _walk_shard(chain, start, min(_SHARD_WALKS, n_walks - done), rng)
+        hit_x += x
+        hit_y += y
     return hit_x, hit_y
 
 
@@ -301,9 +352,15 @@ def rwc_monte_carlo(
 ) -> RwcResult:
     """Monte Carlo estimate of the controversy score (n_walks per start side).
 
-    Walk semantics match the exact solver; shards use substreams derived
-    from (seed, side, shard), so a fixed seed reproduces bit-identical
-    estimates regardless of shard merging order.
+    Walk semantics match the exact solver. Each walker step takes one
+    uniform draw, which picks both a restart and the neighbor; the restart
+    slot and the neighbor are clipped into range against float rounding.
+    Each side runs exactly n_walks walks, in shards of up to 25 000 walks.
+    Shards use substreams derived from (seed, side, shard), so a fixed seed
+    reproduces bit-identical estimates regardless of shard merging order.
+    A seed's estimates differ from those of the earlier step, which took two
+    or three draws per step; estimates reach a report only through a failed
+    check.
     """
     cfg = cfg or RwcConfig()
     if n_walks < 1:

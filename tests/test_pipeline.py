@@ -682,6 +682,36 @@ def test_empty_queries_exit_2_from_a_config_file_and_the_cli(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("raw, message", [
+    ({"min_nodes": 0}, "min_nodes must be >= 1, got 0"),
+    ({"min_nodes": -1}, "min_nodes must be >= 1, got -1"),
+    ({"queries": ["vaxx", ""]}, "queries must not be blank: ''"),
+    ({"queries": ["vaxx", " "]}, "queries must not be blank: ' '"),
+    ({"queries": ["\t\n"]}, "queries must not be blank: '\\t\\n'"),
+])
+def test_config_file_min_nodes_below_1_or_blank_query_exits_2(raw, message, tmp_path, capsys):
+    # each used to score a cell and exit 0: an empty cell as a TooSmall row, a
+    # blank token as a row with a blank subtopic
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(serialize_records(small_corpus()[:5]), encoding="utf-8")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"windows": ["2020-09"], "input": str(corpus),
+                                    "queries": ["vaxx", "ghost"], **raw}), encoding="utf-8")
+    out = tmp_path / "report.csv"
+    assert cli.main(["run", "--config", str(cfg_path), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_queries_flag_drops_a_blank_token(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(serialize_records(small_corpus()[:5]), encoding="utf-8")
+    out = tmp_path / "report.csv"
+    assert cli.main(["rq1", "--input", str(corpus), "--window", "2020-09",
+                     "--queries", "vaxx, ", "--output", str(out)]) == 0
+    assert [r.subtopic for r in parse_report_csv(out.read_text(encoding="utf-8"))] == ["vaxx"]
+
+
 # each bad input file: the flag that names it and its name in the test's directory
 BAD_INPUT_FILES = {
     "duplicate-record": ("--input", "dup.jsonl"),
@@ -722,6 +752,7 @@ def test_cli_requires_window_without_config():
     ["--config", "{rwc_typo}"],
     ["--window", "2020-01", "--min-rt", "0"],
     ["--window", "2020-01", "--k-core", "0"],
+    ["--window", "2020-01", "--min-nodes", "0"],
     ["--window", "2020-01", "--balance-eps", "0.5"],
     ["--window", "2020-01", "--mc-check", "--mc-walks", "0"],
 ])
@@ -877,8 +908,10 @@ def test_mc_check_agreement_and_forced_failure():
     ok = run_pipeline(ok_cfg, records=records)
     assert ok[0].error is None
     assert not has_mc_failures(ok)
-    # a handful of walks is far too noisy to stay within the tolerance
-    noisy_cfg = small_config(queries=("vaxx",), mc_check=True, mc_walks=8)
+    # one walk per side makes every probability 0 or 1 and the estimate -1,
+    # 0 or 1, so it misses the exact 0.889 by far more than the tolerance
+    # whatever the walks draw
+    noisy_cfg = small_config(queries=("vaxx",), mc_check=True, mc_walks=1)
     noisy = run_pipeline(noisy_cfg, records=records)
     assert has_mc_failures(noisy)
     assert noisy[0].rwc is not None  # the exact score is still reported

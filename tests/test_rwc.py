@@ -9,11 +9,15 @@ import controversy_scope
 from controversy_scope.graph import edge_key
 from controversy_scope.partition import Bipartition, UnassignedNode, bisect, make_bipartition
 from controversy_scope.rwc import (
+    _SHARD_WALKS,
     NoConvergence,
     RwcConfig,
     RwcError,
     SideTooSmall,
+    _pick,
+    _simulate_side,
     _times,
+    _walk_shard,
     _WalkChain,
     high_degree_nodes,
     rwc_monte_carlo,
@@ -141,10 +145,55 @@ def test_monte_carlo_single_walk_support():
 
 
 def test_monte_carlo_deterministic_across_shard_merging():
+    # one more walk than a shard holds: two shards, each on its own
+    # (seed, side, shard) substream, and the side's counts are their sums
     pg = planted_partition(PlantedSpec(30, 0.3, 0.05, seed=14))
-    a = rwc_monte_carlo(pg.graph, pg.ground_truth, n_walks=30_000, seed=15)
-    b = rwc_monte_carlo(pg.graph, pg.ground_truth, n_walks=30_000, seed=15)
-    assert a == b
+    chain = _WalkChain(pg.graph, pg.ground_truth, RwcConfig())
+    n_walks = _SHARD_WALKS + 1
+    for side, start in enumerate((chain.start_x, chain.start_y)):
+        whole = _simulate_side(chain, start, n_walks, (15, side))
+        shards = [_walk_shard(chain, start, count, np.random.default_rng((15, side, shard)))
+                  for shard, count in enumerate((_SHARD_WALKS, 1))]
+        assert whole == tuple(map(sum, zip(*shards)))
+        assert sum(whole) == n_walks
+    mc = rwc_monte_carlo(pg.graph, pg.ground_truth, n_walks=n_walks, seed=15)
+    assert mc.p_xx + mc.p_xy == 1.0
+    assert mc.p_yy + mc.p_yx == 1.0
+    assert mc == rwc_monte_carlo(pg.graph, pg.ground_truth, n_walks=n_walks, seed=15)
+
+
+STEP_ALPHA = 0.15
+# the draws at the ends of the restart and move ranges
+STEP_U = (0.0, np.nextafter(STEP_ALPHA, 0.0), STEP_ALPHA, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("n_start", [41, 79])
+def test_pick_stays_in_range_at_the_draw_edges(weighted, n_start):
+    alpha = STEP_ALPHA
+    degree = np.array([1, 5, 7, 10])
+    indptr = np.concatenate(([0], np.cumsum(degree)))
+    row = np.repeat(np.arange(degree.size), len(STEP_U))
+    u = np.tile(STEP_U, degree.size)
+    first, last = indptr[:-1][row], indptr[1:][row] - 1
+    cum0 = None
+    scale = degree[row] / (1 - alpha)
+    if weighted:
+        cum0 = np.concatenate(([0.0], np.cumsum(np.arange(1.0, indptr[-1] + 1))))
+        scale = (cum0[last + 1] - cum0[first]) / (1 - alpha)
+    # unclipped, rounding carries these draws one past the last slot or edge
+    assert int(STEP_U[1] * (n_start / alpha)) == n_start
+    assert all(int((STEP_U[3] - alpha) * (d / (1 - alpha))) == d for d in (5, 7, 10))
+
+    restart, slot, edge = _pick(u, alpha, n_start, first, last, scale, cum0)
+    assert np.array_equal(restart, u < alpha)
+    assert np.all((slot >= 0) & (slot < n_start))
+    assert np.all((edge >= first) & (edge <= last))
+    assert np.all(slot[u == STEP_U[0]] == 0)
+    assert np.all(slot[u == STEP_U[1]] == n_start - 1)
+    at_alpha, below_one = u == STEP_U[2], u == STEP_U[3]
+    assert np.array_equal(edge[at_alpha], first[at_alpha])
+    assert np.array_equal(edge[below_one], last[below_one])
 
 
 def test_weighted_walk_flag_changes_biased_graph():
