@@ -13,7 +13,7 @@ from .ingest import (
     parse_window,
     serialize_records,
 )
-from .partition import Bipartition, bisect, cut_size, cut_weight
+from .partition import Bipartition, bisect
 from .pipeline import (
     ControversyReport,
     PipelineConfig,
@@ -37,7 +37,7 @@ from .stats import (
     pearson,
     permutation_p,
 )
-from .subtopics import StopwordConfig, extract_candidate_tokens, top_n_subtopics
+from .subtopics import extract_candidate_tokens, top_n_subtopics
 from .synth import CommunitySpec, CorpusSpec, PlantedSpec, planted_partition, synth_corpus
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "PolarityLexicon",
     "RwcConfig",
     "RwcResult",
-    "StopwordConfig",
     "TimeWindow",
     "UnderSized",
     "WindowIndex",
@@ -63,8 +62,6 @@ __all__ = [
     "build_graph",
     "classify_subtopics",
     "correlate_indicators",
-    "cut_size",
-    "cut_weight",
     "emit_report",
     "extract_candidate_tokens",
     "filter_window",

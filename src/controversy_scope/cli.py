@@ -8,8 +8,9 @@
 list (no subtopic detection); `synth` writes a synthetic corpus (JSONL) or
 a planted two-block graph (edge list + sides) from a JSON spec. Exit code
 is 0 when the batch completes, even if cells are dashes; 1 is reserved for
-enabled monte-carlo cross-check failures; 2 is a configuration error or a
-bad input, stopword or lexicon file, reported as one `error: ...` line.
+enabled monte-carlo cross-check failures; 2 is a configuration error, a
+bad input, stopword or lexicon file, or a dump or report path that cannot be
+written, reported as one `error: ...` line.
 
 Each key of pipeline.CONFIG_KEYS is a flag of `run` and `rq1`, written over
 the config file: `--<key>` with "_" and "." written as "-", except
@@ -105,18 +106,11 @@ def _config_from_args(args: argparse.Namespace, queries: tuple[str, ...] | None)
         raw = {}
     else:
         raise ConfigError("--window is required when no --config is given")
-    for spec in _PIPELINE_FLAGS:
-        value = getattr(args, spec.key)
-        if value is None:
-            continue
-        section, _, name = spec.key.rpartition(".")
-        target = raw.setdefault(section, {}) if section else raw
-        if not isinstance(target, dict):
-            raise ConfigError(f"{section} must be a JSON object")
-        target[name] = value
+    overrides = {spec.key: getattr(args, spec.key) for spec in _PIPELINE_FLAGS
+                 if getattr(args, spec.key) is not None}
     if queries is not None:
-        raw["queries"] = list(queries)
-    return config_from_dict(raw)
+        overrides["queries"] = list(queries)
+    return config_from_dict(raw, overrides)
 
 
 def _handle_run(args: argparse.Namespace, queries: tuple[str, ...] | None = None) -> int:
@@ -125,7 +119,11 @@ def _handle_run(args: argparse.Namespace, queries: tuple[str, ...] | None = None
     text = emit_report(reports, cfg.output_format, cfg.score_thresh,
                        cfg.size_thresh, cfg.senti_thresh)
     if cfg.output_path:
-        write_output(cfg.output_path, text)
+        try:
+            write_output(cfg.output_path, text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {cfg.output_path}: "
+                              f"{type(exc).__name__}: {exc}") from exc
         print(f"wrote {len(reports)} report rows to {cfg.output_path}")
     else:
         sys.stdout.write(text)

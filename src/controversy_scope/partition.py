@@ -61,16 +61,6 @@ class Bipartition:
         return Bipartition(flipped, self.cut, self.cut_weight, self.balance)
 
 
-def cut_size(g: EndorsementGraph, p: Bipartition) -> int:
-    """Number of edges whose endpoints sit on opposite sides."""
-    return make_bipartition(g, p.side_of).cut
-
-
-def cut_weight(g: EndorsementGraph, p: Bipartition) -> int:
-    """Total weight of crossing edges."""
-    return make_bipartition(g, p.side_of).cut_weight
-
-
 def _require_assigned(g: EndorsementGraph, side_of: dict[str, str]) -> None:
     missing = g.nodes - side_of.keys()
     if missing:

@@ -11,16 +11,18 @@ scored one after another.
 
 Each external format is written down once. CONFIG_KEYS is the one table
 of config keys: config_from_dict checks a config file's JSON against it, and
-the CLI builds its flags from it. checked is the one check of a JSON
+the CLI builds its flags from it and hands their values to config_from_dict
+as flat keys, written over the file's. checked is the one check of a JSON
 object's keys and kinds, for the config file and every synth spec alike.
 _row is the one report row: the json format writes it as is, the csv format
 flattens it.
 
 Each rule is written down once too. PipelineConfig.__post_init__ checks
 every value, from a config file, the CLI or a library caller alike: choices,
-ranges and the queries list. _load_file is the one loader of an input file:
-run_pipeline loads the lexicon and stopword files through it before the
-corpus, so a bad side file fails before the parse.
+ranges, and the windows and queries lists. _load_file is the one loader of
+an input file: run_pipeline loads the lexicon and stopword files through it,
+and creates the dump directory and checks the report's directory, before the
+corpus, so a bad side file or output path fails before the parse.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from zoneinfo import ZoneInfoNotFoundError
 from . import sentiment as senti
 from .graph import UnderSized, dump_edgelist, prepare_conversation_graph
 from .ingest import (
-    DuplicatePostId,
-    EmptyInput,
+    IngestError,
     InteractionRecord,
     TimeWindow,
     WindowIndex,
@@ -52,7 +53,6 @@ from .rwc import RwcConfig, RwcResult, rwc_monte_carlo, rwc_score
 from .stats import Thresholds
 from .subtopics import (
     DEFAULT_NOUN_TAGS,
-    StopwordConfig,
     extract_candidate_tokens,
     load_stopword_file,
     top_n_subtopics,
@@ -116,9 +116,11 @@ class PipelineConfig:
         for query in self.queries or ():
             if not query.strip():
                 raise ConfigError(f"queries must not be blank: {query!r}")
-        if self.queries is not None and len(set(self.queries)) < len(self.queries):
-            # each query names one cell per window: one row, one edge dump
-            raise ConfigError(f"queries must not repeat: {list(self.queries)}")
+        for key, names in (("windows", [w.label for w in self.windows]),
+                           ("queries", list(self.queries or ()))):
+            if len(set(names)) < len(names):
+                # each (query, window) label pair is one cell: one row, one edge dump
+                raise ConfigError(f"{key} must not repeat: {names}")
 
 
 @dataclass(frozen=True)
@@ -232,8 +234,12 @@ def checked(raw: dict, kinds: dict, required: Collection[str],
             for key, value in raw.items()}
 
 
-def config_from_dict(raw: dict) -> PipelineConfig:
-    """Build a PipelineConfig from the JSON config-file shape; ConfigError on any bad key."""
+def config_from_dict(raw: dict, overrides: dict | None = None) -> PipelineConfig:
+    """Build a PipelineConfig from the JSON config-file shape; ConfigError on any bad key.
+
+    overrides maps CONFIG_KEYS keys, ``rwc.<name>`` spelt flat, to values
+    written over the file's.
+    """
     walk = raw.get("rwc", {})
     if not isinstance(walk, dict):
         raise ConfigError("rwc must be a JSON object")
@@ -242,6 +248,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         raise ConfigError(f"unknown config keys: {dotted}")
     flat = {k: v for k, v in raw.items() if k != "rwc"}
     flat.update({f"rwc.{k}": v for k, v in walk.items()})
+    flat.update(overrides or {})
     kwargs: dict[str, object] = {}
     rwc_kwargs: dict[str, object] = {}
     for key, value in checked(flat, _KINDS, ("windows",), _NULLABLE, "config").items():
@@ -277,7 +284,7 @@ def _load_file(load: Callable[[str], T], path: str) -> T:
     """load(path); a file that cannot be read or holds bad data is a ConfigError naming it."""
     try:
         return load(path)
-    except (OSError, ValueError, DuplicatePostId) as exc:
+    except (OSError, ValueError, IngestError) as exc:
         raise ConfigError(f"cannot load {path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -339,10 +346,25 @@ def _score_cell(
         )
 
 
-def _stopword_config(cfg: PipelineConfig) -> StopwordConfig:
-    stopwords = frozenset().union(*(_load_file(load_stopword_file, path)
-                                    for path in cfg.stopword_paths))
-    return StopwordConfig(stopwords, frozenset(cfg.noun_tags))
+def _stopwords(cfg: PipelineConfig) -> frozenset[str]:
+    """Every stopword file's surfaces, merged into one set."""
+    return frozenset().union(*(_load_file(load_stopword_file, path)
+                               for path in cfg.stopword_paths))
+
+
+def _check_output_paths(cfg: PipelineConfig) -> None:
+    """Create the dump directory and check that the report's directory exists;
+    a ConfigError naming the path otherwise."""
+    if cfg.dump_graphs_dir is not None:
+        try:
+            os.makedirs(cfg.dump_graphs_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {cfg.dump_graphs_dir}: "
+                              f"{type(exc).__name__}: {exc}") from exc
+    if cfg.output_path is not None:
+        directory = os.path.dirname(os.path.abspath(cfg.output_path))
+        if not os.path.isdir(directory):
+            raise ConfigError(f"cannot write {cfg.output_path}: no directory {directory}")
 
 
 def run_pipeline(
@@ -351,25 +373,21 @@ def run_pipeline(
 ) -> list[ControversyReport]:
     """Score every (subtopic, window) cell; rows come back in window-major order."""
     lexicon = _load_file(senti.load_lexicon, cfg.lexicon_path) if cfg.lexicon_path else None
-    stop_cfg = _stopword_config(cfg)
+    stopwords = _stopwords(cfg)
+    _check_output_paths(cfg)
     if records is None:
         if cfg.input_path is None:
             raise ConfigError("config has no input path and no records were supplied")
-        try:
-            records = _load_file(parse_records_file, cfg.input_path).records
-        except EmptyInput:
-            records = ()
-    if cfg.dump_graphs_dir is not None:
-        os.makedirs(cfg.dump_graphs_dir, exist_ok=True)
+        records = _load_file(parse_records_file, cfg.input_path).records
 
     tokens: Sequence[str] | None = cfg.queries
     if tokens is None and cfg.phase1_scope == "global":
-        freq = extract_candidate_tokens(records, stop_cfg, cfg.count_mode)
+        freq = extract_candidate_tokens(records, stopwords, cfg.noun_tags, cfg.count_mode)
         tokens = top_n_subtopics(freq, cfg.top_n)
 
     reports: list[ControversyReport] = []
     for window in cfg.windows:
-        reports.extend(_score_window(records, window, tokens, cfg, stop_cfg, lexicon))
+        reports.extend(_score_window(records, window, tokens, cfg, stopwords, lexicon))
     return reports
 
 
@@ -378,7 +396,7 @@ def _score_window(
     window: TimeWindow,
     tokens: Sequence[str] | None,
     cfg: PipelineConfig,
-    stop_cfg: StopwordConfig,
+    stopwords: frozenset[str],
     lexicon: senti.PolarityLexicon | None,
 ) -> list[ControversyReport]:
     """One window's rows, every cell's records read from one window index.
@@ -389,7 +407,7 @@ def _score_window(
     """
     if tokens is None:
         records = filter_window(records, window)
-        freq = extract_candidate_tokens(records, stop_cfg, cfg.count_mode)
+        freq = extract_candidate_tokens(records, stopwords, cfg.noun_tags, cfg.count_mode)
         tokens = top_n_subtopics(freq, cfg.top_n)
     index = WindowIndex(records, window, tokens)
     cells = [filter_window(index, window, token) for token in tokens]

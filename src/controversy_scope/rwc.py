@@ -29,9 +29,7 @@ The simulator moves every live walker with one uniform draw u per step
 otherwise u, rescaled past alpha, picks the neighbor, along the row's
 cumulative weights on a weighted walk. Float rounding can carry either
 index one past its range for u just below alpha or 1, so both are clipped
-into range. This one-draw step replaced a step of two or three draws, so a
-given seed gives other estimates than that step did. Estimates reach a
-report only through a failed check, so reports are unchanged.
+into range. Estimates reach a report only through a failed check.
 
 M is read straight off the graph's own CSR (EndorsementGraph.csr) as flat
 (row, column, probability) arrays over the transient nodes, built once per
@@ -61,10 +59,6 @@ class RwcError(Exception):
 
 class SideTooSmall(RwcError):
     """A side must hold more than k_top nodes to leave non-absorbing starters."""
-
-
-class DegenerateStart(RwcError):
-    """Every node of the start side is absorbing; no start distribution exists."""
 
 
 class NoConvergence(RwcError):
@@ -167,10 +161,9 @@ class _WalkChain:
         self.absorb_label[self.absorb_y] = 2
 
         transient = self.absorb_label == 0
+        # _top_degree left each side more than k_top members, so neither start set is empty
         self.start_x = np.flatnonzero(in_x & transient)
         self.start_y = np.flatnonzero(in_y & transient)
-        if self.start_x.size == 0 or self.start_y.size == 0:
-            raise DegenerateStart("a side consists solely of absorbing nodes")
 
         self.transient = np.flatnonzero(transient)
         self.t_index = np.full(n, -1, dtype=np.int64)
@@ -358,9 +351,6 @@ def rwc_monte_carlo(
     Each side runs exactly n_walks walks, in shards of up to 25 000 walks.
     Shards use substreams derived from (seed, side, shard), so a fixed seed
     reproduces bit-identical estimates regardless of shard merging order.
-    A seed's estimates differ from those of the earlier step, which took two
-    or three draws per step; estimates reach a report only through a failed
-    check.
     """
     cfg = cfg or RwcConfig()
     if n_walks < 1:

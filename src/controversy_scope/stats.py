@@ -184,9 +184,6 @@ class IndicatorVector:
             if not math.isfinite(value):
                 raise ValueError("indicator values must be finite")
 
-    def values(self) -> list[float]:
-        return [v for _, _, v in self.pairs]
-
 
 _INDICATOR_FIELDS = {
     "score": lambda r: r.rwc.score if r.rwc else None,

@@ -9,26 +9,11 @@ line.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .ingest import InteractionRecord
 
 DEFAULT_NOUN_TAGS = frozenset({"NOUN", "PROPN"})
-
-
-@dataclass(frozen=True)
-class StopwordConfig:
-    """Filtering configuration: stopwords and the accepted noun tags.
-
-    The stopwords merge every list: ordinary stopwords and corpus-specific
-    ones such as words for the topic itself, news/broadcast words,
-    announcement phrasing, region/name/time/person words, and meaningless
-    filler. Matching is exact-surface.
-    """
-
-    stopwords: frozenset[str] = frozenset()
-    noun_pos_tags: frozenset[str] = field(default=DEFAULT_NOUN_TAGS)
 
 
 def load_stopword_file(path: str) -> frozenset[str]:
@@ -45,10 +30,11 @@ def load_stopword_file(path: str) -> frozenset[str]:
 
 def extract_candidate_tokens(
     records: Iterable[InteractionRecord],
-    cfg: StopwordConfig,
+    stopwords: frozenset[str] = frozenset(),
+    noun_tags: frozenset[str] = DEFAULT_NOUN_TAGS,
     count_mode: str = "occurrences",
 ) -> dict[str, int]:
-    """Count candidate tokens over the records.
+    """Count candidate tokens over the records: nouns that are not stopwords.
 
     "occurrences" counts every token instance; "documents" counts each
     surface at most once per record. Reposts contribute their own token
@@ -61,7 +47,7 @@ def extract_candidate_tokens(
         eligible = (
             surface
             for surface, pos in record.tokens
-            if pos in cfg.noun_pos_tags and surface not in cfg.stopwords
+            if pos in noun_tags and surface not in stopwords
         )
         if count_mode == "documents":
             counts.update(set(eligible))

@@ -35,8 +35,8 @@ settings.load_profile("tier1")
 def collector_left_as_found():
     """Fail a test that leaves the garbage collector paused or objects frozen.
 
-    Parsing pauses collection and ``run_pipeline`` freezes the parsed
-    records, both process-wide; either leaking out of a call would change
+    Parsing pauses collection process-wide, and nothing in the package
+    freezes objects; a pause or a freeze leaking out of a call would change
     every later test's memory behaviour without failing it.
     """
     yield

@@ -17,7 +17,7 @@ from controversy_scope.graph import (
     prepare_conversation_graph,
 )
 from controversy_scope.ingest import TimeWindow
-from controversy_scope.partition import bisect
+from controversy_scope.partition import SIDE_X, bisect, max_side_nodes
 from controversy_scope.rwc import rwc_monte_carlo, rwc_score
 from controversy_scope.synth import CommunitySpec, CorpusSpec, synth_corpus
 
@@ -214,6 +214,30 @@ def test_hostile_shapes_peel_and_split_in_linear_time():
     assert [c[0] for c in connected_components(cycles)] == ["a", "b00000"]
     assert largest_component(cycles).nodes == frozenset(small)
     assert time.perf_counter() - start < 10.0  # about 1 s on a 2-vCPU VM
+
+
+def test_hostile_shapes_split_and_score_in_linear_time():
+    rng = np.random.default_rng(29)
+    n = 100_000
+    names = [f"v{i:06d}" for i in rng.permutation(n)]  # ids out of cycle order
+    cycle = EndorsementGraph(frozenset(names), _cycle_edges(names))
+    leaves = [f"l{i:05d}" for i in range(50_000)]
+    k2n = EndorsementGraph(frozenset(leaves) | {"hub0", "hub1"},
+                           {edge_key(hub, leaf): 1 for hub in ("hub0", "hub1") for leaf in leaves})
+    side = 316
+    cell = [[f"g{r:03d}_{c:03d}" for c in range(side)] for r in range(side)]
+    grid = EndorsementGraph(
+        frozenset(name for row in cell for name in row),
+        {**{edge_key(row[c], row[c + 1]): 1 for row in cell for c in range(side - 1)},
+         **{edge_key(cell[r][c], cell[r + 1][c]): 1 for r in range(side - 1) for c in range(side)}},
+    )
+    start = time.perf_counter()
+    for g in (cycle, k2n, grid):
+        part = bisect(g, eps=0.05, seed=0)
+        n_x = sum(1 for s in part.side_of.values() if s == SIDE_X)
+        assert max(n_x, g.node_count - n_x) <= max_side_nodes(g.node_count, 0.05)
+        assert -1.0 <= rwc_score(g, part).score <= 1.0
+    assert time.perf_counter() - start < 30.0  # about 3 s on a 2-vCPU VM
 
 
 def test_prepared_graph_builds_its_csr_once(monkeypatch):

@@ -510,6 +510,33 @@ def test_run_pipeline_fails_on_a_bad_side_file_before_the_parse(side_file, tmp_p
         run_pipeline(small_config(input_path=str(corpus), **bad))
 
 
+def test_cli_unwritable_output_paths_exit_2_before_the_parse(tmp_path, monkeypatch, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(serialize_records(small_corpus()[:5]), encoding="utf-8")
+    rq1 = ["rq1", "--input", str(corpus), "--window", "2020-09", "--queries", "vaxx"]
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    report = tmp_path / "report.csv"
+    missing = tmp_path / "missing" / "r.csv"
+
+    def parse_not_reached(path):
+        pytest.fail("the corpus was parsed before the output paths were checked")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(pipeline, "parse_records_file", parse_not_reached)
+        assert cli.main([*rq1, "--dump-graphs", str(taken), "--output", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {taken}: FileExistsError")
+        assert err.count("\n") == 1 and not report.exists()
+        assert cli.main([*rq1, "--output", str(missing)]) == 2
+        assert capsys.readouterr().err == (f"error: cannot write {missing}: "
+                                           f"no directory {missing.parent}\n")
+    # a report path the writer cannot replace fails once the batch has run
+    assert cli.main([*rq1, "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
+
+
 def test_write_output_atomic(tmp_path):
     target = tmp_path / "report.csv"
     write_output(str(target), "hello\n")
@@ -665,6 +692,15 @@ def test_repeated_queries_rejected_by_config_and_cli(tmp_path, capsys):
                      "--queries", "vaxx,vaxx"])
     assert code == 2
     assert "repeat" in capsys.readouterr().err
+
+    with pytest.raises(ConfigError, match="windows must not repeat"):
+        small_config(windows=(WINDOW, WINDOW))
+    with pytest.raises(ConfigError, match="2020-09"):
+        config_from_dict({"windows": ["2020-09", "2020-09"], "queries": ["vaxx"]})
+    code = cli.main(["rq1", "--input", str(corpus), "--window", "2020-09",
+                     "--window", "2020-09", "--queries", "vaxx"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: windows must not repeat: ['2020-09', '2020-09']\n"
 
 
 def test_empty_queries_exit_2_from_a_config_file_and_the_cli(tmp_path, capsys):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from controversy_scope.ingest import month_window
-from controversy_scope.pipeline import PipelineConfig, _stopword_config
+from controversy_scope.pipeline import PipelineConfig, _stopwords
 from controversy_scope.subtopics import (
-    StopwordConfig,
     extract_candidate_tokens,
     load_stopword_file,
     top_n_subtopics,
@@ -12,18 +11,17 @@ from controversy_scope.subtopics import (
 
 from conftest import record
 
-PLAIN = StopwordConfig(noun_pos_tags=frozenset({"NOUN"}))
+NOUN = frozenset({"NOUN"})
 
 
 def test_pos_filter_keeps_nouns_only():
     r = record("p1", "u1", tokens=(("vaccine", "NOUN"), ("is", "VERB")))
-    assert extract_candidate_tokens([r], PLAIN) == {"vaccine": 1}
+    assert extract_candidate_tokens([r], noun_tags=NOUN) == {"vaccine": 1}
 
 
 def test_custom_stopword_excluded():
-    cfg = StopwordConfig(stopwords=frozenset({"news"}), noun_pos_tags=frozenset({"NOUN"}))
     r = record("p1", "u1", tokens=(("news", "NOUN"), ("school", "NOUN")))
-    assert extract_candidate_tokens([r], cfg) == {"school": 1}
+    assert extract_candidate_tokens([r], frozenset({"news"}), NOUN) == {"school": 1}
 
 
 def test_occurrence_counting_across_records():
@@ -31,8 +29,8 @@ def test_occurrence_counting_across_records():
         record("p1", "u1", tokens=(("school", "NOUN"), ("school", "NOUN"))),
         record("p2", "u2", tokens=(("school", "NOUN"), ("school", "NOUN"))),
     ]
-    assert extract_candidate_tokens(rs, PLAIN) == {"school": 4}
-    assert extract_candidate_tokens(rs, PLAIN, count_mode="documents") == {"school": 2}
+    assert extract_candidate_tokens(rs, noun_tags=NOUN) == {"school": 4}
+    assert extract_candidate_tokens(rs, noun_tags=NOUN, count_mode="documents") == {"school": 2}
 
 
 def test_bare_reposts_contribute_nothing():
@@ -40,7 +38,7 @@ def test_bare_reposts_contribute_nothing():
         record("p1", "u1", tokens=(("park", "NOUN"),)),
         record("p2", "u2", tokens=(), repost_of=("p1", "u1")),
     ]
-    assert extract_candidate_tokens(rs, PLAIN) == {"park": 1}
+    assert extract_candidate_tokens(rs, noun_tags=NOUN) == {"park": 1}
 
 
 def test_extraction_permutation_invariant():
@@ -49,8 +47,8 @@ def test_extraction_permutation_invariant():
         record(f"p{i}", "u", tokens=((f"t{rng.integers(0, 5)}", "NOUN"),))
         for i in range(30)
     ]
-    forward = extract_candidate_tokens(rs, PLAIN)
-    backward = extract_candidate_tokens(list(reversed(rs)), PLAIN)
+    forward = extract_candidate_tokens(rs, noun_tags=NOUN)
+    backward = extract_candidate_tokens(list(reversed(rs)), noun_tags=NOUN)
     assert forward == backward
 
 
@@ -77,19 +75,16 @@ def test_top_n_prefix_property():
 
 
 def test_no_output_token_is_stopworded_or_non_noun():
-    cfg = StopwordConfig(
-        stopwords=frozenset({"the", "virus"}),
-        noun_pos_tags=frozenset({"NOUN"}),
-    )
+    stopwords = frozenset({"the", "virus"})
     rs = [
         record("p1", "u", tokens=(("the", "NOUN"), ("virus", "NOUN"),
                                   ("mask", "NOUN"), ("run", "VERB"))),
         record("p2", "u", tokens=(("mask", "NOUN"), ("school", "NOUN"))),
     ]
-    freq = extract_candidate_tokens(rs, cfg)
+    freq = extract_candidate_tokens(rs, stopwords, NOUN)
     out = top_n_subtopics(freq, 10)
     assert out == ["mask", "school"]
-    assert not set(out) & cfg.stopwords
+    assert not set(out) & stopwords
 
 
 def test_stopword_file_loading(tmp_path):
@@ -99,4 +94,4 @@ def test_stopword_file_loading(tmp_path):
     two.write_text("news\nvirus\n", encoding="utf-8")
     assert load_stopword_file(str(one)) == frozenset({"virus", "corona"})
     cfg = PipelineConfig(windows=(month_window("2020-01"),), stopword_paths=(str(one), str(two)))
-    assert _stopword_config(cfg).stopwords == frozenset({"virus", "corona", "news"})
+    assert _stopwords(cfg) == frozenset({"virus", "corona", "news"})
