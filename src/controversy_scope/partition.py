@@ -6,6 +6,13 @@ bisection there, then uncoarsen while running boundary Fiduccia-Mattheyses
 passes at every level. Edge weights drive matching and move gains; balance
 is counted in nodes. Everything is deterministic for a fixed seed, with
 ties broken by position in the sorted node-id order.
+
+An FM pass ends once min(max(n // 100, 15), 100) consecutive moves on an
+n-vertex level have not improved its best move prefix, and rolls back to
+that prefix. The rule is METIS's two-way refinement bound (Karypis & Kumar,
+SIAM J. Sci. Comput. 1998), after Fiduccia & Mattheyses (DAC 1982). The
+bound holds for the initial attempts on the coarsest graph and for the
+refinement at every level.
 """
 
 from __future__ import annotations
@@ -41,6 +48,10 @@ class UnassignedNode(PartitionError):
     """A graph node is missing from the partition's side map."""
 
 
+class InvalidSideMap(PartitionError):
+    """The side map names a node outside the graph or a label other than X and Y."""
+
+
 @dataclass(frozen=True)
 class Bipartition:
     """Two-sided node assignment with its cut and balance diagnostics."""
@@ -70,6 +81,13 @@ def _require_assigned(g: EndorsementGraph, side_of: dict[str, str]) -> None:
 def make_bipartition(g: EndorsementGraph, side_of: dict[str, str]) -> Bipartition:
     """Assemble a Bipartition with cut/balance computed from the graph."""
     _require_assigned(g, side_of)
+    extra = side_of.keys() - g.nodes
+    if extra:
+        raise InvalidSideMap(f"{len(extra)} nodes not in the graph, e.g. {min(extra)!r}")
+    labels = set(side_of.values()) - {SIDE_X, SIDE_Y}
+    if labels:
+        bad = min(labels, key=repr)
+        raise InvalidSideMap(f"side labels must be {SIDE_X!r} or {SIDE_Y!r}, got {bad!r}")
     cut = 0
     cutw = 0
     for (u, v), w in g.edges.items():
@@ -258,10 +276,20 @@ def _boundary_gains(ig: _IndexGraph, side: np.ndarray) -> tuple[np.ndarray, np.n
     return gain, np.unique(ig.rows[crossing])
 
 
+def _fm_limit(n: int) -> int:
+    """Non-improving moves after which an FM pass on n vertices ends (METIS's rule)."""
+    return min(max(n // 100, 15), 100)
+
+
 def _fm_refine(ig: _IndexGraph, side: np.ndarray, w_max: int) -> None:
-    """Boundary FM passes: hill-climb with rollback to the best move prefix."""
+    """Boundary FM passes: hill-climb with rollback to the best move prefix.
+
+    A pass ends when its heap is empty or _fm_limit(n) moves have gone by
+    since the best prefix.
+    """
     xadj, adjncy, adjwgt, vwgt = ig.as_lists()
     n = ig.n
+    limit = _fm_limit(n)
     for _ in range(FM_MAX_PASSES):
         gains, boundary = _boundary_gains(ig, side)
         # key -gain * n + v orders as the pair (-gain, v) does, without
@@ -277,7 +305,7 @@ def _fm_refine(ig: _IndexGraph, side: np.ndarray, w_max: int) -> None:
         cum = 0
         best_cum = 0
         best_len = 0
-        while heap:
+        while heap and len(moves) - best_len < limit:
             neg_g, v = divmod(heapq.heappop(heap), n)
             if locked[v] or -neg_g != gain[v]:
                 continue
@@ -315,8 +343,9 @@ def _initial_partition(
     if ig.n <= 16:
         starts = list(range(ig.n))
     else:
-        starts = [0, int(np.argmax(degrees))]
-        starts.extend(int(s) for s in rng.integers(0, ig.n, size=INIT_ATTEMPTS))
+        draws = rng.integers(0, ig.n, size=INIT_ATTEMPTS).tolist()
+        # a repeated start would grow and refine to the same side again
+        starts = list(dict.fromkeys([0, int(np.argmax(degrees)), *draws]))
     best_side: np.ndarray | None = None
     best_key: tuple[int, int] | None = None
     for start in starts:

@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
 
+from controversy_scope import partition
 from controversy_scope.graph import EndorsementGraph, edge_key
 from controversy_scope.partition import (
+    INIT_ATTEMPTS,
     Bipartition,
     DisconnectedGraph,
+    InvalidSideMap,
     TooSmall,
     UnassignedNode,
     _boundary_gains,
     _coarsen,
+    _fm_limit,
+    _fm_refine,
+    _grow_bisection,
     _heavy_edge_matching,
     _IndexGraph,
+    _side_weights,
     _weighted_cut,
     bisect,
     make_bipartition,
@@ -140,7 +147,7 @@ def test_bisect_rejects_bad_inputs():
         bisect(g, eps=0.2, seed=0)
 
 
-def test_cut_size_examples_and_oracle():
+def test_make_bipartition_cut_examples_and_oracle():
     g = graph_from_edges({("u", "v"): 3})
     p = make_bipartition(g, {"u": "X", "v": "Y"})
     assert p.cut == 1 and p.cut_weight == 3
@@ -162,11 +169,25 @@ def test_cut_size_examples_and_oracle():
         assert p3.cut == brute
 
 
-def test_cut_size_unassigned_node():
+def test_make_bipartition_rejects_unassigned_node():
     g = graph_from_edges({("a", "b"): 1, ("b", "c"): 1})
     p = Bipartition({"a": "X", "b": "Y"}, 0, 0, 0.5)
     with pytest.raises(UnassignedNode):
         make_bipartition(g, p.side_of)
+
+
+def test_make_bipartition_rejects_nodes_outside_the_graph():
+    path = graph_from_edges({("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 1})
+    side_of = {"a": "X", "b": "X", "c": "Y", "d": "Y"}
+    assert make_bipartition(path, side_of).balance == 0.5
+    with pytest.raises(InvalidSideMap, match="'e'"):
+        make_bipartition(path, {**side_of, "e": "X", "f": "X"})
+
+
+def test_make_bipartition_rejects_labels_other_than_x_and_y():
+    path = graph_from_edges({("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 1})
+    with pytest.raises(InvalidSideMap, match="'Q'"):
+        make_bipartition(path, {"a": "X", "b": "X", "c": "Q", "d": "Y"})
 
 
 def test_swapped_labels_preserve_structure():
@@ -238,3 +259,120 @@ def test_boundary_gains_and_weighted_cut_match_reference_loops():
             xadj, adjncy, adjwgt, side.tolist()
         )
         assert _weighted_cut(ig, side) == naive_weighted_cut(xadj, adjncy, adjwgt, side.tolist())
+
+
+# --- FM refinement and the initial partition ----------------------------------
+
+
+def index_graph_of(g: EndorsementGraph, vwgt: np.ndarray | None = None) -> _IndexGraph:
+    nodes, xadj, adjncy, adjwgt = g.csr
+    if vwgt is None:
+        vwgt = np.ones(len(nodes), dtype=np.int64)
+    return _IndexGraph(len(nodes), xadj, adjncy, adjwgt, vwgt)
+
+
+def lighter_side_split(ig: _IndexGraph, rng: np.random.Generator) -> np.ndarray:
+    """Each vertex, in random order, joins the lighter side.
+
+    The sides end at most one vertex weight apart.
+    """
+    side = np.zeros(ig.n, dtype=np.int8)
+    side_w = [0, 0]
+    for v in rng.permutation(ig.n).tolist():
+        s = int(side_w[1] < side_w[0])
+        side[v] = s
+        side_w[s] += int(ig.vwgt[v])
+    return side
+
+
+def test_fm_refine_never_raises_the_cut_or_breaks_the_balance_bound():
+    rng = np.random.default_rng(61)
+    for trial in range(24):
+        n = int(rng.integers(20, 160))
+        g = random_connected_graph(n, float(rng.uniform(6.0, 12.0)) / n, rng)
+        if trial % 2:
+            g = unit_weights(g)
+        vwgt = rng.integers(1, 4, n) if trial % 3 == 0 else np.ones(n, dtype=np.int64)
+        ig = index_graph_of(g, vwgt.astype(np.int64))
+        w_max = max_side_nodes(int(ig.vwgt.sum()), 0.05)
+        side = lighter_side_split(ig, rng)
+        assert max(_side_weights(ig, side)) <= w_max
+        before = _weighted_cut(ig, side)
+        _fm_refine(ig, side, w_max)
+        assert _weighted_cut(ig, side) <= before, trial
+        assert max(_side_weights(ig, side)) <= w_max, trial
+
+
+def test_fm_pass_stops_limit_moves_after_its_best_prefix(monkeypatch):
+    # a near-complete graph like the coarsest bench graphs (48-69 vertices,
+    # 68-79 % dense), refined until a call leaves it unchanged: from there
+    # the best move prefix of a pass is empty, so the pass must end after
+    # exactly _fm_limit(n) moves instead of moving every vertex once
+    rng = np.random.default_rng(67)
+    g = random_graph(64, 0.75, rng)
+    assert 2 * len(g.edges) >= 0.7 * 64 * 63
+    ig = index_graph_of(g)
+    w_max = max_side_nodes(ig.n, 0.05)
+    side = lighter_side_split(ig, rng)
+    while True:
+        before = side.copy()
+        _fm_refine(ig, side, w_max)
+        if np.array_equal(side, before):
+            break
+
+    events: list[str] = []
+    real_pop, real_push = partition.heapq.heappop, partition.heapq.heappush
+
+    def pop(heap):
+        events.append("pop")
+        return real_pop(heap)
+
+    def push(heap, item):
+        # a move pushes the moved vertex's unlocked neighbors
+        if events[-1] == "pop":
+            events[-1] = "move"
+        real_push(heap, item)
+
+    monkeypatch.setattr(partition.heapq, "heappop", pop)
+    monkeypatch.setattr(partition.heapq, "heappush", push)
+    _fm_refine(ig, side, w_max)
+    assert np.array_equal(side, before)
+    assert events.count("move") == _fm_limit(ig.n) == 15
+    assert events[-1] == "move"
+
+
+def test_repeated_initial_starts_run_once_and_keep_the_partition(monkeypatch):
+    rng = np.random.default_rng(71)
+    g = random_connected_graph(24, 0.3, rng)
+    ig = index_graph_of(g)
+    seed = 3
+    draws = np.random.default_rng(seed).integers(0, ig.n, size=INIT_ATTEMPTS).tolist()
+    starts = [0, int(np.argmax(np.diff(ig.xadj))), *draws]
+    assert len(set(starts)) < len(starts)
+
+    # every start in turn, repeats included; a later key wins only when smaller
+    w_max = max_side_nodes(ig.n, 0.05)
+    best_key, best_side = None, None
+    for start in starts:
+        side = _grow_bisection(ig, w_max, start)
+        if side is None:
+            continue
+        _fm_refine(ig, side, w_max)
+        key = (_weighted_cut(ig, side), max(_side_weights(ig, side)))
+        if best_key is None or key < best_key:
+            best_key, best_side = key, side
+    nodes = g.csr[0]
+    want = make_bipartition(
+        g, {node: "X" if best_side[i] == best_side[0] else "Y" for i, node in enumerate(nodes)}
+    )
+
+    grown: list[int] = []
+    real_grow = partition._grow_bisection
+
+    def grow(ig, w_max, start):
+        grown.append(start)
+        return real_grow(ig, w_max, start)
+
+    monkeypatch.setattr(partition, "_grow_bisection", grow)
+    assert bisect(g, eps=0.05, seed=seed) == want
+    assert grown == list(dict.fromkeys(starts))
