@@ -3,10 +3,10 @@ polarization with random-walk controversy scores over repost networks."""
 
 from .graph import EndorsementGraph, UnderSized, build_graph, k_core, largest_component, prepare_conversation_graph
 from .ingest import (
+    Corpus,
     InteractionRecord,
     ParseResult,
     TimeWindow,
-    WindowIndex,
     filter_window,
     month_window,
     parse_records,
@@ -44,6 +44,7 @@ __all__ = [
     "Bipartition",
     "CommunitySpec",
     "ControversyReport",
+    "Corpus",
     "CorpusSpec",
     "EndorsementGraph",
     "IndicatorVector",
@@ -56,7 +57,6 @@ __all__ = [
     "RwcResult",
     "TimeWindow",
     "UnderSized",
-    "WindowIndex",
     "aggregate_sentiment",
     "bisect",
     "build_graph",

@@ -14,14 +14,13 @@ on first use and kept, so each graph object sorts its ids at most once.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
-from .ingest import InteractionRecord
+from .ingest import Corpus
 
 
 def edge_key(u: str, v: str) -> tuple[str, str]:
@@ -77,29 +76,30 @@ class UnderSized:
     node_count: int
 
 
-def build_graph(records: Iterable[InteractionRecord], min_rt: int = 2) -> EndorsementGraph:
+def build_graph(corpus: Corpus, min_rt: int = 2) -> EndorsementGraph:
     """Aggregate repost interactions into the thresholded endorsement graph.
 
     The pair weight sums both directions, so two mutual single reposts meet
     the default threshold. Self-reposts are ignored and authors without a
-    surviving edge are excluded.
+    surviving edge are excluded. Pairs are counted as int keys over the
+    sorted author table, so each key's smaller index is its smaller id.
     """
     if min_rt < 1:
         raise ValueError(f"min_rt must be >= 1, got {min_rt}")
-    pair_counts: Counter[tuple[str, str]] = Counter()
-    for record in records:
-        if record.repost_of is None:
-            continue
-        _original_post, original_author = record.repost_of
-        if original_author == record.author_id:
-            continue
-        pair_counts[edge_key(record.author_id, original_author)] += 1
-    edges = {pair: count for pair, count in pair_counts.items() if count >= min_rt}
-    nodes: set[str] = set()
-    for u, v in edges:
-        nodes.add(u)
-        nodes.add(v)
-    return EndorsementGraph(frozenset(nodes), edges)
+    author, original = corpus.author, corpus.target_author
+    endorses = (original >= 0) & (original != author)
+    u = np.minimum(author, original)[endorses].astype(np.int64)
+    v = np.maximum(author, original)[endorses]
+    n = len(corpus.authors)
+    keys, counts = np.unique(u * n + v, return_counts=True)
+    strong = counts >= min_rt
+    u, v = np.divmod(keys[strong], n)
+    names = corpus.authors
+    edges = {
+        (names[a], names[b]): w
+        for a, b, w in zip(u.tolist(), v.tolist(), counts[strong].tolist())
+    }
+    return EndorsementGraph(frozenset(n for pair in edges for n in pair), edges)
 
 
 def _subgraph(g: EndorsementGraph, keep: np.ndarray) -> EndorsementGraph:
@@ -191,13 +191,13 @@ def largest_component(g: EndorsementGraph) -> EndorsementGraph:
 
 
 def prepare_conversation_graph(
-    records: Iterable[InteractionRecord],
+    corpus: Corpus,
     min_rt: int = 2,
     k: int = 2,
     min_nodes: int = 800,
 ) -> EndorsementGraph | UnderSized:
     """build -> k-core -> largest component, gated on the node threshold."""
-    g = largest_component(k_core(build_graph(records, min_rt=min_rt), k))
+    g = largest_component(k_core(build_graph(corpus, min_rt=min_rt), k))
     if g.node_count < min_nodes:
         return UnderSized(g.node_count)
     return g

@@ -1,4 +1,5 @@
-"""Interaction-record ingestion: JSONL parsing, time windows, query filtering.
+"""Interaction-record ingestion: JSONL parsing into a columnar corpus, time
+windows, query filtering.
 
 Input is UTF-8 line-delimited JSON, one post per line:
 
@@ -10,11 +11,24 @@ Input is UTF-8 line-delimited JSON, one post per line:
 Timestamps are UTC epoch seconds. Window labels (e.g. "2020-02") are
 calendar months computed in a configurable IANA timezone, default UTC.
 
-Query filtering reads a ``WindowIndex``: one pass over the records builds
-the window's records, the posts carrying each query token and each post's
-in-window reposts. A query's records are then its carriers closed under
-repost links by one graph search, so a window's many subtopic queries cost
-one index build plus a search each, however deep the repost chains run.
+The parse keeps a ``Corpus``: one row per valid line, in file order, held as
+int columns. Post ids (a row's own and its repost target's) share one
+table, authors (a row's and its target's) another, and token surfaces and
+tags one each; every column holds indices into these tables. The author and
+surface tables are in sorted order, so comparing two of their indices
+compares the strings: edge keys, node order and tie-breaks read the same as
+on the strings. A row's tokens are one slice of the token columns (a CSR).
+``Corpus.to_records`` materializes the rows as ``InteractionRecord``s, and
+``Corpus.from_records`` builds a corpus from them; records built that way
+may repeat a post id, and every row with a matched id matches.
+
+Query filtering works on a window's corpus, cut by a timestamp mask. A
+query's rows are the rows carrying its token, closed under in-window repost
+links by one breadth-first search over post ids: each level gathers the
+reposts of the posts it reached from a CSR of rows by repost target, so a
+search costs time linear in what it reaches, plus a few array operations per
+level of repost depth. The CSRs are built once per window corpus and shared
+by all of its queries.
 
 Parsing. Each line is stripped of surrounding whitespace; blank lines are
 skipped. A line is decoded by one ``JSONDecoder().raw_decode`` and must be
@@ -38,25 +52,21 @@ not integers). A line counts as malformed, and is skipped, when
 
 A UTF-8 BOM opening the file is dropped by ``parse_records_file``; a line
 that starts with a BOM is malformed, as ``json.loads`` would have it.
-
-Collection. The parse allocates tracked objects (a record and its token
-pairs) faster than anything frees them, and every collection triggered
-meanwhile would rescan the records parsed so far. So ``parse_records``
-pauses the cyclic garbage collector for its loop and restores the caller's
-``gc.isenabled()`` state when it returns or raises. This is process-wide
-state: another thread allocating meanwhile runs with collection paused too.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import re
 from array import array
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from datetime import datetime
+from functools import cached_property
 from typing import Iterable, Iterator
 from zoneinfo import ZoneInfo
+
+import numpy as np
 
 
 class IngestError(Exception):
@@ -103,9 +113,10 @@ class TimeWindow:
 
 @dataclass(frozen=True, slots=True)
 class ParseResult:
-    """Valid records in file order plus the count of skipped malformed lines."""
+    """The valid lines' corpus, rows in file order, plus the count of skipped
+    malformed lines."""
 
-    records: tuple[InteractionRecord, ...]
+    records: Corpus
     malformed: int
 
 
@@ -146,32 +157,245 @@ def parse_window(spec: str, tz: str = "UTC") -> TimeWindow:
     raise ValueError(f"window spec must be YYYY-MM or start..end: {spec!r}")
 
 
-def _record_from_obj(obj: object) -> InteractionRecord | None:
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ranges [starts[i], starts[i] + counts[i]), in order."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
+
+
+def _group(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the positions of ``keys`` by key: positions[ptr[k]:ptr[k + 1]]
+    are the ascending positions holding key k, for each k in [0, size)."""
+    ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=size), out=ptr[1:])
+    return ptr, np.argsort(keys, kind="stable")
+
+
+def _gather(csr: tuple[np.ndarray, np.ndarray], keys: np.ndarray) -> np.ndarray:
+    """The values of each key in turn from a (ptr, values) CSR."""
+    ptr, values = csr
+    starts = ptr[keys]
+    return values[_ranges(starts, ptr[keys + 1] - starts)]
+
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Interaction records as columns, one row per post, in file order.
+
+    ``posts``, ``authors``, ``surfaces`` and ``tags`` are the intern tables;
+    ``authors`` and ``surfaces`` are sorted. Per row: ``post`` and
+    ``author`` index their tables, ``timestamp`` is int64 (Python ints in an
+    object array when one is past int64), and ``target_post`` and
+    ``target_author`` name the reposted post and its author, -1 for an
+    original. Row i's tokens are ``token_surface`` and ``token_tag`` over
+    ``token_ptr[i]:token_ptr[i + 1]``. ``window`` is the window every row lies
+    in, when the corpus was cut to one. A sub-corpus shares the tables; the
+    arrays are not to be modified.
+    """
+
+    posts: tuple[str, ...]
+    authors: tuple[str, ...]
+    surfaces: tuple[str, ...]
+    tags: tuple[str, ...]
+    post: np.ndarray
+    author: np.ndarray
+    timestamp: np.ndarray
+    target_post: np.ndarray
+    target_author: np.ndarray
+    token_ptr: np.ndarray
+    token_surface: np.ndarray
+    token_tag: np.ndarray
+    window: TimeWindow | None = None
+
+    def __len__(self) -> int:
+        return len(self.post)
+
+    @classmethod
+    def from_records(cls, records: Iterable[InteractionRecord]) -> Corpus:
+        """The records as a corpus, in their order; post ids may repeat."""
+        return _build(((r.post_id, r.author_id, r.timestamp, r.tokens, r.repost_of)
+                       for r in records), unique=False)
+
+    def to_records(self) -> tuple[InteractionRecord, ...]:
+        """The materialized view: each row as an ``InteractionRecord``."""
+        posts, authors, surfaces, tags = self.posts, self.authors, self.surfaces, self.tags
+        ptr = self.token_ptr.tolist()
+        tokens = list(zip(map(surfaces.__getitem__, self.token_surface.tolist()),
+                          map(tags.__getitem__, self.token_tag.tolist())))
+        return tuple(
+            InteractionRecord(posts[p], authors[a], ts, tuple(tokens[ptr[row]:ptr[row + 1]]),
+                              None if tp < 0 else (posts[tp], authors[ta]))
+            for row, (p, a, ts, tp, ta) in enumerate(zip(
+                self.post.tolist(), self.author.tolist(), self.timestamp.tolist(),
+                self.target_post.tolist(), self.target_author.tolist()))
+        )
+
+    @cached_property
+    def token_row(self) -> np.ndarray:
+        """The row of each token."""
+        return np.repeat(np.arange(len(self)), np.diff(self.token_ptr))
+
+    def _take(self, rows: np.ndarray) -> Corpus:
+        """The sub-corpus of the given rows, in the given order."""
+        starts = self.token_ptr[rows]
+        counts = self.token_ptr[rows + 1] - starts
+        token_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts, out=token_ptr[1:])
+        tokens = _ranges(starts, counts)
+        return replace(
+            self, post=self.post[rows], author=self.author[rows],
+            timestamp=self.timestamp[rows], target_post=self.target_post[rows],
+            target_author=self.target_author[rows], token_ptr=token_ptr,
+            token_surface=self.token_surface[tokens], token_tag=self.token_tag[tokens],
+        )
+
+    def within(self, window: TimeWindow) -> Corpus:
+        """The rows inside the window, as a corpus cut to it (itself, if it is)."""
+        if self.window == window:
+            return self
+        inside = (self.timestamp >= window.start) & (self.timestamp < window.end)
+        cut = self if inside.all() else self._take(np.flatnonzero(inside))
+        return replace(cut, window=window)
+
+    @cached_property
+    def _links(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """CSRs of the rows by own post, of the reposting rows by target post,
+        and of the token rows by surface."""
+        reposts = np.flatnonzero(self.target_post >= 0)
+        by_target, order = _group(self.target_post[reposts], len(self.posts))
+        by_post = _group(self.post, len(self.posts))
+        by_surface, tokens = _group(self.token_surface, len(self.surfaces))
+        return by_post, (by_target, reposts[order]), (by_surface, self.token_row[tokens])
+
+    def _matching(self, query: str) -> Corpus:
+        """The rows carrying the query token, closed under repost links.
+
+        A row matches when the token is among its surfaces, or when it
+        reposts a post whose id matched, transitively. Matching is by post
+        id: every row whose id matched is kept. Each search level takes the
+        posts first reached at the level before.
+        """
+        by_post, by_target, by_surface = self._links
+        s = bisect_left(self.surfaces, query)
+        if s == len(self.surfaces) or self.surfaces[s] != query:
+            return self._take(np.empty(0, dtype=np.int64))
+        frontier = np.unique(self.post[_gather(by_surface, np.array([s]))])
+        reached = np.zeros(len(self.posts), dtype=bool)
+        reached[frontier] = True
+        levels = [frontier]
+        while frontier.size:
+            frontier = np.unique(self.post[_gather(by_target, frontier)])
+            frontier = frontier[~reached[frontier]]
+            reached[frontier] = True
+            levels.append(frontier)
+        return self._take(np.sort(_gather(by_post, np.concatenate(levels))))
+
+
+def _build(rows: Iterable[tuple], unique: bool) -> Corpus:
+    """The corpus of (post_id, author_id, timestamp, tokens, repost_of) rows.
+
+    Tables grow in first-seen order and the author and surface tables are
+    sorted at the end. With ``unique``, a post id carried by an earlier row
+    raises DuplicatePostId. The loop reads every table, column and lookup
+    from a local name: it runs once per input line.
+    """
+    posts: dict[str, int] = {}
+    authors: dict[str, int] = {}
+    surfaces: dict[str, int] = {}
+    tags: dict[str, int] = {}
+    is_row = bytearray()  # per post id: whether a row carries it
+    post, author, target_post, target_author = (array("i") for _ in range(4))
+    timestamp: array | list = array("q")
+    token_ptr, token_surface, token_tag = array("q", [0]), array("i"), array("i")
+    posts_get, authors_set = posts.get, authors.setdefault
+    surfaces_set, tags_set = surfaces.setdefault, tags.setdefault
+    append_timestamp = timestamp.append
+    for post_id, author_id, ts, tokens, repost_of in rows:
+        p = posts_get(post_id)
+        if p is None:
+            p = posts[post_id] = len(posts)
+            is_row.append(1)
+        elif is_row[p] and unique:
+            raise DuplicatePostId(post_id)
+        else:
+            is_row[p] = 1
+        post.append(p)
+        author.append(authors_set(author_id, len(authors)))
+        try:
+            append_timestamp(ts)
+        except OverflowError:  # past int64: the column holds Python ints from here on
+            timestamp = [*timestamp, ts]
+            append_timestamp = timestamp.append
+        for surface, pos in tokens:
+            token_surface.append(surfaces_set(surface, len(surfaces)))
+            token_tag.append(tags_set(pos, len(tags)))
+        token_ptr.append(len(token_surface))
+        if repost_of is None:
+            target_post.append(-1)
+            target_author.append(-1)
+        else:
+            target, original_author = repost_of
+            t = posts_get(target)
+            if t is None:
+                t = posts[target] = len(posts)
+                is_row.append(0)
+            target_post.append(t)
+            target_author.append(authors_set(original_author, len(authors)))
+    author_names, author_rank = _sorted_table(authors)
+    surface_names, surface_rank = _sorted_table(surfaces)
+    return Corpus(
+        posts=tuple(posts), authors=author_names, surfaces=surface_names, tags=tuple(tags),
+        post=np.frombuffer(post, dtype=np.int32),
+        author=author_rank[np.frombuffer(author, dtype=np.int32)],
+        timestamp=(np.array(timestamp, dtype=object) if isinstance(timestamp, list)
+                   else np.frombuffer(timestamp, dtype=np.int64)),
+        target_post=np.frombuffer(target_post, dtype=np.int32),
+        target_author=author_rank[np.frombuffer(target_author, dtype=np.int32)],
+        token_ptr=np.frombuffer(token_ptr, dtype=np.int64),
+        token_surface=surface_rank[np.frombuffer(token_surface, dtype=np.int32)],
+        token_tag=np.frombuffer(token_tag, dtype=np.int32),
+    )
+
+
+def _sorted_table(table: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The table's strings in sorted order, and each first-seen index's new
+    index; -1 maps to -1."""
+    names = sorted(table)
+    rank = np.empty(len(names) + 1, dtype=np.int32)
+    rank[np.fromiter(map(table.__getitem__, names), dtype=np.int64, count=len(names))] = \
+        np.arange(len(names), dtype=np.int32)
+    rank[-1] = -1  # index -1 reads the last slot
+    return tuple(names), rank
+
+
+def _fields(obj: object) -> tuple | None:
     """Validate one decoded JSON object; None if it does not form a valid record.
 
-    Exact type checks: a JSON decoder yields no tuples and no subclasses of
-    str, int, list or dict, and ``bool`` fails ``type(x) is int``.
+    Returns (post_id, author_id, timestamp, tokens, repost_of) with the
+    decoded lists as they are. Exact type checks: a JSON decoder yields no
+    tuples and no subclasses of str, int, list or dict, and ``bool`` fails
+    ``type(x) is int``.
     """
     if type(obj) is not dict:
         return None
     post_id = obj.get("post_id")
     author_id = obj.get("author_id")
     timestamp = obj.get("timestamp")
-    raw_tokens = obj.get("tokens", [])
+    tokens = obj.get("tokens", [])
     if type(post_id) is not str or not post_id:
         return None
     if type(author_id) is not str or not author_id:
         return None
-    if type(timestamp) is not int or type(raw_tokens) is not list:
+    if type(timestamp) is not int or type(tokens) is not list:
         return None
-    tokens: list[tuple[str, str]] = []
-    for entry in raw_tokens:
+    for entry in tokens:
         if type(entry) is not list or len(entry) != 2:
             return None
         surface, pos = entry
         if type(surface) is not str or type(pos) is not str:
             return None
-        tokens.append((surface, pos))
     repost_of = obj.get("repost_of")
     if repost_of is not None:
         if type(repost_of) is not list or len(repost_of) != 2:
@@ -179,11 +403,10 @@ def _record_from_obj(obj: object) -> InteractionRecord | None:
         target, target_author = repost_of
         if type(target) is not str or type(target_author) is not str or not target_author:
             return None
-        repost_of = (target, target_author)
     elif not tokens:
         # only pure reposts may carry an empty token list
         return None
-    return InteractionRecord(post_id, author_id, timestamp, tuple(tokens), repost_of)
+    return post_id, author_id, timestamp, tokens, repost_of
 
 
 def _utf8_encodable(text: str) -> bool:
@@ -194,34 +417,26 @@ def _utf8_encodable(text: str) -> bool:
     return True
 
 
-def _strings(record: InteractionRecord) -> str:
-    """Every string of the record, joined."""
-    parts = [record.post_id, record.author_id]
-    for surface, pos in record.tokens:
-        parts += (surface, pos)
-    if record.repost_of is not None:
-        parts += record.repost_of
-    return "".join(parts)
+def _strings(fields: tuple) -> str:
+    """Every string of a record's fields, joined."""
+    post_id, author_id, _timestamp, tokens, repost_of = fields
+    return "".join([post_id, author_id, *(text for pair in tokens for text in pair),
+                    *(repost_of or ())])
 
 
 _decode = json.JSONDecoder().raw_decode
 
 
 def parse_records(stream: Iterable[str]) -> ParseResult:
-    """Parse line-delimited JSON into records, skipping (and counting) bad lines.
+    """Parse line-delimited JSON into a corpus, skipping (and counting) bad lines.
 
     Raises EmptyInput when no line yields a valid record and DuplicatePostId
-    when a post_id repeats among valid lines. The cyclic garbage collector
-    is paused, process-wide, while the lines are read; the caller's
-    ``gc.isenabled()`` state is restored however the parse ends, including
-    on an exception raised by ``stream``.
+    when a post_id repeats among valid lines.
     """
-    records: list[InteractionRecord] = []
-    seen: set[str] = set()
     malformed = 0
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+
+    def valid_rows() -> Iterator[tuple]:
+        nonlocal malformed
         for line in stream:
             line = line.strip()
             if not line:
@@ -235,21 +450,17 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
                 # JSONDecodeError, an integer past the digit limit, deep nesting
                 malformed += 1
                 continue
-            record = _record_from_obj(obj) if end == len(line) else None
+            fields = _fields(obj) if end == len(line) else None
             # an encodable line yields a lone surrogate only through an escape
-            if record is None or ("\\" in line and not _utf8_encodable(_strings(record))):
+            if fields is None or ("\\" in line and not _utf8_encodable(_strings(fields))):
                 malformed += 1
                 continue
-            if record.post_id in seen:
-                raise DuplicatePostId(record.post_id)
-            seen.add(record.post_id)
-            records.append(record)
-    finally:
-        if collecting:
-            gc.enable()
-    if not records:
+            yield fields
+
+    corpus = _build(valid_rows(), unique=True)
+    if not len(corpus):
         raise EmptyInput(f"no valid records ({malformed} malformed lines)")
-    return ParseResult(tuple(records), malformed)
+    return ParseResult(corpus, malformed)
 
 
 def parse_records_file(path: str) -> ParseResult:
@@ -274,93 +485,21 @@ def serialize_records(records: Iterable[InteractionRecord]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-class WindowIndex:
-    """The records of one window, indexed for the window's query tokens.
-
-    Built in one pass over the records: the window's records in file order,
-    for each indexed query the ids of the posts whose surfaces carry it, and
-    for each post id the rows of its reposts inside the window. Iterating or
-    taking ``len`` gives the window's records. ``filter_window`` reads from
-    an index of its window instead of scanning the corpus again.
-    """
-
-    __slots__ = ("window", "queries", "records", "_carriers", "_heads", "_links")
-
-    def __init__(
-        self,
-        records: Iterable[InteractionRecord],
-        window: TimeWindow,
-        queries: Iterable[str] = (),
-    ) -> None:
-        self.window = window
-        self.queries = frozenset(queries)
-        self.records = [r for r in records if window.contains(r.timestamp)]
-        carriers: dict[str, list[str]] = {q: [] for q in self.queries}
-        # Each post's in-window reposts form a linked list of rows: heads maps
-        # a post id to the row of its last repost, links[row] to the row of
-        # the repost before it (-1 ends the list). One int array, not a list
-        # per post: per-post lists are objects the garbage collector tracks,
-        # and on a 72k-record corpus they cost one more full collection over
-        # the parsed records.
-        heads: dict[str, int] = {}
-        links = array("q")
-        for row, r in enumerate(self.records):
-            for surface, _pos in r.tokens:
-                if surface in carriers:
-                    carriers[surface].append(r.post_id)
-            if r.repost_of is None:
-                links.append(-1)
-            else:
-                links.append(heads.get(r.repost_of[0], -1))
-                heads[r.repost_of[0]] = row
-        self._carriers = carriers
-        self._heads = heads
-        self._links = links
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[InteractionRecord]:
-        return iter(self.records)
-
-    def select(self, query: str) -> list[InteractionRecord]:
-        """The window's records matching an indexed query, in file order.
-
-        Matches are closed under repost links by one graph search from the
-        carriers' ids, each post id visited once, so chain depth costs
-        nothing extra. Matching is by post id: every record whose id matched
-        is kept.
-        """
-        kept = set(self._carriers[query])
-        frontier = list(kept)
-        while frontier:
-            row = self._heads.get(frontier.pop(), -1)
-            while row >= 0:
-                child = self.records[row].post_id
-                if child not in kept:
-                    kept.add(child)
-                    frontier.append(child)
-                row = self._links[row]
-        return [r for r in self.records if r.post_id in kept]
-
-
 def filter_window(
-    records: Iterable[InteractionRecord] | WindowIndex,
+    records: Corpus | Iterable[InteractionRecord],
     window: TimeWindow,
     query: str | None = None,
-) -> list[InteractionRecord]:
+) -> Corpus | list[InteractionRecord]:
     """Select records inside the window, optionally matching a query token.
 
     A record matches the query when the token appears among its surfaces, or
     when it is a repost of a matching record inside the same window (reposts
     inherit the match of their original; bare reposts rarely repeat the
-    keyword), transitively, so repost chains stay intact. Given a
-    ``WindowIndex`` of this window that indexes the query, the match is read
-    from it; otherwise a one-query index is built over ``records``.
+    keyword), transitively, so repost chains stay intact. A corpus gives a
+    corpus, cut to the window; a corpus already cut to it keeps its link
+    CSRs for the next query. Records give a list of records.
     """
-    if query is None:
-        return [r for r in records if window.contains(r.timestamp)]
-    if not (isinstance(records, WindowIndex) and records.window == window
-            and query in records.queries):
-        records = WindowIndex(records, window, (query,))
-    return records.select(query)
+    if not isinstance(records, Corpus):
+        return list(filter_window(Corpus.from_records(records), window, query).to_records())
+    in_window = records.within(window)
+    return in_window if query is None else in_window._matching(query)

@@ -1,10 +1,10 @@
 """End-to-end orchestration: subtopics per window, per-cell scoring, reports.
 
-For every time window the pipeline shortlists subtopics (or takes a
-pre-specified query list), indexes the window's records once for all of
-them, reads each subtopic's records from that index, prepares the
-endorsement graph, and scores sized graphs with the bisection + random-walk
-stack; sentiment aggregates ride along when a lexicon is configured. Each
+For every time window the pipeline cuts the corpus to the window once,
+shortlists subtopics there (or takes a pre-specified query list), reads each
+subtopic's rows from the window's corpus, prepares the endorsement graph,
+and scores sized graphs with the bisection + random-walk stack; sentiment
+aggregates ride along when a lexicon is configured. Each
 (subtopic, window) cell yields exactly one report row; failures and
 under-threshold graphs are data in the row, never batch aborts. Cells are
 scored one after another.
@@ -31,6 +31,7 @@ import csv
 import hashlib
 import io
 import json
+import logging
 import os
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Collection, Iterable, Sequence, TypeVar
@@ -40,10 +41,10 @@ from zoneinfo import ZoneInfoNotFoundError
 from . import sentiment as senti
 from .graph import UnderSized, dump_edgelist, prepare_conversation_graph
 from .ingest import (
+    Corpus,
     IngestError,
     InteractionRecord,
     TimeWindow,
-    WindowIndex,
     filter_window,
     parse_records_file,
     parse_window,
@@ -59,6 +60,8 @@ from .subtopics import (
 )
 
 MC_CHECK_TOLERANCE = 0.02
+
+_log = logging.getLogger("controversy_scope")
 
 T = TypeVar("T")
 
@@ -295,7 +298,7 @@ def cell_seed(seed: int, window_label: str, token: str) -> int:
 
 
 def _score_cell(
-    cell_records: list[InteractionRecord],
+    cell: Corpus,
     window: TimeWindow,
     token: str,
     cfg: PipelineConfig,
@@ -303,18 +306,18 @@ def _score_cell(
 ) -> ControversyReport:
     mean = std = None
     matched = None
-    if lexicon is not None and cell_records:
+    if lexicon is not None and len(cell):
         try:
-            mean, std, matched = senti.aggregate_sentiment(cell_records, lexicon)
+            mean, std, matched = senti.aggregate_sentiment(cell, lexicon)
         except senti.AllUnmatched:
             pass
     try:
         prepared = prepare_conversation_graph(
-            cell_records, min_rt=cfg.min_rt, k=cfg.k_core_k, min_nodes=cfg.min_nodes
+            cell, min_rt=cfg.min_rt, k=cfg.k_core_k, min_nodes=cfg.min_nodes
         )
         if isinstance(prepared, UnderSized):
             return ControversyReport(
-                token, window.label, len(cell_records), prepared.node_count,
+                token, window.label, len(cell), prepared.node_count,
                 True, None, mean, std, matched,
             )
         if cfg.dump_graphs_dir is not None:
@@ -336,12 +339,12 @@ def _score_cell(
                     f"> {MC_CHECK_TOLERANCE}"
                 )
         return ControversyReport(
-            token, window.label, len(cell_records), prepared.node_count,
+            token, window.label, len(cell), prepared.node_count,
             False, result, mean, std, matched, error,
         )
     except Exception as exc:  # per-cell failures are report rows, not aborts
         return ControversyReport(
-            token, window.label, len(cell_records), 0, False, None,
+            token, window.label, len(cell), 0, False, None,
             mean, std, matched, f"{type(exc).__name__}: {exc}",
         )
 
@@ -369,49 +372,59 @@ def _check_output_paths(cfg: PipelineConfig) -> None:
 
 def run_pipeline(
     cfg: PipelineConfig,
-    records: Sequence[InteractionRecord] | None = None,
+    records: Corpus | Sequence[InteractionRecord] | None = None,
 ) -> list[ControversyReport]:
-    """Score every (subtopic, window) cell; rows come back in window-major order."""
+    """Score every (subtopic, window) cell; rows come back in window-major order.
+
+    Without ``records`` the corpus is parsed from ``cfg.input_path``, and the
+    counts of records read and malformed lines skipped are logged at INFO on
+    the ``controversy_scope`` logger.
+    """
     lexicon = _load_file(senti.load_lexicon, cfg.lexicon_path) if cfg.lexicon_path else None
     stopwords = _stopwords(cfg)
     _check_output_paths(cfg)
     if records is None:
         if cfg.input_path is None:
             raise ConfigError("config has no input path and no records were supplied")
-        records = _load_file(parse_records_file, cfg.input_path).records
+        parsed = _load_file(parse_records_file, cfg.input_path)
+        _log.info("read %d records, skipped %d malformed lines from %s",
+                  len(parsed.records), parsed.malformed, cfg.input_path)
+        corpus = parsed.records
+    else:
+        corpus = records if isinstance(records, Corpus) else Corpus.from_records(records)
 
     tokens: Sequence[str] | None = cfg.queries
     if tokens is None and cfg.phase1_scope == "global":
-        freq = extract_candidate_tokens(records, stopwords, cfg.noun_tags, cfg.count_mode)
+        freq = extract_candidate_tokens(corpus, stopwords, cfg.noun_tags, cfg.count_mode)
         tokens = top_n_subtopics(freq, cfg.top_n)
 
     reports: list[ControversyReport] = []
     for window in cfg.windows:
-        reports.extend(_score_window(records, window, tokens, cfg, stopwords, lexicon))
+        reports.extend(_score_window(corpus, window, tokens, cfg, stopwords, lexicon))
     return reports
 
 
 def _score_window(
-    records: Sequence[InteractionRecord],
+    corpus: Corpus,
     window: TimeWindow,
     tokens: Sequence[str] | None,
     cfg: PipelineConfig,
     stopwords: frozenset[str],
     lexicon: senti.PolarityLexicon | None,
 ) -> list[ControversyReport]:
-    """One window's rows, every cell's records read from one window index.
+    """One window's rows, every cell read from the corpus cut to the window.
 
-    ``tokens`` None shortlists the window's own subtopics. The index is
-    dropped once the cells are read, before any is scored, so it never
-    sits beside the graphs and solver arrays.
+    ``tokens`` None shortlists the window's own subtopics. The window's
+    corpus, with the link CSRs its cells share, is dropped once the cells
+    are read, before any is scored, so it never sits beside the graphs and
+    solver arrays.
     """
+    in_window = corpus.within(window)
     if tokens is None:
-        records = filter_window(records, window)
-        freq = extract_candidate_tokens(records, stopwords, cfg.noun_tags, cfg.count_mode)
+        freq = extract_candidate_tokens(in_window, stopwords, cfg.noun_tags, cfg.count_mode)
         tokens = top_n_subtopics(freq, cfg.top_n)
-    index = WindowIndex(records, window, tokens)
-    cells = [filter_window(index, window, token) for token in tokens]
-    del index
+    cells = [filter_window(in_window, window, token) for token in tokens]
+    del in_window
 
     return [_score_cell(cell, window, token, cfg, lexicon)
             for token, cell in zip(tokens, cells)]

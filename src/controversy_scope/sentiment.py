@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ingest import InteractionRecord
+import numpy as np
+
+from .ingest import Corpus
 
 
 class AllUnmatched(Exception):
@@ -63,14 +65,31 @@ def score_text(
 
 
 def aggregate_sentiment(
-    records: Iterable[InteractionRecord], lex: PolarityLexicon
+    corpus: Corpus, lex: PolarityLexicon
 ) -> tuple[float, float, int]:
-    """Mean and population std of per-record scores over the matched records."""
-    scores = []
-    for record in records:
-        score = score_text(record.tokens, lex)
-        if score is not None:
-            scores.append(score)
+    """Mean and population std of per-record scores over the matched records.
+
+    Each record's score is ``score_text`` of its tokens, and the sums run in
+    the same order as there and over the records in row order, so the
+    floats are the same bits: a record's matched polarities are added one
+    token position at a time, over all records at once.
+    """
+    polarity = np.array([lex.polarity.get(s, math.nan) for s in corpus.surfaces], dtype=float)
+    value = polarity[corpus.token_surface]
+    hit = ~np.isnan(value)  # polarities lie in [-1, 1], so NaN marks no entry
+    rows, value = corpus.token_row[hit], value[hit]
+    matched = np.bincount(rows, minlength=len(corpus))
+    # the position of each matched token among its record's matched tokens
+    position = np.arange(rows.size) - (np.cumsum(matched) - matched)[rows]
+    by_position = np.argsort(position, kind="stable")
+    total = np.zeros(len(corpus))
+    start = 0
+    for end in np.cumsum(np.bincount(position)).tolist():
+        level = by_position[start:end]  # at most one token per record
+        total[rows[level]] += value[level]
+        start = end
+    scored = matched > 0
+    scores = (total[scored] / matched[scored]).tolist()
     if not scores:
         raise AllUnmatched("no record matched the lexicon")
     n = len(scores)

@@ -8,10 +8,9 @@ line.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable
+import numpy as np
 
-from .ingest import InteractionRecord
+from .ingest import Corpus
 
 DEFAULT_NOUN_TAGS = frozenset({"NOUN", "PROPN"})
 
@@ -29,31 +28,30 @@ def load_stopword_file(path: str) -> frozenset[str]:
 
 
 def extract_candidate_tokens(
-    records: Iterable[InteractionRecord],
+    corpus: Corpus,
     stopwords: frozenset[str] = frozenset(),
     noun_tags: frozenset[str] = DEFAULT_NOUN_TAGS,
     count_mode: str = "occurrences",
 ) -> dict[str, int]:
-    """Count candidate tokens over the records: nouns that are not stopwords.
+    """Count candidate tokens over the corpus: nouns that are not stopwords.
 
     "occurrences" counts every token instance; "documents" counts each
     surface at most once per record. Reposts contribute their own token
-    lists, which are empty for bare reposts.
+    lists, which are empty for bare reposts. Surfaces that never count are
+    left out.
     """
     if count_mode not in ("occurrences", "documents"):
         raise ValueError(f"unknown count mode: {count_mode!r}")
-    counts: Counter[str] = Counter()
-    for record in records:
-        eligible = (
-            surface
-            for surface, pos in record.tokens
-            if pos in noun_tags and surface not in stopwords
-        )
-        if count_mode == "documents":
-            counts.update(set(eligible))
-        else:
-            counts.update(eligible)
-    return dict(counts)
+    noun = np.array([tag in noun_tags for tag in corpus.tags], dtype=bool)
+    kept = np.array([surface not in stopwords for surface in corpus.surfaces], dtype=bool)
+    eligible = noun[corpus.token_tag] & kept[corpus.token_surface]
+    surface = corpus.token_surface[eligible]
+    n = len(corpus.surfaces)
+    if count_mode == "documents":
+        surface = np.unique(corpus.token_row[eligible] * n + surface) % n
+    counts = np.bincount(surface, minlength=n)
+    found = np.flatnonzero(counts)
+    return dict(zip(map(corpus.surfaces.__getitem__, found.tolist()), counts[found].tolist()))
 
 
 def top_n_subtopics(freq: dict[str, int], n: int) -> list[str]:

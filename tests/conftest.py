@@ -9,6 +9,8 @@ from __future__ import annotations
 import gc
 import itertools
 import json
+import math
+from collections import Counter
 from typing import Iterable
 
 import numpy as np
@@ -23,6 +25,7 @@ from controversy_scope.ingest import (
     ParseResult,
     TimeWindow,
 )
+from controversy_scope.sentiment import AllUnmatched, PolarityLexicon, score_text
 
 # Property tests replay the same examples on every run and stay quick, so
 # the tier-1 suite is deterministic; raise max_examples locally to search.
@@ -35,9 +38,9 @@ settings.load_profile("tier1")
 def collector_left_as_found():
     """Fail a test that leaves the garbage collector paused or objects frozen.
 
-    Parsing pauses collection process-wide, and nothing in the package
-    freezes objects; a pause or a freeze leaking out of a call would change
-    every later test's memory behaviour without failing it.
+    Nothing in the package pauses collection or freezes objects; a pause or
+    a freeze leaking out of a call would change every later test's memory
+    behaviour without failing it.
     """
     yield
     enabled, frozen = gc.isenabled(), gc.get_freeze_count()
@@ -115,6 +118,40 @@ def naive_filter_window(
                 kept_ids.add(r.post_id)
                 changed = True
     return [r for r in in_window if r.post_id in kept_ids]
+
+
+def naive_build_graph(records: Iterable[InteractionRecord], min_rt: int) -> EndorsementGraph:
+    """The endorsement graph by a Counter of string pairs, one record at a time."""
+    pair_counts: Counter[tuple[str, str]] = Counter()
+    for r in records:
+        if r.repost_of is not None and r.repost_of[1] != r.author_id:
+            pair_counts[edge_key(r.author_id, r.repost_of[1])] += 1
+    edges = {pair: count for pair, count in pair_counts.items() if count >= min_rt}
+    return EndorsementGraph(frozenset(n for pair in edges for n in pair), edges)
+
+
+def naive_candidate_counts(
+    records: Iterable[InteractionRecord], stopwords: frozenset[str],
+    noun_tags: frozenset[str], count_mode: str,
+) -> dict[str, int]:
+    """Eligible surfaces counted by a Counter, once per record in "documents" mode."""
+    counts: Counter[str] = Counter()
+    for r in records:
+        eligible = [s for s, pos in r.tokens if pos in noun_tags and s not in stopwords]
+        counts.update(set(eligible) if count_mode == "documents" else eligible)
+    return dict(counts)
+
+
+def naive_aggregate_sentiment(
+    records: Iterable[InteractionRecord], lex: PolarityLexicon
+) -> tuple[float, float, int]:
+    """Mean and population std of score_text over the records, summed in record order."""
+    scores = [s for s in (score_text(r.tokens, lex) for r in records) if s is not None]
+    if not scores:
+        raise AllUnmatched("no record matched the lexicon")
+    n = len(scores)
+    mean = sum(scores) / n
+    return mean, math.sqrt(sum((s - mean) ** 2 for s in scores) / n), n
 
 
 def _naive_record_from_obj(obj: object) -> InteractionRecord | None:

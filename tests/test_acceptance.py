@@ -295,7 +295,7 @@ def test_criterion_8_determinism(e2e_corpus, tmp_path):
         corpus_path = tmp_path / "corpus.jsonl"
         corpus_path.write_text(serialize_records(e2e_corpus), encoding="utf-8")
         parsed = parse_records(corpus_path.read_text().splitlines())
-        assert tuple(parsed.records) == tuple(e2e_corpus)
+        assert parsed.records.to_records() == tuple(e2e_corpus)
 
         cfg = PipelineConfig(
             windows=(WINDOW,), input_path=str(corpus_path), seed=5,

@@ -16,7 +16,7 @@ from controversy_scope.graph import (
     largest_component,
     prepare_conversation_graph,
 )
-from controversy_scope.ingest import TimeWindow
+from controversy_scope.ingest import Corpus, TimeWindow
 from controversy_scope.partition import SIDE_X, bisect, max_side_nodes
 from controversy_scope.rwc import rwc_monte_carlo, rwc_score
 from controversy_scope.synth import CommunitySpec, CorpusSpec, synth_corpus
@@ -42,7 +42,7 @@ def test_build_graph_combined_threshold():
         repost("p2", "u", "p1", "v"),
         repost("p3", "u", "p1", "v"),
     ]
-    g = build_graph(rs, min_rt=2)
+    g = build_graph(Corpus.from_records(rs), min_rt=2)
     assert g.edges == {("u", "v"): 2}
     assert g.nodes == frozenset({"u", "v"})
 
@@ -54,7 +54,7 @@ def test_build_graph_mutual_reposts_meet_threshold():
         repost("p3", "u", "p1", "v"),
         repost("p4", "v", "p2", "u"),
     ]
-    g = build_graph(rs, min_rt=2)
+    g = build_graph(Corpus.from_records(rs), min_rt=2)
     assert g.edges == {("u", "v"): 2}
 
 
@@ -64,7 +64,7 @@ def test_build_graph_ignores_self_reposts_and_singletons():
         repost("p2", "u", "p1", "u"),
         repost("p3", "w", "p1", "u"),  # single repost, below threshold
     ]
-    g = build_graph(rs, min_rt=2)
+    g = build_graph(Corpus.from_records(rs), min_rt=2)
     assert g.nodes == frozenset() and g.edges == {}
 
 
@@ -74,9 +74,9 @@ def test_build_graph_permutation_invariant():
     for i in range(40):
         u, v = f"a{rng.integers(0, 6)}", f"a{rng.integers(0, 6)}"
         rs.append(repost(f"p{i+1}", u, "p0", v))
-    g1 = build_graph(rs)
+    g1 = build_graph(Corpus.from_records(rs))
     order = rng.permutation(len(rs))
-    g2 = build_graph([rs[i] for i in order])
+    g2 = build_graph(Corpus.from_records(rs[i] for i in order))
     assert g1 == g2
 
 
@@ -141,7 +141,7 @@ def test_largest_component_matches_bfs_oracle():
 def test_prepare_small_corpus_undersized():
     rs = [record("p0", "a", tokens=(("t", "NOUN"),))]
     rs += [repost(f"p{i+1}", f"b{i%3}", "p0", "a") for i in range(12)]
-    result = prepare_conversation_graph(rs, min_nodes=800)
+    result = prepare_conversation_graph(Corpus.from_records(rs), min_nodes=800)
     assert isinstance(result, UnderSized)
     assert result.node_count <= 4
 
@@ -149,7 +149,7 @@ def test_prepare_small_corpus_undersized():
 def test_prepare_emptied_by_k_core_reports_zero():
     rs = [record("p0", "a", tokens=(("t", "NOUN"),))]
     rs += [repost(f"p{i+1}", "b", "p0", "a") for i in range(3)]  # one edge only
-    result = prepare_conversation_graph(rs, min_nodes=10)
+    result = prepare_conversation_graph(Corpus.from_records(rs), min_nodes=10)
     assert result == UnderSized(0)
 
 
@@ -161,7 +161,7 @@ def test_prepare_success_is_connected_min_degree_two():
         for _ in range(2):
             rs.append(repost(f"r{pid}", f"a{i:02d}", f"o{(i+1) % 20}", f"a{(i+1) % 20:02d}"))
             pid += 1
-    g = prepare_conversation_graph(rs, min_nodes=5)
+    g = prepare_conversation_graph(Corpus.from_records(rs), min_nodes=5)
     assert isinstance(g, EndorsementGraph)
     assert g.node_count == 20
     degrees = edge_counts(g)
@@ -176,7 +176,7 @@ def test_dump_edgelist_format():
 
 def test_build_graph_rejects_bad_threshold():
     with pytest.raises(ValueError):
-        build_graph([], min_rt=0)
+        build_graph(Corpus.from_records([]), min_rt=0)
     with pytest.raises(ValueError):
         k_core(graph_from_edges({}), 0)
 
@@ -258,7 +258,7 @@ def test_prepared_graph_builds_its_csr_once(monkeypatch):
         window=TimeWindow(1_600_000_000, 1_602_592_000, "2020-09"),
         seed=2,
     ))
-    g = prepare_conversation_graph(records, min_nodes=100)
+    g = prepare_conversation_graph(Corpus.from_records(records), min_nodes=100)
     assert isinstance(g, EndorsementGraph)
     part = bisect(g, seed=1)
     rwc_score(g, part)

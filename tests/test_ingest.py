@@ -1,17 +1,19 @@
-import gc
 import json
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from controversy_scope import ingest
+from controversy_scope.graph import build_graph
 from controversy_scope.ingest import (
+    Corpus,
     DuplicatePostId,
     EmptyInput,
     InteractionRecord,
     TimeWindow,
-    WindowIndex,
     filter_window,
     month_window,
     parse_records,
@@ -20,7 +22,18 @@ from controversy_scope.ingest import (
     serialize_records,
 )
 
-from conftest import naive_filter_window, naive_parse_records, record
+from controversy_scope.sentiment import PolarityLexicon, aggregate_sentiment
+from controversy_scope.subtopics import extract_candidate_tokens
+from controversy_scope.synth import CommunitySpec, CorpusSpec, synth_corpus
+
+from conftest import (
+    naive_aggregate_sentiment,
+    naive_build_graph,
+    naive_candidate_counts,
+    naive_filter_window,
+    naive_parse_records,
+    record,
+)
 
 
 def lines(*objs):
@@ -39,7 +52,7 @@ def test_parse_single_line():
     result = parse_records(lines(GOOD_LINE))
     assert result.malformed == 0
     assert len(result.records) == 1
-    r = result.records[0]
+    r = result.records.to_records()[0]
     assert (r.post_id, r.author_id, r.timestamp) == ("p1", "u1", 100)
     assert r.tokens == (("vaccine", "NOUN"), ("works", "VERB"))
     assert r.repost_of is None
@@ -51,7 +64,7 @@ def test_parse_skips_line_missing_author():
     bad2 = dict(GOOD_LINE, post_id="p2")
     result = parse_records(lines(bad, bad2))
     assert result.malformed == 1
-    assert [r.post_id for r in result.records] == ["p2"]
+    assert [r.post_id for r in result.records.to_records()] == ["p2"]
 
 
 def test_parse_three_line_fixture_with_repost():
@@ -65,7 +78,7 @@ def test_parse_three_line_fixture_with_repost():
     ]
     result = parse_records(lines(*objs))
     assert result.malformed == 0
-    r1, r2, r3 = result.records
+    r1, r2, r3 = result.records.to_records()
     assert r1.post_id == "p1" and r1.author_id == "alice" and r1.timestamp == 10
     assert r1.tokens == (("vaccine", "NOUN"),) and r1.repost_of is None
     assert r2.post_id == "p2" and r2.author_id == "bob"
@@ -113,7 +126,7 @@ def test_roundtrip_serialize_parse_identity():
         record("p3", "u3", 7, (("b", "NOUN"), ("c", "VERB")), ("p1", "u1")),
     )
     parsed = parse_records(serialize_records(originals).splitlines())
-    assert parsed.records == originals
+    assert parsed.records.to_records() == originals
     assert parsed.malformed == 0
 
 
@@ -173,10 +186,14 @@ def test_filter_window_idempotent_and_subset():
     assert {r.post_id for r in with_query} <= {r.post_id for r in once}
 
 
-# --- one index per window against the fixpoint oracle ------------------------
+# --- the columnar stages against the record oracles -------------------------
 
 IDS = ("a", "b", "c", "d", "e")
 VOCAB = ("vaxx", "mask", "school")
+# polarities whose sums round, so a sum taken in another order shows in the bits
+LEX = PolarityLexicon({"good": 0.1, "bad": -0.7, "meh": 0.3, "mask": 0.2})
+STOPWORDS = frozenset({"school"})
+NOUNS = frozenset({"NOUN"})
 
 
 def _noun(*surfaces):
@@ -184,19 +201,30 @@ def _noun(*surfaces):
 
 
 # few ids and timestamps on both sides of W's bounds, so lists often hold
-# duplicate ids, self-reposts, cycles, out-of-window originals and chains
-# in either file order
+# duplicate ids, self-reposts, cycles, out-of-window originals, targets
+# missing from the list ("z" never posts) and chains in either file order
 record_lists = st.lists(
     st.builds(
         InteractionRecord,
         post_id=st.sampled_from(IDS),
         author_id=st.sampled_from(("u1", "u2")),
         timestamp=st.sampled_from((99, 100, 150, 199, 200)),
-        tokens=st.lists(st.sampled_from(VOCAB), max_size=2).map(lambda ts: _noun(*ts)),
-        repost_of=st.none() | st.tuples(st.sampled_from(IDS), st.just("u1")),
+        tokens=st.lists(st.tuples(st.sampled_from(VOCAB + ("good", "bad", "meh")),
+                                  st.sampled_from(("NOUN", "ADJ"))), max_size=3).map(tuple),
+        repost_of=st.none() | st.tuples(st.sampled_from(IDS + ("z",)),
+                                        st.sampled_from(("u1", "u2", "u3"))),
     ),
     max_size=12,
 )
+
+
+def _bits(aggregate, records):
+    """An aggregate's floats as hex, so equal means bit-identical; or its error."""
+    try:
+        mean, std, matched = aggregate(records, LEX)
+    except Exception as exc:
+        return type(exc)
+    return mean.hex(), std.hex(), matched
 
 
 @given(record_lists)
@@ -226,14 +254,27 @@ record_lists = st.lists(
     record("b", "u1", 150, (), ("a", "u1")),
     record("a", "u2", 150, _noun("vaxx")),
 ])
-def test_filter_window_matches_fixpoint_oracle(records):
-    index = WindowIndex(records, W, VOCAB[:2])
-    assert list(index) == filter_window(records, W) == naive_filter_window(records, W)
+@example([  # scores of 1/3 and 0.2 whose sum rounds
+    record("a", "u1", 150, (("good", "ADJ"), ("meh", "ADJ"), ("bad", "ADJ"), ("vaxx", "NOUN"))),
+    record("b", "u2", 150, (("mask", "NOUN"), ("vaxx", "NOUN"))),
+])
+def test_columnar_stages_match_record_oracles(records):
+    corpus = Corpus.from_records(records)
+    assert corpus.to_records() == tuple(records)
+    in_window = filter_window(corpus, W)
+    assert in_window.to_records() == tuple(naive_filter_window(records, W))
+    assert filter_window(records, W) == naive_filter_window(records, W)
     for query in VOCAB:
         expected = naive_filter_window(records, W, query)
+        cell = filter_window(in_window, W, query)
+        assert cell.to_records() == tuple(expected)
         assert filter_window(records, W, query) == expected
-        # VOCAB[2] is not indexed, so that query is answered from a fresh index
-        assert filter_window(index, W, query) == expected
+        for min_rt in (1, 2):
+            assert build_graph(cell, min_rt) == naive_build_graph(expected, min_rt)
+        for mode in ("occurrences", "documents"):
+            assert (extract_candidate_tokens(cell, STOPWORDS, NOUNS, mode)
+                    == naive_candidate_counts(expected, STOPWORDS, NOUNS, mode))
+        assert _bits(aggregate_sentiment, cell) == _bits(naive_aggregate_sentiment, expected)
 
 
 def test_filter_window_linear_on_deep_chain_and_wide_hub():
@@ -249,6 +290,53 @@ def test_filter_window_linear_on_deep_chain_and_wide_hub():
     elapsed = time.perf_counter() - start
     assert kept == records
     assert elapsed < 10.0
+
+
+def test_a_window_corpus_groups_its_rows_once_for_all_queries(monkeypatch):
+    grouped = []
+    group = ingest._group
+
+    def counting(keys, size):
+        grouped.append(size)
+        return group(keys, size)
+
+    monkeypatch.setattr(ingest, "_group", counting)
+    records = [record("a", "u1", 150, _noun("vaxx", "mask")),
+               record("b", "u2", 160, (), ("a", "u1")),
+               record("c", "u2", 500, _noun("mask"))]
+    in_window = Corpus.from_records(records).within(W)
+    assert in_window.within(W) is in_window
+    for query in VOCAB:
+        filter_window(in_window, W, query)
+    assert len(grouped) == 3  # rows by post, reposts by target, tokens by surface
+    assert filter_window(in_window, W, "mask").to_records() == tuple(records[:2])
+
+
+def test_timestamps_past_int64_keep_their_value_and_window():
+    big = 2**63
+    records = (record("p1", "u1", big, _noun("vaxx")),
+               record("p2", "u2", 150, (), ("p1", "u1")),
+               record("p3", "u1", -big - 1, _noun("vaxx")))
+    corpus = parse_records(serialize_records(records).splitlines()).records
+    assert corpus.to_records() == records
+    far = TimeWindow(big, big + 1, "far")
+    assert filter_window(corpus, far, "vaxx").to_records() == records[:1]
+    assert filter_window(corpus, W, "vaxx").to_records() == ()
+
+
+def test_parsed_corpus_holds_at_most_200_bytes_per_row():
+    communities = (CommunitySpec(420, ("vaxx",), 0.5), CommunitySpec(420, ("vaxx",), -0.5))
+    records = synth_corpus(CorpusSpec(communities, 0.05, W, seed=1))
+    lines = serialize_records(records).splitlines()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = parse_records(lines).records
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == len(records) > 19_000
+    assert held / len(corpus) <= 200
 
 
 # --- ingest fuzzing ----------------------------------------------------------
@@ -298,7 +386,7 @@ valid_records = st.lists(
 @given(valid_records)
 def test_serialize_parse_round_trip(records):
     parsed = parse_records(serialize_records(records).split("\n"))
-    assert parsed.records == tuple(records)
+    assert parsed.records.to_records() == tuple(records)
     assert parsed.malformed == 0
 
 
@@ -336,10 +424,14 @@ oracle_lines = records_json | st.builds(
 
 
 def parse_outcome(parse, lines):
+    """The records, materialized, and the malformed count, or the error raised."""
     try:
-        return parse(lines)
+        result = parse(lines)
     except Exception as exc:
         return type(exc), str(exc)
+    records = result.records
+    return tuple(records.to_records() if isinstance(records, Corpus) else records), \
+        result.malformed
 
 
 @given(st.lists(oracle_lines, max_size=8))
@@ -372,7 +464,7 @@ def test_parse_file_counts_an_invalid_utf8_line_as_malformed(tmp_path):
                      .encode("utf-8", "surrogateescape"))
     assert b"\xff" in path.read_bytes()
     result = parse_records_file(str(path))
-    assert [r.post_id for r in result.records] == ["p1", "p3"]
+    assert [r.post_id for r in result.records.to_records()] == ["p1", "p3"]
     assert result.malformed == 1
 
 
@@ -381,7 +473,7 @@ def test_parse_file_counts_an_escaped_lone_surrogate_as_malformed(tmp_path):
     bad = json.dumps(dict(GOOD_LINE, post_id="p2", tokens=[["\ud800x", "NOUN"]]))
     path.write_text("\n".join([G1, bad, G3]), encoding="utf-8")
     result = parse_records_file(str(path))
-    assert [r.post_id for r in result.records] == ["p1", "p3"]
+    assert [r.post_id for r in result.records.to_records()] == ["p1", "p3"]
     assert result.malformed == 1
 
 
@@ -390,47 +482,6 @@ def test_parse_file_drops_a_leading_bom_only(tmp_path):
     path.write_text("\n".join([G1, G2]), encoding="utf-8-sig")
     assert path.read_bytes().startswith(b"\xef\xbb\xbf")
     result = parse_records_file(str(path))
-    assert [r.post_id for r in result.records] == ["p1", "p2"]
+    assert [r.post_id for r in result.records.to_records()] == ["p1", "p2"]
     assert result.malformed == 0
     assert parse_records(["\ufeff" + G1, G2]).malformed == 1
-
-
-# --- the collector around a parse --------------------------------------------
-
-
-class StreamFailed(Exception):
-    pass
-
-
-def failing_stream():
-    yield G1
-    raise StreamFailed
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("stream, error", [
-    (lambda: iter([G1, G2]), None),
-    (lambda: iter([G1, G1]), DuplicatePostId),
-    (lambda: iter(["not json"]), EmptyInput),
-    (failing_stream, StreamFailed),
-])
-def test_parse_records_pauses_then_restores_the_collector(enabled, stream, error):
-    during = []
-
-    def watched():
-        for line in stream():
-            during.append(gc.isenabled())
-            yield line
-
-    (gc.enable if enabled else gc.disable)()
-    try:
-        if error is None:
-            parse_records(watched())
-        else:
-            with pytest.raises(error):
-                parse_records(watched())
-        after = gc.isenabled()
-    finally:
-        gc.enable()
-    assert during and not any(during)
-    assert after == enabled

@@ -1,5 +1,6 @@
 import gc
 import json
+import logging
 import os
 import re
 import subprocess
@@ -490,6 +491,23 @@ def test_run_pipeline_checks_referenced_files(tmp_path):
     with pytest.raises(ConfigError, match="missing.jsonl: FileNotFoundError"):
         run_pipeline(cfg)
     assert run_pipeline(cfg, records=[]) == []  # the unread input path is not checked
+
+
+def test_run_pipeline_logs_the_malformed_count_outside_the_report(tmp_path, caplog):
+    records = small_corpus(seed=1)
+    lines = serialize_records(records).splitlines()
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join([lines[0], "not json", *lines[1:], '{"post_id": ""}']),
+                      encoding="utf-8")
+    cfg = small_config(input_path=str(corpus), queries=("vaxx",))
+    with caplog.at_level(logging.INFO, logger="controversy_scope"):
+        from_file = run_pipeline(cfg)
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("controversy_scope", logging.INFO,
+         f"read {len(records)} records, skipped 2 malformed lines from {corpus}")]
+    from_records = run_pipeline(cfg, records=records)
+    for fmt in ("csv", "json", "markdown"):
+        assert emit_report(from_file, fmt) == emit_report(from_records, fmt)
 
 
 @pytest.mark.parametrize("side_file", ["lexicon", "stopwords"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from controversy_scope.ingest import Corpus
 from controversy_scope.sentiment import (
     AllUnmatched,
     PolarityLexicon,
@@ -52,12 +53,12 @@ def test_score_bounded_and_antisymmetric():
 def test_aggregate_two_records_mean_zero_std_one():
     records = [record("p1", "u", tokens=toks("good")),
                record("p2", "u", tokens=toks("bad"))]
-    mean, std, matched = aggregate_sentiment(records, LEX)
+    mean, std, matched = aggregate_sentiment(Corpus.from_records(records), LEX)
     assert (mean, std, matched) == (0.0, 1.0, 2)
 
 
 def test_aggregate_single_record_zero_std():
-    mean, std, matched = aggregate_sentiment([record("p1", "u", tokens=toks("meh"))], LEX)
+    mean, std, matched = aggregate_sentiment(Corpus.from_records([record("p1", "u", tokens=toks("meh"))]), LEX)
     assert (mean, std, matched) == (0.25, 0.0, 1)
 
 
@@ -71,7 +72,7 @@ def test_aggregate_matches_two_pass_oracle():
     scores = [s for s in (score_text(r.tokens, LEX) for r in records) if s is not None]
     oracle_mean = sum(scores) / len(scores)
     oracle_std = math.sqrt(sum((s - oracle_mean) ** 2 for s in scores) / len(scores))
-    mean, std, matched = aggregate_sentiment(records, LEX)
+    mean, std, matched = aggregate_sentiment(Corpus.from_records(records), LEX)
     assert matched == len(scores)
     assert mean == pytest.approx(oracle_mean, abs=1e-12)
     assert std == pytest.approx(oracle_std, abs=1e-12)
@@ -80,13 +81,13 @@ def test_aggregate_matches_two_pass_oracle():
 def test_aggregate_skips_unmatched_records():
     records = [record("p1", "u", tokens=toks("good")),
                record("p2", "u", tokens=toks("noise"))]
-    mean, std, matched = aggregate_sentiment(records, LEX)
+    mean, std, matched = aggregate_sentiment(Corpus.from_records(records), LEX)
     assert (mean, matched) == (1.0, 1)
 
 
 def test_aggregate_all_unmatched_raises():
     with pytest.raises(AllUnmatched):
-        aggregate_sentiment([record("p1", "u", tokens=toks("noise"))], LEX)
+        aggregate_sentiment(Corpus.from_records([record("p1", "u", tokens=toks("noise"))]), LEX)
 
 
 def test_aggregate_duplication_invariance():
@@ -95,8 +96,8 @@ def test_aggregate_duplication_invariance():
     doubled = records + [
         record(f"q{i}", "u", tokens=r.tokens) for i, r in enumerate(records)
     ]
-    mean1, std1, _ = aggregate_sentiment(records, LEX)
-    mean2, std2, _ = aggregate_sentiment(doubled, LEX)
+    mean1, std1, _ = aggregate_sentiment(Corpus.from_records(records), LEX)
+    mean2, std2, _ = aggregate_sentiment(Corpus.from_records(doubled), LEX)
     assert mean2 == pytest.approx(mean1, abs=1e-12)
     assert std2 == pytest.approx(std1, abs=1e-12)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from controversy_scope.ingest import month_window
+from controversy_scope.ingest import Corpus, month_window
 from controversy_scope.pipeline import PipelineConfig, _stopwords
 from controversy_scope.subtopics import (
     extract_candidate_tokens,
@@ -16,12 +16,12 @@ NOUN = frozenset({"NOUN"})
 
 def test_pos_filter_keeps_nouns_only():
     r = record("p1", "u1", tokens=(("vaccine", "NOUN"), ("is", "VERB")))
-    assert extract_candidate_tokens([r], noun_tags=NOUN) == {"vaccine": 1}
+    assert extract_candidate_tokens(Corpus.from_records([r]), noun_tags=NOUN) == {"vaccine": 1}
 
 
 def test_custom_stopword_excluded():
     r = record("p1", "u1", tokens=(("news", "NOUN"), ("school", "NOUN")))
-    assert extract_candidate_tokens([r], frozenset({"news"}), NOUN) == {"school": 1}
+    assert extract_candidate_tokens(Corpus.from_records([r]), frozenset({"news"}), NOUN) == {"school": 1}
 
 
 def test_occurrence_counting_across_records():
@@ -29,8 +29,8 @@ def test_occurrence_counting_across_records():
         record("p1", "u1", tokens=(("school", "NOUN"), ("school", "NOUN"))),
         record("p2", "u2", tokens=(("school", "NOUN"), ("school", "NOUN"))),
     ]
-    assert extract_candidate_tokens(rs, noun_tags=NOUN) == {"school": 4}
-    assert extract_candidate_tokens(rs, noun_tags=NOUN, count_mode="documents") == {"school": 2}
+    assert extract_candidate_tokens(Corpus.from_records(rs), noun_tags=NOUN) == {"school": 4}
+    assert extract_candidate_tokens(Corpus.from_records(rs), noun_tags=NOUN, count_mode="documents") == {"school": 2}
 
 
 def test_bare_reposts_contribute_nothing():
@@ -38,7 +38,7 @@ def test_bare_reposts_contribute_nothing():
         record("p1", "u1", tokens=(("park", "NOUN"),)),
         record("p2", "u2", tokens=(), repost_of=("p1", "u1")),
     ]
-    assert extract_candidate_tokens(rs, noun_tags=NOUN) == {"park": 1}
+    assert extract_candidate_tokens(Corpus.from_records(rs), noun_tags=NOUN) == {"park": 1}
 
 
 def test_extraction_permutation_invariant():
@@ -47,8 +47,8 @@ def test_extraction_permutation_invariant():
         record(f"p{i}", "u", tokens=((f"t{rng.integers(0, 5)}", "NOUN"),))
         for i in range(30)
     ]
-    forward = extract_candidate_tokens(rs, noun_tags=NOUN)
-    backward = extract_candidate_tokens(list(reversed(rs)), noun_tags=NOUN)
+    forward = extract_candidate_tokens(Corpus.from_records(rs), noun_tags=NOUN)
+    backward = extract_candidate_tokens(Corpus.from_records(reversed(rs)), noun_tags=NOUN)
     assert forward == backward
 
 
@@ -81,7 +81,7 @@ def test_no_output_token_is_stopworded_or_non_noun():
                                   ("mask", "NOUN"), ("run", "VERB"))),
         record("p2", "u", tokens=(("mask", "NOUN"), ("school", "NOUN"))),
     ]
-    freq = extract_candidate_tokens(rs, stopwords, NOUN)
+    freq = extract_candidate_tokens(Corpus.from_records(rs), stopwords, NOUN)
     out = top_n_subtopics(freq, 10)
     assert out == ["mask", "school"]
     assert not set(out) & stopwords

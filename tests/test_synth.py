@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from controversy_scope.graph import build_graph
-from controversy_scope.ingest import TimeWindow
+from controversy_scope.ingest import Corpus, TimeWindow
 from controversy_scope.synth import (
     CommunitySpec,
     CorpusSpec,
@@ -162,7 +162,7 @@ def test_corpus_cross_mixing_differs_by_content_class():
             r for r in records
             if r.repost_of is not None and token in by_id[r.repost_of[0]].surfaces()
         ]
-        g = build_graph(class_reposts, min_rt=2)
+        g = build_graph(Corpus.from_records(class_reposts), min_rt=2)
         cross = sum(1 for (u, v) in g.edges if u[:2] != v[:2])
         return cross / g.edge_count
 
