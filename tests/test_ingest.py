@@ -1,3 +1,4 @@
+import gc
 import json
 import time
 import tracemalloc
@@ -227,48 +228,71 @@ def _bits(aggregate, records):
     return mean.hex(), std.hex(), matched
 
 
-@given(record_lists)
-@example([  # duplicate ids: the id matched, so both of its records are kept
-    record("a", "u1", 150, _noun("vaxx")),
-    record("a", "u2", 160, _noun("school")),
-    record("b", "u1", 170, (), ("a", "u1")),
-])
-@example([  # a repost of an out-of-window original inherits nothing
-    record("a", "u1", 300, _noun("vaxx")),
-    record("b", "u2", 150, (), ("a", "u1")),
-])
-@example([  # self-reposts
-    record("a", "u1", 150, (), ("a", "u1")),
-    record("b", "u2", 150, _noun("vaxx"), ("b", "u2")),
-])
-@example([  # a cycle fed by one carrier, and one with none
-    record("a", "u1", 150, (), ("b", "u1")),
-    record("b", "u1", 150, (), ("c", "u1")),
-    record("c", "u1", 150, _noun("vaxx"), ("a", "u1")),
-    record("d", "u2", 150, (), ("e", "u2")),
-    record("e", "u2", 150, (), ("d", "u2")),
-])
-@example([  # a chain in reverse file order
-    record("d", "u1", 150, (), ("c", "u1")),
-    record("c", "u1", 150, (), ("b", "u1")),
-    record("b", "u1", 150, (), ("a", "u1")),
-    record("a", "u2", 150, _noun("vaxx")),
-])
-@example([  # scores of 1/3 and 0.2 whose sum rounds
-    record("a", "u1", 150, (("good", "ADJ"), ("meh", "ADJ"), ("bad", "ADJ"), ("vaxx", "NOUN"))),
-    record("b", "u2", 150, (("mask", "NOUN"), ("vaxx", "NOUN"))),
-])
-def test_columnar_stages_match_record_oracles(records):
+ORACLE_EXAMPLES = (
+    [  # duplicate ids: the id matched, so both of its records are kept
+        record("a", "u1", 150, _noun("vaxx")),
+        record("a", "u2", 160, _noun("school")),
+        record("b", "u1", 170, (), ("a", "u1")),
+    ],
+    [  # a repost of an out-of-window original inherits nothing
+        record("a", "u1", 300, _noun("vaxx")),
+        record("b", "u2", 150, (), ("a", "u1")),
+    ],
+    [  # self-reposts
+        record("a", "u1", 150, (), ("a", "u1")),
+        record("b", "u2", 150, _noun("vaxx"), ("b", "u2")),
+    ],
+    [  # a cycle fed by one carrier, and one with none
+        record("a", "u1", 150, (), ("b", "u1")),
+        record("b", "u1", 150, (), ("c", "u1")),
+        record("c", "u1", 150, _noun("vaxx"), ("a", "u1")),
+        record("d", "u2", 150, (), ("e", "u2")),
+        record("e", "u2", 150, (), ("d", "u2")),
+    ],
+    [  # a chain in reverse file order
+        record("d", "u1", 150, (), ("c", "u1")),
+        record("c", "u1", 150, (), ("b", "u1")),
+        record("b", "u1", 150, (), ("a", "u1")),
+        record("a", "u2", 150, _noun("vaxx")),
+    ],
+    [  # scores of 1/3 and 0.2 whose sum rounds
+        record("a", "u1", 150, (("good", "ADJ"), ("meh", "ADJ"), ("bad", "ADJ"),
+                                ("vaxx", "NOUN"))),
+        record("b", "u2", 150, (("mask", "NOUN"), ("vaxx", "NOUN"))),
+    ],
+)
+
+
+def given_record_lists(test):
+    """Run a test on the record_lists strategy and on every ORACLE_EXAMPLES list."""
+    for records in ORACLE_EXAMPLES:
+        test = example(records)(test)
+    return given(record_lists)(test)
+
+
+def _cells(records):
+    """Each VOCAB query's columnar cell of W, taken from one window corpus."""
+    in_window = filter_window(Corpus.from_records(records), W)
+    return {query: filter_window(in_window, W, query) for query in VOCAB}
+
+
+@given_record_lists
+def test_filter_window_matches_fixpoint_oracle(records):
     corpus = Corpus.from_records(records)
     assert corpus.to_records() == tuple(records)
     in_window = filter_window(corpus, W)
     assert in_window.to_records() == tuple(naive_filter_window(records, W))
     assert filter_window(records, W) == naive_filter_window(records, W)
-    for query in VOCAB:
+    for query, cell in _cells(records).items():
         expected = naive_filter_window(records, W, query)
-        cell = filter_window(in_window, W, query)
         assert cell.to_records() == tuple(expected)
         assert filter_window(records, W, query) == expected
+
+
+@given_record_lists
+def test_columnar_stages_match_record_oracles(records):
+    for query, cell in _cells(records).items():
+        expected = naive_filter_window(records, W, query)
         for min_rt in (1, 2):
             assert build_graph(cell, min_rt) == naive_build_graph(expected, min_rt)
         for mode in ("occurrences", "documents"):
@@ -485,3 +509,44 @@ def test_parse_file_drops_a_leading_bom_only(tmp_path):
     assert [r.post_id for r in result.records.to_records()] == ["p1", "p2"]
     assert result.malformed == 0
     assert parse_records(["\ufeff" + G1, G2]).malformed == 1
+
+
+# --- the collector around a parse --------------------------------------------
+
+
+class StreamFailed(Exception):
+    pass
+
+
+def failing_stream():
+    yield G1
+    raise StreamFailed
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("stream, error", [
+    (lambda: iter([G1, G2]), None),
+    (lambda: iter([G1, G1]), DuplicatePostId),
+    (lambda: iter(["not json"]), EmptyInput),
+    (failing_stream, StreamFailed),
+])
+def test_parse_records_leaves_the_collector_as_found(enabled, stream, error):
+    during = []
+
+    def watched():
+        for line in stream():
+            during.append(gc.isenabled())
+            yield line
+
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            parse_records(watched())
+        else:
+            with pytest.raises(error):
+                parse_records(watched())
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    assert during and all(state == enabled for state in during)
+    assert after == enabled
