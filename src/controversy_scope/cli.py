@@ -180,10 +180,7 @@ def _handle_synth(args: argparse.Namespace) -> int:
     planted = planted_partition(spec)
     write_output(args.out, dump_edgelist(planted.graph))
     sides_path = args.out + ".sides"
-    lines = [
-        f"{node} {planted.ground_truth.side_of[node]}"
-        for node in sorted(planted.graph.nodes)
-    ]
+    lines = [f"{node} {planted.ground_truth.side_of[node]}" for node in planted.graph.nodes]
     write_output(sides_path, "\n".join(lines) + "\n")
     print(
         f"wrote {planted.graph.edge_count} edges to {args.out} "

@@ -7,33 +7,63 @@ Preprocessing applies k-core decomposition (default k=2) and keeps the
 largest connected component; graphs below the minimum node count (default
 800) are reported as UnderSized rather than scored.
 
-Every structural pass, here and in the partitioner and the walk solver,
-reads one view of a graph: its sorted-id CSR (EndorsementGraph.csr), built
-on first use and kept, so each graph object sorts its ids at most once.
+A graph is its sorted-id CSR alone, which every structural pass here and
+in the partitioner and the walk solver reads. build_graph fills it from int
+author pairs, and k_core and largest_component slice and renumber it, so no
+stage on the pipeline path builds a string-keyed edge map or sorts node ids.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .ingest import Corpus
 
 
-def edge_key(u: str, v: str) -> tuple[str, str]:
-    """Canonical unordered pair."""
-    return (u, v) if u <= v else (v, u)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EndorsementGraph:
-    """Undirected weighted author graph; treat as immutable once built."""
+    """Undirected weighted author graph as a symmetric CSR over sorted ids.
 
-    nodes: frozenset[str]
-    edges: dict[tuple[str, str], int]
+    Index i stands for nodes[i], and row i, indices[indptr[i]:indptr[i + 1]],
+    lists each neighbor once, in ascending index order, with the edge weight
+    at the same position of weights. The arrays are read-only. Equality is
+    identity: compare nodes and edges to compare two graphs.
+    """
+
+    nodes: tuple[str, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in (self.indptr, self.indices, self.weights):
+            array.flags.writeable = False
+
+    @classmethod
+    def from_edges(
+        cls, nodes: Iterable[str], edges: Mapping[tuple[str, str], int]
+    ) -> EndorsementGraph:
+        """Graph over nodes with {(u, v): weight} edges, each keyed u < v as in edges.
+
+        Nodes without an edge stay as isolates. A self-loop, a pair keyed
+        larger id first (so one listed in both orders too), an endpoint
+        outside nodes or a weight below 1 raises ValueError.
+        """
+        names = sorted(set(nodes))
+        index = {name: i for i, name in enumerate(names)}
+        for (a, b), w in edges.items():
+            if not a < b:
+                raise ValueError(f"edge ({a!r}, {b!r}) must join two ids, smaller first")
+            if a not in index or b not in index:
+                raise ValueError(f"edge ({a!r}, {b!r}) has an endpoint outside the nodes")
+            if w < 1:
+                raise ValueError(f"edge ({a!r}, {b!r}) has weight {w}, need >= 1")
+        ends = np.array([(index[a], index[b]) for a, b in edges], dtype=np.int64).reshape(-1, 2)
+        return _from_pairs(names, *ends.T, np.array(list(edges.values()), dtype=np.int64))
 
     @property
     def node_count(self) -> int:
@@ -41,32 +71,19 @@ class EndorsementGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.indices.size // 2
 
-    @cached_property
-    def csr(self) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-        """Symmetric CSR view over the nodes in sorted-id order, built on first use.
+    @property
+    def csr(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
+        """(nodes, indptr, indices, weights), the graph's four fields."""
+        return self.nodes, self.indptr, self.indices, self.weights
 
-        Returns (nodes, indptr, indices, weights): index i stands for nodes[i],
-        and row i lists each neighbor once, in ascending index order, with the
-        edge weight. Every caller shares the one view, so the arrays are
-        read-only and the node list must not be modified.
-        """
-        nodes = sorted(self.nodes)
-        index = {node: i for i, node in enumerate(nodes)}
-        m = len(self.edges)
-        ends = np.fromiter((index[x] for pair in self.edges for x in pair), dtype=np.int64,
-                           count=2 * m).reshape(m, 2)
-        weights = np.fromiter(self.edges.values(), dtype=np.int64, count=m)
-        rows = np.concatenate((ends[:, 0], ends[:, 1]))
-        cols = np.concatenate((ends[:, 1], ends[:, 0]))
-        order = np.lexsort((cols, rows))
-        indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=len(nodes)), out=indptr[1:])
-        arrays = indptr, cols[order], np.concatenate((weights, weights))[order]
-        for array in arrays:
-            array.flags.writeable = False
-        return (nodes, *arrays)
+    @property
+    def edges(self) -> dict[tuple[str, str], int]:
+        """{(u, v): weight} with u < v, in sorted order; a new dict on each access."""
+        nodes = self.nodes
+        u, v, w = _upper(self)
+        return {(nodes[a], nodes[b]): c for a, b, c in zip(u.tolist(), v.tolist(), w.tolist())}
 
 
 @dataclass(frozen=True)
@@ -74,6 +91,21 @@ class UnderSized:
     """Marker result: the prepared graph missed the node threshold (a dash cell)."""
 
     node_count: int
+
+
+def _upper(g: EndorsementGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, v, w) with each edge once, u < v, ordered by (u, v)."""
+    rows = np.repeat(np.arange(g.node_count), np.diff(g.indptr))
+    upper = rows < g.indices
+    return rows[upper], g.indices[upper], g.weights[upper]
+
+
+def _from_pairs(names: list[str], u: np.ndarray, v: np.ndarray, w: np.ndarray) -> EndorsementGraph:
+    """Graph over sorted names with edges {u[e], v[e]} of weight w[e], each listed once."""
+    rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.bincount(rows, minlength=len(names)).cumsum()))
+    return EndorsementGraph(tuple(names), indptr, cols[order], np.concatenate((w, w))[order])
 
 
 def build_graph(corpus: Corpus, min_rt: int = 2) -> EndorsementGraph:
@@ -93,29 +125,24 @@ def build_graph(corpus: Corpus, min_rt: int = 2) -> EndorsementGraph:
     n = len(corpus.authors)
     keys, counts = np.unique(u * n + v, return_counts=True)
     strong = counts >= min_rt
-    u, v = np.divmod(keys[strong], n)
-    names = corpus.authors
-    edges = {
-        (names[a], names[b]): w
-        for a, b, w in zip(u.tolist(), v.tolist(), counts[strong].tolist())
-    }
-    return EndorsementGraph(frozenset(n for pair in edges for n in pair), edges)
+    # the authors with an edge, renumbered in table order, so still sorted
+    present, ends = np.unique(np.divmod(keys[strong], n), return_inverse=True)
+    u, v = ends.reshape(2, -1)
+    return _from_pairs([corpus.authors[a] for a in present.tolist()], u, v, counts[strong])
 
 
 def _subgraph(g: EndorsementGraph, keep: np.ndarray) -> EndorsementGraph:
-    """Node-induced subgraph, weights kept, on the sorted-id indices where keep is set."""
+    """Node-induced subgraph, weights kept, on the sorted-id indices where keep is set.
+
+    The kept indices are renumbered in order, so the kept names need no sort.
+    """
     if keep.all():  # also for the empty graph
         return g
-    nodes, indptr, indices, weights = g.csr
-    rows = np.repeat(np.arange(len(nodes)), np.diff(indptr))
-    # each edge once, from its smaller index, so (nodes[u], nodes[v]) is canonical
-    upper = (rows < indices) & keep[rows] & keep[indices]
-    edges = {
-        (nodes[u], nodes[v]): w
-        for u, v, w in zip(rows[upper].tolist(), indices[upper].tolist(),
-                           weights[upper].tolist())
-    }
-    return EndorsementGraph(frozenset(nodes[i] for i in np.flatnonzero(keep).tolist()), edges)
+    u, v, w = _upper(g)
+    both = keep[u] & keep[v]
+    renumber = np.cumsum(keep) - 1
+    return _from_pairs([g.nodes[i] for i in np.flatnonzero(keep).tolist()],
+                       renumber[u[both]], renumber[v[both]], w[both])
 
 
 def k_core(g: EndorsementGraph, k: int) -> EndorsementGraph:
@@ -126,10 +153,9 @@ def k_core(g: EndorsementGraph, k: int) -> EndorsementGraph:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    _, indptr, indices, _ = g.csr
-    ptr = indptr.tolist()
-    neighbors = indices.tolist()
-    degree = np.diff(indptr).tolist()
+    ptr = g.indptr.tolist()
+    neighbors = g.indices.tolist()
+    degree = np.diff(g.indptr).tolist()
     removed = [d < k for d in degree]
     queue = deque(v for v, gone in enumerate(removed) if gone)
     while queue:
@@ -154,12 +180,8 @@ def _component_roots(g: EndorsementGraph) -> np.ndarray:
     so each two rounds at least halve the roots of an unfinished component:
     O(log n) rounds, each a few NumPy passes over the edges.
     """
-    _, indptr, indices, _ = g.csr
-    n = indptr.size - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    upper = rows < indices
-    big, small = indices[upper], rows[upper]  # each edge once, larger end first
-    root = np.arange(n)
+    small, big, _ = _upper(g)
+    root = np.arange(g.node_count)
     while big.size:
         np.minimum.at(root, big, small)
         while not np.array_equal(flat := root[root], root):
@@ -173,7 +195,7 @@ def _component_roots(g: EndorsementGraph) -> np.ndarray:
 def connected_components(g: EndorsementGraph) -> list[list[str]]:
     """All components as ascending node-id lists, ordered by their smallest id."""
     components: dict[int, list[str]] = {}
-    for node, root in zip(g.csr[0], _component_roots(g).tolist()):
+    for node, root in zip(g.nodes, _component_roots(g).tolist()):
         components.setdefault(root, []).append(node)
     return list(components.values())
 
@@ -205,5 +227,7 @@ def prepare_conversation_graph(
 
 def dump_edgelist(g: EndorsementGraph) -> str:
     """Plain "u v w" edge list for external visualization tools."""
-    lines = [f"{u} {v} {w}" for (u, v), w in sorted(g.edges.items())]
-    return "\n".join(lines) + ("\n" if lines else "")
+    names = g.nodes
+    u, v, w = _upper(g)
+    return "".join(f"{names[a]} {names[b]} {c}\n"
+                   for a, b, c in zip(u.tolist(), v.tolist(), w.tolist()))

@@ -73,9 +73,9 @@ class Bipartition:
 
 
 def _require_assigned(g: EndorsementGraph, side_of: dict[str, str]) -> None:
-    missing = g.nodes - side_of.keys()
+    missing = [n for n in g.nodes if n not in side_of]
     if missing:
-        raise UnassignedNode(f"{len(missing)} nodes unassigned, e.g. {min(missing)!r}")
+        raise UnassignedNode(f"{len(missing)} nodes unassigned, e.g. {missing[0]!r}")
 
 
 def make_bipartition(g: EndorsementGraph, side_of: dict[str, str]) -> Bipartition:
@@ -88,13 +88,12 @@ def make_bipartition(g: EndorsementGraph, side_of: dict[str, str]) -> Bipartitio
     if labels:
         bad = min(labels, key=repr)
         raise InvalidSideMap(f"side labels must be {SIDE_X!r} or {SIDE_Y!r}, got {bad!r}")
-    cut = 0
-    cutw = 0
-    for (u, v), w in g.edges.items():
-        if side_of[u] != side_of[v]:
-            cut += 1
-            cutw += w
-    n_x = sum(1 for s in side_of.values() if s == SIDE_X)
+    nodes, indptr, indices, weights = g.csr
+    in_x = np.fromiter((side_of[n] == SIDE_X for n in nodes), dtype=bool, count=len(nodes))
+    crossing = in_x[np.repeat(np.arange(len(nodes)), np.diff(indptr))] != in_x[indices]
+    # each crossing edge is stored twice
+    cut, cutw = int(crossing.sum()) // 2, int(weights[crossing].sum()) // 2
+    n_x = int(in_x.sum())
     balance = max(n_x, len(side_of) - n_x) / len(side_of) if side_of else 0.0
     return Bipartition(dict(side_of), cut, cutw, balance)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import EndorsementGraph, connected_components, edge_key
+from .graph import EndorsementGraph, connected_components
 from .ingest import InteractionRecord, TimeWindow
 from .partition import SIDE_X, SIDE_Y, Bipartition, make_bipartition
 
@@ -68,27 +68,23 @@ def planted_partition(spec: PlantedSpec, edge_weight: int = 2) -> PlantedGraph:
     for names, prob in ((x_nodes, spec.p_in), (y_nodes, spec.p_in)):
         mask = rng.random(iu.size) < prob
         for a, b in zip(iu[mask], iv[mask]):
-            edges[edge_key(names[a], names[b])] = edge_weight
+            edges[names[a], names[b]] = edge_weight
     gi, gj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     mask = rng.random(n * n) < spec.p_out
     for a, b in zip(gi.ravel()[mask], gj.ravel()[mask]):
-        edges[edge_key(x_nodes[a], y_nodes[b])] = edge_weight
+        edges[x_nodes[a], y_nodes[b]] = edge_weight
 
-    nodes = frozenset(x_nodes) | frozenset(y_nodes)
-    graph = EndorsementGraph(nodes, edges)
-    bridges: list[tuple[str, str]] = []
-    components = connected_components(graph)
-    if len(components) > 1:
-        anchors = [c[0] for c in components]
-        for left, right in zip(anchors, anchors[1:]):
-            bridge = edge_key(left, right)
-            edges[bridge] = edge_weight
-            bridges.append(bridge)
-        graph = EndorsementGraph(nodes, edges)
+    nodes = x_nodes + y_nodes
+    graph = EndorsementGraph.from_edges(nodes, edges)
+    anchors = [c[0] for c in connected_components(graph)]
+    bridges = tuple(zip(anchors, anchors[1:]))
+    if bridges:
+        edges.update(dict.fromkeys(bridges, edge_weight))
+        graph = EndorsementGraph.from_edges(nodes, edges)
 
     side_of = {node: SIDE_X for node in x_nodes}
     side_of.update({node: SIDE_Y for node in y_nodes})
-    return PlantedGraph(graph, make_bipartition(graph, side_of), tuple(bridges))
+    return PlantedGraph(graph, make_bipartition(graph, side_of), bridges)
 
 
 @dataclass(frozen=True)

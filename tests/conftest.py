@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from controversy_scope.graph import EndorsementGraph, edge_key
+from controversy_scope.graph import EndorsementGraph
 from controversy_scope.ingest import (
     DuplicatePostId,
     EmptyInput,
@@ -62,10 +62,20 @@ def record(
     return InteractionRecord(post_id, author, ts, tokens, repost_of)
 
 
+def edge_key(u: str, v: str) -> tuple[str, str]:
+    """Canonical unordered pair, so a dict of pairs holds each edge once."""
+    return (u, v) if u <= v else (v, u)
+
+
 def graph_from_edges(edges: dict[tuple[str, str], int]) -> EndorsementGraph:
     canonical = {edge_key(u, v): w for (u, v), w in edges.items()}
     nodes = frozenset(n for pair in canonical for n in pair)
-    return EndorsementGraph(nodes, canonical)
+    return EndorsementGraph.from_edges(nodes, canonical)
+
+
+def same_csr(g: EndorsementGraph, h: EndorsementGraph) -> bool:
+    """Equal indptr, indices and weights arrays."""
+    return all(np.array_equal(a, b) for a, b in zip(g.csr[1:], h.csr[1:]))
 
 
 def clique_edges(names: list[str], weight: int = 1) -> dict[tuple[str, str], int]:
@@ -79,7 +89,7 @@ def random_graph(n: int, p: float, rng: np.random.Generator) -> EndorsementGraph
     for u, v in itertools.combinations(names, 2):
         if rng.random() < p:
             edges[edge_key(u, v)] = int(rng.integers(1, 5))
-    return EndorsementGraph(frozenset(names), edges)
+    return EndorsementGraph.from_edges(names, edges)
 
 
 def random_connected_graph(n: int, p: float, rng: np.random.Generator) -> EndorsementGraph:
@@ -91,7 +101,7 @@ def random_connected_graph(n: int, p: float, rng: np.random.Generator) -> Endors
 
 
 def unit_weights(g: EndorsementGraph) -> EndorsementGraph:
-    return EndorsementGraph(g.nodes, {pair: 1 for pair in g.edges})
+    return EndorsementGraph.from_edges(g.nodes, {pair: 1 for pair in g.edges})
 
 
 # --- naive oracles -----------------------------------------------------------
@@ -127,7 +137,7 @@ def naive_build_graph(records: Iterable[InteractionRecord], min_rt: int) -> Endo
         if r.repost_of is not None and r.repost_of[1] != r.author_id:
             pair_counts[edge_key(r.author_id, r.repost_of[1])] += 1
     edges = {pair: count for pair, count in pair_counts.items() if count >= min_rt}
-    return EndorsementGraph(frozenset(n for pair in edges for n in pair), edges)
+    return EndorsementGraph.from_edges((n for pair in edges for n in pair), edges)
 
 
 def naive_candidate_counts(
@@ -245,9 +255,10 @@ def edge_counts(g: EndorsementGraph) -> dict[str, int]:
 def naive_k_core(g: EndorsementGraph, k: int) -> frozenset[str]:
     """Fixpoint by full rescans: drop any node with degree < k, repeat."""
     alive = set(g.nodes)
+    edges = g.edges
     while True:
         degree = {n: 0 for n in alive}
-        for u, v in g.edges:
+        for u, v in edges:
             if u in alive and v in alive:
                 degree[u] += 1
                 degree[v] += 1
@@ -289,16 +300,17 @@ def exhaustive_min_balanced_cut(
     best = None
     anchor = nodes[0]
     rest = nodes[1:]
+    edges = g.edges
     for size_x in range(1, n):
         if size_x > max_side or n - size_x > max_side:
             continue
         for chosen in itertools.combinations(rest, size_x - 1):
             side_x = {anchor, *chosen}
             if weighted:
-                cut = sum(w for (u, v), w in g.edges.items()
+                cut = sum(w for (u, v), w in edges.items()
                           if (u in side_x) != (v in side_x))
             else:
-                cut = sum(1 for (u, v) in g.edges if (u in side_x) != (v in side_x))
+                cut = sum(1 for (u, v) in edges if (u in side_x) != (v in side_x))
             if best is None or cut < best:
                 best = cut
     assert best is not None

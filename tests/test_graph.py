@@ -1,4 +1,3 @@
-import functools
 import time
 
 import numpy as np
@@ -10,7 +9,6 @@ from controversy_scope.graph import (
     build_graph,
     connected_components,
     dump_edgelist,
-    edge_key,
     is_connected,
     k_core,
     largest_component,
@@ -25,10 +23,12 @@ from conftest import (
     bfs_components,
     clique_edges,
     edge_counts,
+    edge_key,
     graph_from_edges,
     naive_k_core,
     random_graph,
     record,
+    same_csr,
 )
 
 
@@ -44,7 +44,7 @@ def test_build_graph_combined_threshold():
     ]
     g = build_graph(Corpus.from_records(rs), min_rt=2)
     assert g.edges == {("u", "v"): 2}
-    assert g.nodes == frozenset({"u", "v"})
+    assert g.nodes == ("u", "v")
 
 
 def test_build_graph_mutual_reposts_meet_threshold():
@@ -65,7 +65,7 @@ def test_build_graph_ignores_self_reposts_and_singletons():
         repost("p3", "w", "p1", "u"),  # single repost, below threshold
     ]
     g = build_graph(Corpus.from_records(rs), min_rt=2)
-    assert g.nodes == frozenset() and g.edges == {}
+    assert g.nodes == () and g.edges == {}
 
 
 def test_build_graph_permutation_invariant():
@@ -77,7 +77,7 @@ def test_build_graph_permutation_invariant():
     g1 = build_graph(Corpus.from_records(rs))
     order = rng.permutation(len(rs))
     g2 = build_graph(Corpus.from_records(rs[i] for i in order))
-    assert g1 == g2
+    assert g1.nodes == g2.nodes and g1.edges == g2.edges
 
 
 def test_k_core_path_peels_to_empty():
@@ -96,7 +96,9 @@ def test_k_core_matches_naive_peeling_oracle():
     for _ in range(60):
         g = random_graph(int(rng.integers(2, 13)), float(rng.uniform(0.1, 0.7)), rng)
         for k in (1, 2, 3):
-            assert k_core(g, k).nodes == naive_k_core(g, k)
+            core = k_core(g, k)
+            assert set(core.nodes) == naive_k_core(g, k)
+            assert same_csr(core, EndorsementGraph.from_edges(core.nodes, core.edges))
 
 
 def test_k_core_idempotent_and_nested():
@@ -105,13 +107,13 @@ def test_k_core_idempotent_and_nested():
         g = random_graph(10, 0.4, rng)
         core2 = k_core(g, 2)
         assert k_core(core2, 2) == core2
-        assert k_core(g, 3).nodes <= core2.nodes
+        assert set(k_core(g, 3).nodes) <= set(core2.nodes)
 
 
 def test_largest_component_picks_bigger():
     g = graph_from_edges({**clique_edges(["a", "b", "c", "d", "e"]),
                           **clique_edges(["x", "y", "z"])})
-    assert largest_component(g).nodes == frozenset({"a", "b", "c", "d", "e"})
+    assert largest_component(g).nodes == ("a", "b", "c", "d", "e")
 
 
 def test_largest_component_connected_identity():
@@ -122,7 +124,7 @@ def test_largest_component_connected_identity():
 def test_largest_component_tie_break_by_min_id():
     g = graph_from_edges({**clique_edges(["m", "n", "o", "p"]),
                           **clique_edges(["a", "b", "c", "d"])})
-    assert largest_component(g).nodes == frozenset({"a", "b", "c", "d"})
+    assert largest_component(g).nodes == ("a", "b", "c", "d")
 
 
 def test_largest_component_matches_bfs_oracle():
@@ -132,8 +134,9 @@ def test_largest_component_matches_bfs_oracle():
         got = largest_component(g)
         comps = bfs_components(g)
         expected = min(comps, key=lambda c: (-len(c), min(c)))
-        assert got.nodes == expected
+        assert set(got.nodes) == expected
         assert len(bfs_components(got)) <= 1
+        assert same_csr(got, EndorsementGraph.from_edges(got.nodes, got.edges))
         assert got.edges == {pair: w for pair, w in g.edges.items()
                              if pair[0] in expected and pair[1] in expected}
 
@@ -198,21 +201,20 @@ def test_hostile_shapes_peel_and_split_in_linear_time():
     n = 100_000
     names = [f"v{i:06d}" for i in range(n)]
     walk = [names[i] for i in np.random.default_rng(23).permutation(n)]  # ids out of path order
-    path = EndorsementGraph(frozenset(names), {edge_key(u, v): 1 for u, v in zip(walk, walk[1:])})
-    star = EndorsementGraph(frozenset(names) | {"hub"},
-                            {edge_key("hub", leaf): 1 for leaf in names})
+    path = EndorsementGraph.from_edges(names, {edge_key(u, v): 1 for u, v in zip(walk, walk[1:])})
+    star = EndorsementGraph.from_edges(names + ["hub"], {edge_key("hub", leaf): 1 for leaf in names})
     # two equal cycles; the one holding the smallest id "a" has otherwise larger ids
     small = ["a"] + [f"z{i:05d}" for i in range(n // 2 - 1)]
     other = [f"b{i:05d}" for i in range(n // 2)]
-    cycles = EndorsementGraph(frozenset(small + other),
-                              {**_cycle_edges(other), **_cycle_edges(small)})
+    cycles = EndorsementGraph.from_edges(small + other,
+                                         {**_cycle_edges(other), **_cycle_edges(small)})
     start = time.perf_counter()
     for chain in (path, star):
         assert k_core(chain, 2).node_count == 0
         assert largest_component(chain) == chain
     assert k_core(cycles, 2) == cycles
     assert [c[0] for c in connected_components(cycles)] == ["a", "b00000"]
-    assert largest_component(cycles).nodes == frozenset(small)
+    assert set(largest_component(cycles).nodes) == set(small)
     assert time.perf_counter() - start < 10.0  # about 1 s on a 2-vCPU VM
 
 
@@ -220,14 +222,15 @@ def test_hostile_shapes_split_and_score_in_linear_time():
     rng = np.random.default_rng(29)
     n = 100_000
     names = [f"v{i:06d}" for i in rng.permutation(n)]  # ids out of cycle order
-    cycle = EndorsementGraph(frozenset(names), _cycle_edges(names))
+    cycle = EndorsementGraph.from_edges(names, _cycle_edges(names))
     leaves = [f"l{i:05d}" for i in range(50_000)]
-    k2n = EndorsementGraph(frozenset(leaves) | {"hub0", "hub1"},
-                           {edge_key(hub, leaf): 1 for hub in ("hub0", "hub1") for leaf in leaves})
+    k2n = EndorsementGraph.from_edges(
+        leaves + ["hub0", "hub1"],
+        {edge_key(hub, leaf): 1 for hub in ("hub0", "hub1") for leaf in leaves})
     side = 316
     cell = [[f"g{r:03d}_{c:03d}" for c in range(side)] for r in range(side)]
-    grid = EndorsementGraph(
-        frozenset(name for row in cell for name in row),
+    grid = EndorsementGraph.from_edges(
+        (name for row in cell for name in row),
         {**{edge_key(row[c], row[c + 1]): 1 for row in cell for c in range(side - 1)},
          **{edge_key(cell[r][c], cell[r + 1][c]): 1 for r in range(side - 1) for c in range(side)}},
     )
@@ -240,29 +243,45 @@ def test_hostile_shapes_split_and_score_in_linear_time():
     assert time.perf_counter() - start < 30.0  # about 3 s on a 2-vCPU VM
 
 
-def test_prepared_graph_builds_its_csr_once(monkeypatch):
-    built = []
-    build = EndorsementGraph.__dict__["csr"].func
-
-    def counting(g):
-        built.append(g)
-        return build(g)
-
-    counted = functools.cached_property(counting)
-    counted.__set_name__(EndorsementGraph, "csr")
-    monkeypatch.setattr(EndorsementGraph, "csr", counted)
-
+def test_pipeline_stages_read_the_csr_without_a_string_keyed_build(monkeypatch):
     records = synth_corpus(CorpusSpec(
         communities=(CommunitySpec(150, ("vaxx",), 0.5), CommunitySpec(150, ("vaxx",), -0.5)),
         cross_repost_rate=0.02,
         window=TimeWindow(1_600_000_000, 1_602_592_000, "2020-09"),
         seed=2,
     ))
+    built = []
+    from_edges = EndorsementGraph.from_edges.__func__
+
+    def counting(cls, nodes, edges):
+        built.append(edges)
+        return from_edges(cls, nodes, edges)
+
+    monkeypatch.setattr(EndorsementGraph, "from_edges", classmethod(counting))
     g = prepare_conversation_graph(Corpus.from_records(records), min_nodes=100)
     assert isinstance(g, EndorsementGraph)
     part = bisect(g, seed=1)
     rwc_score(g, part)
     rwc_monte_carlo(g, part, n_walks=500)
-    assert sum(seen is g for seen in built) == 1
+    assert built == []
     assert not any(array.flags.writeable for array in g.csr[1:])
-    assert len({id(seen) for seen in built}) == len(built)
+
+
+@pytest.mark.parametrize("nodes, edges, why", [
+    (["a", "b", "c"], {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 1, ("b", "a"): 1}, "smaller first"),
+    (["a", "b"], {("a", "b"): 1, ("a", "z"): 1}, "outside the nodes"),
+    (["a", "b"], {("a", "b"): 1, ("a", "a"): 1}, "two ids"),
+    (["a", "b"], {("a", "b"): 0}, "weight 0"),
+])
+def test_from_edges_rejects_malformed_edges(nodes, edges, why):
+    with pytest.raises(ValueError, match=why):
+        EndorsementGraph.from_edges(nodes, edges)
+
+
+def test_edges_view_is_a_new_dict_over_read_only_arrays():
+    g = graph_from_edges({("a", "b"): 1, ("b", "c"): 1})
+    g.edges[("a", "b")] = 9
+    assert g.edges == {("a", "b"): 1, ("b", "c"): 1}
+    assert g.weights.tolist() == [1, 1, 1, 1]
+    with pytest.raises(ValueError):
+        g.weights[0] = 9

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from controversy_scope import partition
-from controversy_scope.graph import EndorsementGraph, edge_key
+from controversy_scope.graph import EndorsementGraph
 from controversy_scope.partition import (
     INIT_ATTEMPTS,
     Bipartition,
@@ -26,6 +26,7 @@ from controversy_scope.partition import (
 
 from conftest import (
     clique_edges,
+    edge_key,
     exhaustive_min_balanced_cut,
     graph_from_edges,
     naive_boundary_gains,
@@ -122,8 +123,8 @@ def test_bisect_relabel_equivariance_order_preserving():
     g = random_connected_graph(10, 0.4, rng)
     p = bisect(g, seed=9)
     renamed = {n: f"z_{n}" for n in g.nodes}  # shared prefix keeps the order
-    g2 = EndorsementGraph(
-        frozenset(renamed.values()),
+    g2 = EndorsementGraph.from_edges(
+        renamed.values(),
         {edge_key(renamed[u], renamed[v]): w for (u, v), w in g.edges.items()},
     )
     p2 = bisect(g2, seed=9)
@@ -165,8 +166,9 @@ def test_make_bipartition_cut_examples_and_oracle():
         if len(set(side_of.values())) < 2:
             continue
         p3 = make_bipartition(g3, side_of)
-        brute = sum(1 for (u, v) in g3.edges if side_of[u] != side_of[v])
-        assert p3.cut == brute
+        crossing = {pair: w for pair, w in g3.edges.items() if side_of[pair[0]] != side_of[pair[1]]}
+        assert p3.cut == len(crossing)
+        assert p3.cut_weight == sum(crossing.values())
 
 
 def test_make_bipartition_rejects_unassigned_node():
@@ -218,7 +220,7 @@ def test_sorted_csr_matches_reference_loop():
                for _ in range(30)]
     for g in graphs:
         nodes, indptr, indices, weights = g.csr
-        assert (nodes, indptr.tolist(), indices.tolist(), weights.tolist()) == naive_csr(g)
+        assert (list(nodes), indptr.tolist(), indices.tolist(), weights.tolist()) == naive_csr(g)
 
 
 def test_coarsen_matches_reference_loop():

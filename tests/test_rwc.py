@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import controversy_scope
-from controversy_scope.graph import edge_key
 from controversy_scope.partition import Bipartition, UnassignedNode, bisect, make_bipartition
 from controversy_scope.rwc import (
     _SHARD_WALKS,
@@ -29,6 +28,7 @@ from conftest import (
     clique_edges,
     dense_absorption,
     edge_counts,
+    edge_key,
     graph_from_edges,
     naive_times,
     naive_transient_system,

@@ -49,7 +49,7 @@ def test_planted_ground_truth_sides_and_determinism():
     spec = PlantedSpec(25, 0.3, 0.05, seed=9)
     pg1 = planted_partition(spec)
     pg2 = planted_partition(spec)
-    assert pg1.graph == pg2.graph
+    assert pg1.graph.nodes == pg2.graph.nodes and pg1.graph.edges == pg2.graph.edges
     assert pg1.ground_truth == pg2.ground_truth
     assert len(pg1.ground_truth.side_nodes("X")) == 25
     assert len(pg1.ground_truth.side_nodes("Y")) == 25
