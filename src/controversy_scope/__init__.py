@@ -24,6 +24,7 @@ from .pipeline import (
 from .rwc import (
     RwcConfig,
     RwcResult,
+    Settle,
     high_degree_nodes,
     rwc_monte_carlo,
     rwc_score,
@@ -55,6 +56,7 @@ __all__ = [
     "PolarityLexicon",
     "RwcConfig",
     "RwcResult",
+    "Settle",
     "TimeWindow",
     "UnderSized",
     "aggregate_sentiment",

@@ -50,7 +50,7 @@ from .ingest import (
     parse_window,
 )
 from .partition import bisect
-from .rwc import RwcConfig, RwcResult, rwc_monte_carlo, rwc_score
+from .rwc import RwcConfig, RwcResult, Settle, rwc_monte_carlo, rwc_score
 from .stats import Thresholds
 from .subtopics import (
     DEFAULT_NOUN_TAGS,
@@ -178,7 +178,7 @@ CONFIG_KEYS: tuple[ConfigKey, ...] = (
     ConfigKey("rwc.solver_tol", "solver_tol", float, "error bound on each solved probability"),
     ConfigKey("rwc.max_iter", "max_iter", int, "cap on the solver's sweeps"),
     ConfigKey("rwc.weighted_walk", "weighted_walk", bool, "step in proportion to edge weight"),
-    ConfigKey("mc_walks", "mc_walks", int, "walks per side for --mc-check"),
+    ConfigKey("mc_walks", "mc_walks", int, "most walks per side for --mc-check"),
     ConfigKey("mc_check", "mc_check", bool, "cross-check the solver against the simulator"),
     ConfigKey("lexicon", "lexicon_path", str, "polarity lexicon TSV path"),
     ConfigKey("score_thresh", "score_thresh", float, "high-controversy cut"),
@@ -329,10 +329,17 @@ def _score_cell(
         result = rwc_score(prepared, part, cfg.rwc)
         error = None
         if cfg.mc_check:
+            target = Settle(result.score, MC_CHECK_TOLERANCE)
             estimate = rwc_monte_carlo(
-                prepared, part, cfg.rwc, n_walks=cfg.mc_walks, seed=seed
+                prepared, part, cfg.rwc, n_walks=cfg.mc_walks, seed=seed, settle=target
             )
+            # a "pass" verdict implies gap <= tolerance and a "fail" gap >
+            # tolerance, so the point rule below agrees with an early stop
             gap = abs(estimate.score - result.score)
+            _log.info("mc-check %s %s: %d walks per side, gap %.4f, %s", token, window.label,
+                      target.walks, gap,
+                      f"settled ({target.verdict}) before the cap" if target.verdict
+                      else "ran to the cap")
             if gap > MC_CHECK_TOLERANCE:
                 error = (
                     f"mc-check failed: |exact - monte-carlo| = {gap:.4f} "

@@ -24,6 +24,13 @@ cross-checking. rwc_score and rwc_monte_carlo are the two walk entries. Both
 build one _WalkChain, which alone checks that the graph is connected and
 that every node has a side.
 
+A check against the exact score (rwc_monte_carlo's settle) runs its walks
+as a cap: it stops at the first shard pair whose empirical Bernstein
+confidence interval for the score, valid at every check at once with
+probability 1 - _SETTLE_DELTA, lies inside the tolerance or wholly
+outside it (_settled). Every walk ends absorbed (p_xx + p_xy = 1), so the
+score is p_xx + p_yy - 1, the mean of D = A + B - 1 over pairs of walks.
+
 The simulator moves every live walker with one uniform draw u per step
 (_pick): u < alpha restarts it, to a start slot scaled from u / alpha, and
 otherwise u, rescaled past alpha, picks the neighbor, along the row's
@@ -44,6 +51,7 @@ a CSR row sum adds them. Both are pinned against per-row loops in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -264,6 +272,9 @@ def rwc_score(g: EndorsementGraph, p: Bipartition, cfg: RwcConfig | None = None)
 
 
 _SHARD_WALKS = 25_000
+# The sequential Monte Carlo check's error level: the chance that any of a
+# run's confidence intervals for the score misses the true score
+_SETTLE_DELTA = 1e-6
 
 
 def _pick(
@@ -318,22 +329,53 @@ def _walk_shard(
     return hit_x, hit_y
 
 
-def _simulate_side(
-    chain: _WalkChain, start: np.ndarray, n_walks: int, seed_key: tuple[int, int]
-) -> tuple[int, int]:
-    """Count absorptions (same-as-X+, same-as-Y+) over n_walks simulated walks.
+def _settled(sum_d: int, sum_d2: int, n: int, cap: int, exact: float, tol: float,
+             delta: float = _SETTLE_DELTA) -> str | None:
+    """The check's verdict against exact +- tol: "pass" or "fail" once a
+    confidence interval for the score settles it, None while it straddles
+    either edge.
 
-    Shard i of up to _SHARD_WALKS walks draws from the substream
-    (*seed_key, i), so the counts are the sums of the shards' counts.
+    sum_d and sum_d2 are the sums of D and D**2 over n pairs of walks, where
+    D = A + B - 1 in {-1, 0, 1} and A, B flag a walk from X and one from Y
+    that end on their own side; D's mean is the score. X = (D + 1) / 2
+    lies in [0, 1], and Maurer & Pontil's empirical Bernstein bound (COLT
+    2009, Theorem 4), applied to X and to 1 - X, puts its mean within
+        sqrt(2 V ln(4K / delta) / n) + 7 ln(4K / delta) / (3 (n - 1))
+    of the sample mean with probability 1 - delta / K, V being X's sample
+    variance. A run checks at most K = ceil(cap / _SHARD_WALKS) times, so by
+    the union bound every one of its intervals holds at once with
+    probability 1 - delta. The score's half-width is twice X's. "pass" needs
+    the interval inside [exact - tol, exact + tol], "fail" wholly outside
+    it; the bound needs n >= 2.
     """
-    hit_x = 0
-    hit_y = 0
-    for shard, done in enumerate(range(0, n_walks, _SHARD_WALKS)):
-        rng = np.random.default_rng((*seed_key, shard))
-        x, y = _walk_shard(chain, start, min(_SHARD_WALKS, n_walks - done), rng)
-        hit_x += x
-        hit_y += y
-    return hit_x, hit_y
+    if n < 2:
+        return None
+    log_term = math.log(4 * -(-cap // _SHARD_WALKS) / delta)
+    mean = sum_d / n
+    var_x = (sum_d2 - sum_d * mean) / (n - 1) / 4
+    half = 2 * (math.sqrt(2 * var_x * log_term / n) + 7 * log_term / (3 * (n - 1)))
+    gap = abs(mean - exact)
+    if gap + half <= tol:
+        return "pass"
+    if gap - half > tol:
+        return "fail"
+    return None
+
+
+@dataclass
+class Settle:
+    """The target of a sequential check, and how the run that checked it ended.
+
+    rwc_monte_carlo(settle=...) fills in walks, the walks it ran per side,
+    and verdict, "pass" or "fail" when a confidence interval settled the
+    check before the cap (see _settled). verdict stays None when the run
+    reached the cap, where the caller's point rule decides.
+    """
+
+    exact: float
+    tol: float
+    walks: int = 0
+    verdict: str | None = None
 
 
 def rwc_monte_carlo(
@@ -342,24 +384,66 @@ def rwc_monte_carlo(
     cfg: RwcConfig | None = None,
     n_walks: int = 100_000,
     seed: int = 0,
+    *,
+    settle: Settle | None = None,
 ) -> RwcResult:
-    """Monte Carlo estimate of the controversy score (n_walks per start side).
+    """Monte Carlo estimate of the controversy score (at most n_walks per side).
 
     Walk semantics match the exact solver. Each walker step takes one
     uniform draw, which picks both a restart and the neighbor; the restart
     slot and the neighbor are clipped into range against float rounding.
-    Each side runs exactly n_walks walks, in shards of up to 25 000 walks.
-    Shards use substreams derived from (seed, side, shard), so a fixed seed
-    reproduces bit-identical estimates regardless of shard merging order.
+    Each side runs its walks in shards of up to 25 000, and shard j of side
+    s (0 for X, 1 for Y) draws from the substream (seed, s, j), so a fixed
+    seed gives bit-identical estimates, and the counts of a run are the
+    sums of its shards' counts. Shards run in pairs: X shard j, then Y
+    shard j.
+
+    Without settle, each side runs exactly n_walks walks. With it, the run
+    stops after the first shard pair, short of n_walks, whose confidence
+    interval (_settled) lies inside settle.exact +- settle.tol or wholly
+    outside it, and the estimate is that of the walks run so far: the same
+    figures as an unsettled run of that many walks.
+
+    The interval needs the walks paired, but a shard returns counts only:
+    a and b walks of its c from X and from Y end on their own side. The
+    walks of a side are i.i.d., so given a, which a of them end there is a
+    uniformly random subset. Pairing X's walk i with Y's walk i then meets
+    the b own-side Y walks with a uniformly random b-subset of the X walks,
+    and the number k11 of pairs where both end on their own side is
+    Hypergeometric(a, c - a, b). It is drawn from a third substream,
+    (seed, 2, j), which leaves the walks' own draws untouched. D = 1 on the
+    k11 pairs and -1 on the c - a - b + k11 pairs where neither does, so the
+    shard adds a + b - c to the sum of D and c - a - b + 2 k11 to the sum of
+    D**2.
     """
     cfg = cfg or RwcConfig()
     if n_walks < 1:
         raise ValueError(f"n_walks must be >= 1, got {n_walks}")
     chain = _WalkChain(g, p, cfg)
-    x_same, x_cross = _simulate_side(chain, chain.start_x, n_walks, (seed, 0))
-    y_cross, y_same = _simulate_side(chain, chain.start_y, n_walks, (seed, 1))
-    p_xx = x_same / n_walks
-    p_xy = x_cross / n_walks
-    p_yy = y_same / n_walks
-    p_yx = y_cross / n_walks
+    x_same = x_cross = y_same = y_cross = 0
+    walks = sum_d2 = 0
+    verdict = None
+    for shard in range(-(-n_walks // _SHARD_WALKS)):
+        count = min(_SHARD_WALKS, n_walks - walks)
+        a, a_cross = _walk_shard(chain, chain.start_x, count,
+                                 np.random.default_rng((seed, 0, shard)))
+        b_cross, b = _walk_shard(chain, chain.start_y, count,
+                                 np.random.default_rng((seed, 1, shard)))
+        x_same, x_cross, y_cross, y_same = (x_same + a, x_cross + a_cross,
+                                            y_cross + b_cross, y_same + b)
+        walks += count
+        if settle is None or walks == n_walks:  # at the cap the caller's point rule decides
+            continue
+        k11 = int(np.random.default_rng((seed, 2, shard)).hypergeometric(a, count - a, b))
+        sum_d2 += count - a - b + 2 * k11
+        verdict = _settled(x_same + y_same - walks, sum_d2, walks, n_walks,
+                           settle.exact, settle.tol)
+        if verdict is not None:
+            break
+    if settle is not None:
+        settle.walks, settle.verdict = walks, verdict
+    p_xx = x_same / walks
+    p_xy = x_cross / walks
+    p_yy = y_same / walks
+    p_yx = y_cross / walks
     return RwcResult(p_xx, p_xy, p_yy, p_yx, p_xx * p_yy - p_xy * p_yx)

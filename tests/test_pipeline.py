@@ -25,7 +25,7 @@ from controversy_scope.pipeline import (
     run_pipeline,
     write_output,
 )
-from controversy_scope.rwc import RwcResult
+from controversy_scope.rwc import _SHARD_WALKS, RwcResult
 from controversy_scope.synth import CommunitySpec, CorpusSpec, PlantedSpec, synth_corpus
 
 WINDOW = TimeWindow(1_600_000_000, 1_602_592_000, "2020-09")
@@ -954,7 +954,12 @@ def test_cell_error_recorded_not_raised():
     assert report.error and "SideTooSmall" in report.error
 
 
-def test_mc_check_agreement_and_forced_failure():
+def mc_check_lines(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.name == "controversy_scope" and r.getMessage().startswith("mc-check ")]
+
+
+def test_mc_check_agreement_and_forced_failure(caplog):
     from controversy_scope.pipeline import has_mc_failures
 
     records = small_corpus(seed=16)
@@ -964,11 +969,38 @@ def test_mc_check_agreement_and_forced_failure():
     assert not has_mc_failures(ok)
     # one walk per side makes every probability 0 or 1 and the estimate -1,
     # 0 or 1, so it misses the exact 0.889 by far more than the tolerance
-    # whatever the walks draw
+    # whatever the walks draw; one pair is too few for a confidence bound,
+    # so the check runs to its cap and the point rule fails it
     noisy_cfg = small_config(queries=("vaxx",), mc_check=True, mc_walks=1)
-    noisy = run_pipeline(noisy_cfg, records=records)
+    with caplog.at_level(logging.INFO, logger="controversy_scope"):
+        noisy = run_pipeline(noisy_cfg, records=records)
     assert has_mc_failures(noisy)
     assert noisy[0].rwc is not None  # the exact score is still reported
+    [line] = mc_check_lines(caplog)
+    assert line.startswith("mc-check vaxx 2020-09: 1 walks per side, gap ")
+    assert line.endswith(", ran to the cap")
+
+
+def test_mc_check_logs_one_line_per_checked_cell_outside_the_report(caplog):
+    records = small_corpus(seed=16)
+    w2 = TimeWindow(WINDOW.start, WINDOW.end, "2020-09b")
+    cfg = small_config(queries=("vaxx", "nothing"), windows=(WINDOW, w2), mc_check=True)
+    with caplog.at_level(logging.INFO, logger="controversy_scope"):
+        checked = run_pipeline(cfg, records=records)
+    lines = mc_check_lines(caplog)
+    # the undersized "nothing" cells are not checked
+    assert [line.split(":")[0] for line in lines] == ["mc-check vaxx 2020-09",
+                                                       "mc-check vaxx 2020-09b"]
+    for line in lines:
+        match = re.fullmatch(r"mc-check vaxx 2020-09b?: (\d+) walks per side, "
+                             r"gap (0\.\d{4}), settled \(pass\) before the cap", line)
+        assert match, line
+        walks = int(match[1])
+        assert walks < cfg.mc_walks and walks % _SHARD_WALKS == 0
+        assert float(match[2]) <= 0.02
+    unchecked = run_pipeline(replace(cfg, mc_check=False), records=records)
+    for fmt in ("csv", "json", "markdown"):
+        assert emit_report(checked, fmt) == emit_report(unchecked, fmt)
 
 
 def test_cli_corpus_spec_parses_every_field(tmp_path):

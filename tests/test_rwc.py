@@ -13,8 +13,9 @@ from controversy_scope.rwc import (
     RwcConfig,
     RwcError,
     SideTooSmall,
+    Settle,
     _pick,
-    _simulate_side,
+    _settled,
     _times,
     _walk_shard,
     _WalkChain,
@@ -145,20 +146,104 @@ def test_monte_carlo_single_walk_support():
 
 
 def test_monte_carlo_deterministic_across_shard_merging():
-    # one more walk than a shard holds: two shards, each on its own
-    # (seed, side, shard) substream, and the side's counts are their sums
+    # one more walk than a shard holds: two shard pairs, each shard on its own
+    # (seed, side, shard) substream; with no target, a run's counts are the
+    # sums of its shards' counts
     pg = planted_partition(PlantedSpec(30, 0.3, 0.05, seed=14))
     chain = _WalkChain(pg.graph, pg.ground_truth, RwcConfig())
     n_walks = _SHARD_WALKS + 1
+    mc = rwc_monte_carlo(pg.graph, pg.ground_truth, n_walks=n_walks, seed=15)
     for side, start in enumerate((chain.start_x, chain.start_y)):
-        whole = _simulate_side(chain, start, n_walks, (15, side))
         shards = [_walk_shard(chain, start, count, np.random.default_rng((15, side, shard)))
                   for shard, count in enumerate((_SHARD_WALKS, 1))]
-        assert whole == tuple(map(sum, zip(*shards)))
-        assert sum(whole) == n_walks
-    mc = rwc_monte_carlo(pg.graph, pg.ground_truth, n_walks=n_walks, seed=15)
+        hit_x, hit_y = map(sum, zip(*shards))
+        assert hit_x + hit_y == n_walks
+        from_side = (mc.p_xx, mc.p_xy) if side == 0 else (mc.p_yx, mc.p_yy)
+        assert from_side == (hit_x / n_walks, hit_y / n_walks)
     assert mc.p_xx + mc.p_xy == 1.0
     assert mc.p_yy + mc.p_yx == 1.0
+    assert mc == rwc_monte_carlo(pg.graph, pg.ground_truth, n_walks=n_walks, seed=15)
+
+
+def test_settled_needs_two_pairs():
+    for n in (0, 1):
+        assert _settled(n, n, n, _SHARD_WALKS, 0.0, 10.0) is None
+        assert _settled(n, n, n, _SHARD_WALKS, 5.0, 0.0) is None
+
+
+@pytest.mark.parametrize("sum_d, sum_d2, n, cap, half", [
+    # K = 4 checks, ln(4 * 4 / 1e-6) = 16.5881; mean D = 0.2; X's sample
+    # variance (15000 - 5000 * 0.2) / 24999 / 4 = 0.140006; half-width
+    # 2 * (sqrt(2 * 0.140006 * 16.5881 / 25000) + 7 * 16.5881 / (3 * 24999))
+    (5000, 15000, 25_000, 100_000, 0.0303578),
+    # K = 1, every D = 1: no variance, only the range term,
+    # 2 * 7 * ln(4 / 1e-6) / (3 * 19999) = 2 * 7 * 15.2018 / 59997
+    (20_000, 20_000, 20_000, _SHARD_WALKS, 0.0035473),
+])
+def test_settled_interval_widths_by_hand(sum_d, sum_d2, n, cap, half):
+    mean = sum_d / n
+    tol = 0.05
+    for sign in (1, -1):
+        # inside exactly when |mean - exact| + half <= tol
+        assert _settled(sum_d, sum_d2, n, cap, mean + sign * (tol - half - 1e-6), tol) == "pass"
+        assert _settled(sum_d, sum_d2, n, cap, mean + sign * (tol - half + 1e-6), tol) is None
+        # outside exactly when |mean - exact| - half > tol
+        assert _settled(sum_d, sum_d2, n, cap, mean + sign * (tol + half + 1e-6), tol) == "fail"
+        assert _settled(sum_d, sum_d2, n, cap, mean + sign * (tol + half - 1e-6), tol) is None
+
+
+def test_settled_intervals_cover_the_truth_at_every_check():
+    # pairs of Bernoulli(p) and Bernoulli(q) walks: each shard's counts of
+    # D = -1, 0, 1 are multinomial. With tol 0 an interval "fails" exactly
+    # when it misses the true mean p + q - 1; a run checks after each of its
+    # four shards, and all four intervals hold at once with probability
+    # 1 - delta, so at most a delta share of runs may miss anywhere.
+    delta, runs, cap = 0.05, 1000, 4 * _SHARD_WALKS
+    rng = np.random.default_rng(2009)
+    for p, q in ((0.5, 0.5), (0.6, 0.62), (0.98, 0.995)):
+        cells = ((1 - p) * (1 - q), p * (1 - q) + q * (1 - p), p * q)
+        counts = rng.multinomial(_SHARD_WALKS, cells, size=(runs, cap // _SHARD_WALKS))
+        sum_d = np.cumsum(counts[..., 2] - counts[..., 0], axis=1)
+        sum_d2 = np.cumsum(counts[..., 2] + counts[..., 0], axis=1)
+        missed = sum(
+            any(_settled(int(d), int(d2), (j + 1) * _SHARD_WALKS, cap, p + q - 1, 0.0, delta)
+                == "fail" for j, (d, d2) in enumerate(zip(row_d, row_d2)))
+            for row_d, row_d2 in zip(sum_d, sum_d2)
+        )
+        assert missed <= delta * runs, (p, q, missed)
+
+
+def test_settled_check_passes_early_with_the_estimate_of_the_walks_run():
+    pg = planted_partition(PlantedSpec(100, 0.1, 0.02, seed=10))
+    exact = rwc_score(pg.graph, pg.ground_truth)
+    target = Settle(exact.score, 0.02)
+    mc = rwc_monte_carlo(pg.graph, pg.ground_truth, n_walks=100_000, seed=11, settle=target)
+    assert target.verdict == "pass"
+    assert 0 < target.walks < 100_000 and target.walks % _SHARD_WALKS == 0
+    assert abs(mc.score - exact.score) <= 0.02
+    # the same figures as an unsettled run of the walks used
+    assert mc == rwc_monte_carlo(pg.graph, pg.ground_truth, n_walks=target.walks, seed=11)
+
+
+@pytest.mark.parametrize("offset", [0.2, -0.2])
+def test_settled_check_fails_after_one_shard_pair_on_a_far_target(offset):
+    pg = planted_partition(PlantedSpec(100, 0.1, 0.02, seed=10))
+    exact = rwc_score(pg.graph, pg.ground_truth)
+    target = Settle(exact.score + offset, 0.02)
+    mc = rwc_monte_carlo(pg.graph, pg.ground_truth, n_walks=100_000, seed=11, settle=target)
+    assert (target.verdict, target.walks) == ("fail", _SHARD_WALKS)
+    assert abs(mc.score - target.exact) > 0.02
+
+
+@pytest.mark.parametrize("n_walks", [1, _SHARD_WALKS])
+def test_settled_check_at_the_cap_matches_the_unsettled_run(n_walks):
+    # a run whose cap is one shard never checks: it ends at the cap with no
+    # verdict, and the point rule is left to the caller
+    pg = planted_partition(PlantedSpec(30, 0.3, 0.05, seed=14))
+    exact = rwc_score(pg.graph, pg.ground_truth)
+    target = Settle(exact.score, 0.02, walks=-1, verdict="stale")
+    mc = rwc_monte_carlo(pg.graph, pg.ground_truth, n_walks=n_walks, seed=15, settle=target)
+    assert (target.verdict, target.walks) == (None, n_walks)
     assert mc == rwc_monte_carlo(pg.graph, pg.ground_truth, n_walks=n_walks, seed=15)
 
 
