@@ -31,10 +31,8 @@ from .rwc import (
 )
 from .sentiment import PolarityLexicon, aggregate_sentiment, load_lexicon, score_text
 from .stats import (
-    IndicatorVector,
     classify_subtopics,
     correlate_indicators,
-    indicator_vector,
     pearson,
     permutation_p,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "Corpus",
     "CorpusSpec",
     "EndorsementGraph",
-    "IndicatorVector",
     "InteractionRecord",
     "ParseResult",
     "PipelineConfig",
@@ -68,7 +65,6 @@ __all__ = [
     "extract_candidate_tokens",
     "filter_window",
     "high_degree_nodes",
-    "indicator_vector",
     "k_core",
     "largest_component",
     "load_lexicon",

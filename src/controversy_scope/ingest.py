@@ -12,15 +12,15 @@ Timestamps are UTC epoch seconds. Window labels (e.g. "2020-02") are
 calendar months computed in a configurable IANA timezone, default UTC.
 
 The parse keeps a ``Corpus``: one row per valid line, in file order, held as
-int columns. Post ids (a row's own and its repost target's) share one
-table, authors (a row's and its target's) another, and token surfaces and
-tags one each; every column holds indices into these tables. The author and
+int columns. Post ids (a row's own and its repost target's) are numbered in
+first-seen order; no report prints one, so only the count is kept. Authors
+(a row's and its target's) share one table, and token surfaces and tags have
+one each; every column holds indices into these tables. The author and
 surface tables are in sorted order, so comparing two of their indices
 compares the strings: edge keys, node order and tie-breaks read the same as
 on the strings. A row's tokens are one slice of the token columns (a CSR).
-``Corpus.to_records`` materializes the rows as ``InteractionRecord``s, and
-``Corpus.from_records`` builds a corpus from them; records built that way
-may repeat a post id, and every row with a matched id matches.
+``Corpus.from_records`` builds a corpus from ``InteractionRecord``s under
+the file's rule: a post id carried by two rows raises ``DuplicatePostId``.
 
 Query filtering works on a window's corpus, cut by a timestamp mask. A
 query's rows are the rows carrying its token, closed under in-window repost
@@ -184,18 +184,20 @@ def _gather(csr: tuple[np.ndarray, np.ndarray], keys: np.ndarray) -> np.ndarray:
 class Corpus:
     """Interaction records as columns, one row per post, in file order.
 
-    ``posts``, ``authors``, ``surfaces`` and ``tags`` are the intern tables;
-    ``authors`` and ``surfaces`` are sorted. Per row: ``post`` and
-    ``author`` index their tables, ``timestamp`` is int64 (Python ints in an
-    object array when one is past int64), and ``target_post`` and
-    ``target_author`` name the reposted post and its author, -1 for an
-    original. Row i's tokens are ``token_surface`` and ``token_tag`` over
-    ``token_ptr[i]:token_ptr[i + 1]``. ``window`` is the window every row lies
-    in, when the corpus was cut to one. A sub-corpus shares the tables; the
-    arrays are not to be modified.
+    ``authors``, ``surfaces`` and ``tags`` are the intern tables; ``authors``
+    and ``surfaces`` are sorted. ``post_count`` is the number of distinct
+    post ids, targets included. Per row: ``post`` numbers the post id in
+    first-seen order, ``author`` indexes its table, ``timestamp`` is int64
+    (Python ints in an object array when one is past int64), and
+    ``target_post`` and ``target_author`` name the reposted post and its
+    author, -1 for an original. Row i's tokens are ``token_surface`` and
+    ``token_tag`` over ``token_ptr[i]:token_ptr[i + 1]``. ``window`` is the
+    window every row lies in, when the corpus was cut to one. A sub-corpus
+    shares the tables and the post numbering; the arrays are not to be
+    modified.
     """
 
-    posts: tuple[str, ...]
+    post_count: int
     authors: tuple[str, ...]
     surfaces: tuple[str, ...]
     tags: tuple[str, ...]
@@ -214,23 +216,10 @@ class Corpus:
 
     @classmethod
     def from_records(cls, records: Iterable[InteractionRecord]) -> Corpus:
-        """The records as a corpus, in their order; post ids may repeat."""
-        return _build(((r.post_id, r.author_id, r.timestamp, r.tokens, r.repost_of)
-                       for r in records), unique=False)
-
-    def to_records(self) -> tuple[InteractionRecord, ...]:
-        """The materialized view: each row as an ``InteractionRecord``."""
-        posts, authors, surfaces, tags = self.posts, self.authors, self.surfaces, self.tags
-        ptr = self.token_ptr.tolist()
-        tokens = list(zip(map(surfaces.__getitem__, self.token_surface.tolist()),
-                          map(tags.__getitem__, self.token_tag.tolist())))
-        return tuple(
-            InteractionRecord(posts[p], authors[a], ts, tuple(tokens[ptr[row]:ptr[row + 1]]),
-                              None if tp < 0 else (posts[tp], authors[ta]))
-            for row, (p, a, ts, tp, ta) in enumerate(zip(
-                self.post.tolist(), self.author.tolist(), self.timestamp.tolist(),
-                self.target_post.tolist(), self.target_author.tolist()))
-        )
+        """The records as a corpus, in their order; a repeated post id raises
+        DuplicatePostId."""
+        return _build((r.post_id, r.author_id, r.timestamp, r.tokens, r.repost_of)
+                      for r in records)
 
     @cached_property
     def token_row(self) -> np.ndarray:
@@ -264,8 +253,8 @@ class Corpus:
         """CSRs of the rows by own post, of the reposting rows by target post,
         and of the token rows by surface."""
         reposts = np.flatnonzero(self.target_post >= 0)
-        by_target, order = _group(self.target_post[reposts], len(self.posts))
-        by_post = _group(self.post, len(self.posts))
+        by_target, order = _group(self.target_post[reposts], self.post_count)
+        by_post = _group(self.post, self.post_count)
         by_surface, tokens = _group(self.token_surface, len(self.surfaces))
         return by_post, (by_target, reposts[order]), (by_surface, self.token_row[tokens])
 
@@ -273,8 +262,7 @@ class Corpus:
         """The rows carrying the query token, closed under repost links.
 
         A row matches when the token is among its surfaces, or when it
-        reposts a post whose id matched, transitively. Matching is by post
-        id: every row whose id matched is kept. Each search level takes the
+        reposts a matching post, transitively. Each search level takes the
         posts first reached at the level before.
         """
         by_post, by_target, by_surface = self._links
@@ -282,7 +270,7 @@ class Corpus:
         if s == len(self.surfaces) or self.surfaces[s] != query:
             return self._take(np.empty(0, dtype=np.int64))
         frontier = np.unique(self.post[_gather(by_surface, np.array([s]))])
-        reached = np.zeros(len(self.posts), dtype=bool)
+        reached = np.zeros(self.post_count, dtype=bool)
         reached[frontier] = True
         levels = [frontier]
         while frontier.size:
@@ -293,13 +281,14 @@ class Corpus:
         return self._take(np.sort(_gather(by_post, np.concatenate(levels))))
 
 
-def _build(rows: Iterable[tuple], unique: bool) -> Corpus:
+def _build(rows: Iterable[tuple]) -> Corpus:
     """The corpus of (post_id, author_id, timestamp, tokens, repost_of) rows.
 
     Tables grow in first-seen order and the author and surface tables are
-    sorted at the end. With ``unique``, a post id carried by an earlier row
-    raises DuplicatePostId. The loop reads every table, column and lookup
-    from a local name: it runs once per input line.
+    sorted at the end. A post id carried by an earlier row raises
+    DuplicatePostId; one that was only a repost target is not a repeat. Post
+    ids are kept only as their count. The loop reads every table, column and
+    lookup from a local name: it runs once per input line.
     """
     posts: dict[str, int] = {}
     authors: dict[str, int] = {}
@@ -317,7 +306,7 @@ def _build(rows: Iterable[tuple], unique: bool) -> Corpus:
         if p is None:
             p = posts[post_id] = len(posts)
             is_row.append(1)
-        elif is_row[p] and unique:
+        elif is_row[p]:
             raise DuplicatePostId(post_id)
         else:
             is_row[p] = 1
@@ -346,7 +335,7 @@ def _build(rows: Iterable[tuple], unique: bool) -> Corpus:
     author_names, author_rank = _sorted_table(authors)
     surface_names, surface_rank = _sorted_table(surfaces)
     return Corpus(
-        posts=tuple(posts), authors=author_names, surfaces=surface_names, tags=tuple(tags),
+        post_count=len(posts), authors=author_names, surfaces=surface_names, tags=tuple(tags),
         post=np.frombuffer(post, dtype=np.int32),
         author=author_rank[np.frombuffer(author, dtype=np.int32)],
         timestamp=(np.array(timestamp, dtype=object) if isinstance(timestamp, list)
@@ -457,7 +446,7 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
                 continue
             yield fields
 
-    corpus = _build(valid_rows(), unique=True)
+    corpus = _build(valid_rows())
     if not len(corpus):
         raise EmptyInput(f"no valid records ({malformed} malformed lines)")
     return ParseResult(corpus, malformed)
@@ -485,21 +474,15 @@ def serialize_records(records: Iterable[InteractionRecord]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def filter_window(
-    records: Corpus | Iterable[InteractionRecord],
-    window: TimeWindow,
-    query: str | None = None,
-) -> Corpus | list[InteractionRecord]:
-    """Select records inside the window, optionally matching a query token.
+def filter_window(corpus: Corpus, window: TimeWindow, query: str | None = None) -> Corpus:
+    """The corpus's rows inside the window, optionally matching a query token.
 
-    A record matches the query when the token appears among its surfaces, or
-    when it is a repost of a matching record inside the same window (reposts
+    A row matches the query when the token appears among its surfaces, or
+    when it is a repost of a matching row inside the same window (reposts
     inherit the match of their original; bare reposts rarely repeat the
-    keyword), transitively, so repost chains stay intact. A corpus gives a
-    corpus, cut to the window; a corpus already cut to it keeps its link
-    CSRs for the next query. Records give a list of records.
+    keyword), transitively, so repost chains stay intact. The result is cut
+    to the window; a corpus already cut to it keeps its link CSRs for the
+    next query.
     """
-    if not isinstance(records, Corpus):
-        return list(filter_window(Corpus.from_records(records), window, query).to_records())
-    in_window = records.within(window)
+    in_window = corpus.within(window)
     return in_window if query is None else in_window._matching(query)

@@ -385,7 +385,9 @@ def run_pipeline(
 
     Without ``records`` the corpus is parsed from ``cfg.input_path``, and the
     counts of records read and malformed lines skipped are logged at INFO on
-    the ``controversy_scope`` logger.
+    the ``controversy_scope`` logger. A sequence of records is built into a
+    corpus by ``Corpus.from_records``, which raises DuplicatePostId on a
+    repeated post id, as the parse does.
     """
     lexicon = _load_file(senti.load_lexicon, cfg.lexicon_path) if cfg.lexicon_path else None
     stopwords = _stopwords(cfg)

@@ -167,44 +167,14 @@ def permutation_p(
     return (hits + 1) / (n_rounds + 1)
 
 
-# --- indicator vectors (controversy vs scale and sentiment) -------------------
+# --- indicators (controversy vs scale and sentiment) -------------------------
 
 
-@dataclass(frozen=True)
-class IndicatorVector:
-    """(subtopic, window, value) triples for one indicator, unique per cell."""
-
-    pairs: tuple[tuple[str, str, float], ...]
-
-    def __post_init__(self) -> None:
-        keys = [(s, w) for s, w, _ in self.pairs]
-        if len(keys) != len(set(keys)):
-            raise ValueError("duplicate (subtopic, window) pair in indicator")
-        for _, _, value in self.pairs:
-            if not math.isfinite(value):
-                raise ValueError("indicator values must be finite")
-
-
-_INDICATOR_FIELDS = {
-    "score": lambda r: r.rwc.score if r.rwc else None,
+_INDICATORS = {
     "node_count": lambda r: float(r.node_count),
     "sentiment_mean": lambda r: r.sentiment_mean,
     "sentiment_std": lambda r: r.sentiment_std,
 }
-
-
-def indicator_vector(reports: Sequence["ControversyReport"], which: str) -> IndicatorVector:
-    """Extract one indicator over the scored cells, keyed by (subtopic, window)."""
-    try:
-        getter = _INDICATOR_FIELDS[which]
-    except KeyError:
-        raise ValueError(f"unknown indicator {which!r}") from None
-    pairs = []
-    for r in reports:
-        value = getter(r)
-        if value is not None:
-            pairs.append((r.subtopic, r.window, float(value)))
-    return IndicatorVector(tuple(pairs))
 
 
 def correlate_indicators(
@@ -213,20 +183,24 @@ def correlate_indicators(
     """Pearson (r, p) of the controversy score against scale and sentiment.
 
     Only cells where both the score and the compared indicator exist enter
-    each correlation.
+    each correlation, in report order. Reports may come from a user's CSV,
+    so a (subtopic, window) cell given twice, or a non-finite score or
+    indicator, raises ValueError.
     """
-    out: dict[str, tuple[float, float]] = {}
-    score = {(s, w): v for s, w, v in indicator_vector(reports, "score").pairs}
-    for which in ("node_count", "sentiment_mean", "sentiment_std"):
-        other = indicator_vector(reports, which)
-        xs = []
-        ys = []
-        for s, w, v in other.pairs:
-            if (s, w) in score:
-                xs.append(score[(s, w)])
-                ys.append(v)
-        out[which] = pearson(xs, ys)
-    return out
+    if len({(r.subtopic, r.window) for r in reports}) != len(reports):
+        raise ValueError("duplicate (subtopic, window) pair in reports")
+    pairs: dict[str, tuple[list[float], list[float]]] = {which: ([], []) for which in _INDICATORS}
+    for r in reports:
+        score = None if r.rwc is None else float(r.rwc.score)
+        values = {which: get(r) for which, get in _INDICATORS.items()}
+        if not all(math.isfinite(v) for v in (score, *values.values()) if v is not None):
+            raise ValueError("indicator values must be finite")
+        for which, value in values.items():
+            if score is not None and value is not None:
+                xs, ys = pairs[which]
+                xs.append(score)
+                ys.append(float(value))
+    return {which: pearson(xs, ys) for which, (xs, ys) in pairs.items()}
 
 
 # --- threshold grouping ------------------------------------------------------

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 from typing import Iterable
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import settings
 
 from controversy_scope.graph import EndorsementGraph
 from controversy_scope.ingest import (
+    Corpus,
     DuplicatePostId,
     EmptyInput,
     InteractionRecord,
@@ -60,6 +62,45 @@ def record(
     repost_of: tuple[str, str] | None = None,
 ) -> InteractionRecord:
     return InteractionRecord(post_id, author, ts, tokens, repost_of)
+
+
+def post_name(index: int) -> str:
+    """How the id-normalized views spell the post numbered ``index``."""
+    return f"#{index}"
+
+
+def normalize_ids(records: Iterable[InteractionRecord]) -> list[InteractionRecord]:
+    """The records with each post id renamed to its first-seen index.
+
+    A record's own id is numbered before its repost target's, the order in
+    which a ``Corpus`` numbers them. Which records share an id and which
+    post each repost targets are kept; only the ids' spelling changes.
+    """
+    index: dict[str, str] = {}
+
+    def name(post_id: str) -> str:
+        return index.setdefault(post_id, post_name(len(index)))
+
+    return [replace(r, post_id=name(r.post_id),
+                    repost_of=None if r.repost_of is None else (name(r.repost_of[0]),
+                                                                r.repost_of[1]))
+            for r in records]
+
+
+def as_records(corpus: Corpus) -> list[InteractionRecord]:
+    """Each row of the corpus as an ``InteractionRecord``, its post ids
+    spelled as ``normalize_ids`` spells them."""
+    authors, surfaces, tags = corpus.authors, corpus.surfaces, corpus.tags
+    ptr = corpus.token_ptr.tolist()
+    tokens = list(zip(map(surfaces.__getitem__, corpus.token_surface.tolist()),
+                      map(tags.__getitem__, corpus.token_tag.tolist())))
+    return [
+        InteractionRecord(post_name(p), authors[a], ts, tuple(tokens[ptr[row]:ptr[row + 1]]),
+                          None if tp < 0 else (post_name(tp), authors[ta]))
+        for row, (p, a, ts, tp, ta) in enumerate(zip(
+            corpus.post.tolist(), corpus.author.tolist(), corpus.timestamp.tolist(),
+            corpus.target_post.tolist(), corpus.target_author.tolist()))
+    ]
 
 
 def edge_key(u: str, v: str) -> tuple[str, str]:

@@ -28,11 +28,13 @@ from controversy_scope.subtopics import extract_candidate_tokens
 from controversy_scope.synth import CommunitySpec, CorpusSpec, synth_corpus
 
 from conftest import (
+    as_records,
     naive_aggregate_sentiment,
     naive_build_graph,
     naive_candidate_counts,
     naive_filter_window,
     naive_parse_records,
+    normalize_ids,
     record,
 )
 
@@ -53,8 +55,8 @@ def test_parse_single_line():
     result = parse_records(lines(GOOD_LINE))
     assert result.malformed == 0
     assert len(result.records) == 1
-    r = result.records.to_records()[0]
-    assert (r.post_id, r.author_id, r.timestamp) == ("p1", "u1", 100)
+    [r] = as_records(result.records)
+    assert (r.author_id, r.timestamp) == ("u1", 100)
     assert r.tokens == (("vaccine", "NOUN"), ("works", "VERB"))
     assert r.repost_of is None
 
@@ -62,10 +64,10 @@ def test_parse_single_line():
 def test_parse_skips_line_missing_author():
     bad = dict(GOOD_LINE)
     del bad["author_id"]
-    bad2 = dict(GOOD_LINE, post_id="p2")
+    bad2 = dict(GOOD_LINE, post_id="p2", author_id="u2")
     result = parse_records(lines(bad, bad2))
     assert result.malformed == 1
-    assert [r.post_id for r in result.records.to_records()] == ["p2"]
+    assert [r.author_id for r in as_records(result.records)] == ["u2"]
 
 
 def test_parse_three_line_fixture_with_repost():
@@ -79,11 +81,11 @@ def test_parse_three_line_fixture_with_repost():
     ]
     result = parse_records(lines(*objs))
     assert result.malformed == 0
-    r1, r2, r3 = result.records.to_records()
-    assert r1.post_id == "p1" and r1.author_id == "alice" and r1.timestamp == 10
+    r1, r2, r3 = as_records(result.records)
+    assert r1.author_id == "alice" and r1.timestamp == 10
     assert r1.tokens == (("vaccine", "NOUN"),) and r1.repost_of is None
-    assert r2.post_id == "p2" and r2.author_id == "bob"
-    assert r2.tokens == () and r2.repost_of == ("p1", "alice")
+    assert r2.post_id != r1.post_id and r2.author_id == "bob"
+    assert r2.tokens == () and r2.repost_of == (r1.post_id, "alice")
     assert r3.tokens == (("school", "NOUN"), ("opens", "VERB"))
 
 
@@ -101,8 +103,24 @@ def test_parse_empty_input_raises():
 
 
 def test_parse_duplicate_post_id_raises():
-    with pytest.raises(DuplicatePostId):
+    twice = [record("a", "u1", 150, (("vaxx", "NOUN"),)),
+             record("a", "u2", 160, (("school", "NOUN"),)),
+             record("b", "u1", 170, (), ("a", "u1"))]
+    for build in (lambda: parse_records(serialize_records(twice).splitlines()),
+                  lambda: Corpus.from_records(twice)):
+        with pytest.raises(DuplicatePostId, match="^a$"):
+            build()
+    with pytest.raises(DuplicatePostId, match="^p1$"):
         parse_records(lines(GOOD_LINE, GOOD_LINE))
+
+
+def test_a_repost_target_that_posts_later_is_no_duplicate():
+    records = [record("b", "u2", 150, (), ("a", "u1")),
+               record("a", "u1", 160, (("vaxx", "NOUN"),))]
+    for corpus in (parse_records(serialize_records(records).splitlines()).records,
+                   Corpus.from_records(records)):
+        assert as_records(corpus) == normalize_ids(records)
+        assert as_records(filter_window(corpus, W, "vaxx")) == normalize_ids(records)
 
 
 def test_parse_counts_many_malformed_shapes():
@@ -127,7 +145,7 @@ def test_roundtrip_serialize_parse_identity():
         record("p3", "u3", 7, (("b", "NOUN"), ("c", "VERB")), ("p1", "u1")),
     )
     parsed = parse_records(serialize_records(originals).splitlines())
-    assert parsed.records.to_records() == originals
+    assert as_records(parsed.records) == normalize_ids(originals)
     assert parsed.malformed == 0
 
 
@@ -154,12 +172,17 @@ def test_parse_window_range_forms():
 W = TimeWindow(100, 200, "w")
 
 
+def filtered(records, window, query=None):
+    """filter_window over the records' corpus, as id-normalized records."""
+    return as_records(filter_window(Corpus.from_records(records), window, query))
+
+
 def test_filter_window_boundaries():
     at_start = record("p1", "u1", ts=100)
     at_end = record("p2", "u2", ts=200)
     inside = record("p3", "u3", ts=150)
-    kept = filter_window([at_start, at_end, inside], W)
-    assert [r.post_id for r in kept] == ["p1", "p3"]
+    normal = normalize_ids([at_start, at_end, inside])
+    assert filtered([at_start, at_end, inside], W) == [normal[0], normal[2]]
 
 
 def test_filter_window_query_and_repost_propagation():
@@ -169,27 +192,23 @@ def test_filter_window_query_and_repost_propagation():
     unrelated = record("p4", "dan", ts=140, tokens=(("school", "NOUN"),))
     outside = record("p5", "eve", ts=500, tokens=(("vaccine", "NOUN"),))
     repost_of_outside = record("p6", "fay", ts=150, tokens=(), repost_of=("p5", "eve"))
-    kept = filter_window(
-        [original, bare_repost, chained, unrelated, outside, repost_of_outside],
-        W,
-        query="vaccine",
-    )
-    assert [r.post_id for r in kept] == ["p1", "p2", "p3"]
+    records = [original, bare_repost, chained, unrelated, outside, repost_of_outside]
+    assert filtered(records, W, query="vaccine") == normalize_ids(records)[:3]
 
 
 def test_filter_window_idempotent_and_subset():
     records = [record(f"p{i}", f"u{i}", ts=90 + i * 7, tokens=(("t", "NOUN"),))
                for i in range(10)]
-    once = filter_window(records, W)
+    once = filter_window(Corpus.from_records(records), W)
     twice = filter_window(once, W)
-    assert once == twice
-    with_query = filter_window(records, W, query="absent")
-    assert {r.post_id for r in with_query} <= {r.post_id for r in once}
+    assert as_records(once) == as_records(twice)
+    with_query = filtered(records, W, query="absent")
+    assert {r.post_id for r in with_query} <= {r.post_id for r in as_records(once)}
 
 
 # --- the columnar stages against the record oracles -------------------------
 
-IDS = ("a", "b", "c", "d", "e")
+IDS = ("a", "b", "c", "d", "e", "f", "g", "h")
 VOCAB = ("vaxx", "mask", "school")
 # polarities whose sums round, so a sum taken in another order shows in the bits
 LEX = PolarityLexicon({"good": 0.1, "bad": -0.7, "meh": 0.3, "mask": 0.2})
@@ -201,9 +220,10 @@ def _noun(*surfaces):
     return tuple((s, "NOUN") for s in surfaces)
 
 
-# few ids and timestamps on both sides of W's bounds, so lists often hold
-# duplicate ids, self-reposts, cycles, out-of-window originals, targets
-# missing from the list ("z" never posts) and chains in either file order
+# unique post ids from a small set, repost targets from the same set plus
+# "z" (which never posts), and timestamps on both sides of W's bounds, so
+# lists often hold self-reposts, cycles, out-of-window originals, targets
+# missing from the list and chains in either file order
 record_lists = st.lists(
     st.builds(
         InteractionRecord,
@@ -215,7 +235,8 @@ record_lists = st.lists(
         repost_of=st.none() | st.tuples(st.sampled_from(IDS + ("z",)),
                                         st.sampled_from(("u1", "u2", "u3"))),
     ),
-    max_size=12,
+    max_size=len(IDS),
+    unique_by=lambda r: r.post_id,
 )
 
 
@@ -229,11 +250,6 @@ def _bits(aggregate, records):
 
 
 ORACLE_EXAMPLES = (
-    [  # duplicate ids: the id matched, so both of its records are kept
-        record("a", "u1", 150, _noun("vaxx")),
-        record("a", "u2", 160, _noun("school")),
-        record("b", "u1", 170, (), ("a", "u1")),
-    ],
     [  # a repost of an out-of-window original inherits nothing
         record("a", "u1", 300, _noun("vaxx")),
         record("b", "u2", 150, (), ("a", "u1")),
@@ -278,15 +294,12 @@ def _cells(records):
 
 @given_record_lists
 def test_filter_window_matches_fixpoint_oracle(records):
+    normal = normalize_ids(records)
     corpus = Corpus.from_records(records)
-    assert corpus.to_records() == tuple(records)
-    in_window = filter_window(corpus, W)
-    assert in_window.to_records() == tuple(naive_filter_window(records, W))
-    assert filter_window(records, W) == naive_filter_window(records, W)
+    assert as_records(corpus) == normal
+    assert as_records(filter_window(corpus, W)) == naive_filter_window(normal, W)
     for query, cell in _cells(records).items():
-        expected = naive_filter_window(records, W, query)
-        assert cell.to_records() == tuple(expected)
-        assert filter_window(records, W, query) == expected
+        assert as_records(cell) == naive_filter_window(normal, W, query)
 
 
 @given_record_lists
@@ -311,9 +324,9 @@ def test_filter_window_linear_on_deep_chain_and_wide_hub():
     hub += [record(f"r{j}", f"v{j}", 150, (), ("h", "uh")) for j in range(fan)]
     records = chain + hub
     start = time.perf_counter()
-    kept = filter_window(records, W, "vaxx")
+    kept = filter_window(Corpus.from_records(records), W, "vaxx")
     elapsed = time.perf_counter() - start
-    assert kept == records
+    assert as_records(kept) == normalize_ids(records)
     assert elapsed < 10.0
 
 
@@ -334,7 +347,7 @@ def test_a_window_corpus_groups_its_rows_once_for_all_queries(monkeypatch):
     for query in VOCAB:
         filter_window(in_window, W, query)
     assert len(grouped) == 3  # rows by post, reposts by target, tokens by surface
-    assert filter_window(in_window, W, "mask").to_records() == tuple(records[:2])
+    assert as_records(filter_window(in_window, W, "mask")) == normalize_ids(records)[:2]
 
 
 def test_timestamps_past_int64_keep_their_value_and_window():
@@ -343,13 +356,13 @@ def test_timestamps_past_int64_keep_their_value_and_window():
                record("p2", "u2", 150, (), ("p1", "u1")),
                record("p3", "u1", -big - 1, _noun("vaxx")))
     corpus = parse_records(serialize_records(records).splitlines()).records
-    assert corpus.to_records() == records
+    assert as_records(corpus) == normalize_ids(records)
     far = TimeWindow(big, big + 1, "far")
-    assert filter_window(corpus, far, "vaxx").to_records() == records[:1]
-    assert filter_window(corpus, W, "vaxx").to_records() == ()
+    assert as_records(filter_window(corpus, far, "vaxx")) == normalize_ids(records)[:1]
+    assert as_records(filter_window(corpus, W, "vaxx")) == []
 
 
-def test_parsed_corpus_holds_at_most_200_bytes_per_row():
+def test_parsed_corpus_holds_at_most_45_bytes_per_row():
     communities = (CommunitySpec(420, ("vaxx",), 0.5), CommunitySpec(420, ("vaxx",), -0.5))
     records = synth_corpus(CorpusSpec(communities, 0.05, W, seed=1))
     lines = serialize_records(records).splitlines()
@@ -361,7 +374,7 @@ def test_parsed_corpus_holds_at_most_200_bytes_per_row():
     finally:
         tracemalloc.stop()
     assert len(corpus) == len(records) > 19_000
-    assert held / len(corpus) <= 200
+    assert held / len(corpus) <= 45
 
 
 # --- ingest fuzzing ----------------------------------------------------------
@@ -411,15 +424,15 @@ valid_records = st.lists(
 @given(valid_records)
 def test_serialize_parse_round_trip(records):
     parsed = parse_records(serialize_records(records).split("\n"))
-    assert parsed.records.to_records() == tuple(records)
+    assert as_records(parsed.records) == normalize_ids(records)
     assert parsed.malformed == 0
 
 
 # --- the parser against its oracle -------------------------------------------
 
 G1 = json.dumps(GOOD_LINE)
-G2 = json.dumps(dict(GOOD_LINE, post_id="p2"))
-G3 = json.dumps(dict(GOOD_LINE, post_id="p3"))
+G2 = json.dumps(dict(GOOD_LINE, post_id="p2", author_id="u2"))
+G3 = json.dumps(dict(GOOD_LINE, post_id="p3", author_id="u3"))
 
 
 def with_timestamp(text: str) -> str:
@@ -449,14 +462,14 @@ oracle_lines = records_json | st.builds(
 
 
 def parse_outcome(parse, lines):
-    """The records, materialized, and the malformed count, or the error raised."""
+    """The records, id-normalized, and the malformed count, or the error raised."""
     try:
         result = parse(lines)
     except Exception as exc:
         return type(exc), str(exc)
     records = result.records
-    return tuple(records.to_records() if isinstance(records, Corpus) else records), \
-        result.malformed
+    return (as_records(records) if isinstance(records, Corpus) else normalize_ids(records),
+            result.malformed)
 
 
 @given(st.lists(oracle_lines, max_size=8))
@@ -489,7 +502,7 @@ def test_parse_file_counts_an_invalid_utf8_line_as_malformed(tmp_path):
                      .encode("utf-8", "surrogateescape"))
     assert b"\xff" in path.read_bytes()
     result = parse_records_file(str(path))
-    assert [r.post_id for r in result.records.to_records()] == ["p1", "p3"]
+    assert [r.author_id for r in as_records(result.records)] == ["u1", "u3"]
     assert result.malformed == 1
 
 
@@ -498,7 +511,7 @@ def test_parse_file_counts_an_escaped_lone_surrogate_as_malformed(tmp_path):
     bad = json.dumps(dict(GOOD_LINE, post_id="p2", tokens=[["\ud800x", "NOUN"]]))
     path.write_text("\n".join([G1, bad, G3]), encoding="utf-8")
     result = parse_records_file(str(path))
-    assert [r.post_id for r in result.records.to_records()] == ["p1", "p3"]
+    assert [r.author_id for r in as_records(result.records)] == ["u1", "u3"]
     assert result.malformed == 1
 
 
@@ -507,7 +520,7 @@ def test_parse_file_drops_a_leading_bom_only(tmp_path):
     path.write_text("\n".join([G1, G2]), encoding="utf-8-sig")
     assert path.read_bytes().startswith(b"\xef\xbb\xbf")
     result = parse_records_file(str(path))
-    assert [r.post_id for r in result.records.to_records()] == ["p1", "p2"]
+    assert [r.author_id for r in as_records(result.records)] == ["u1", "u2"]
     assert result.malformed == 0
     assert parse_records(["\ufeff" + G1, G2]).malformed == 1
 
