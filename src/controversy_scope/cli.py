@@ -9,8 +9,8 @@ list (no subtopic detection); `synth` writes a synthetic corpus (JSONL) or
 a planted two-block graph (edge list + sides) from a JSON spec. Exit code
 is 0 when the batch completes, even if cells are dashes; 1 is reserved for
 enabled monte-carlo cross-check failures; 2 is a configuration error, a
-bad input, stopword or lexicon file, or a dump or report path that cannot be
-written, reported as one `error: ...` line.
+bad input, stopword or lexicon file, or a dump, report or synth output path
+that cannot be written, reported as one `error: ...` line.
 
 Each key of pipeline.CONFIG_KEYS is a flag of `run` and `rq1`, written over
 the config file: `--<key>` with "_" and "." written as "-", except
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from zoneinfo import ZoneInfoNotFoundError
 
 from .graph import dump_edgelist
 from .ingest import parse_window, serialize_records
@@ -113,17 +114,21 @@ def _config_from_args(args: argparse.Namespace, queries: tuple[str, ...] | None)
     return config_from_dict(raw, overrides)
 
 
+def _write(path: str, text: str) -> None:
+    """write_output(path, text); a path that cannot be written is a ConfigError naming it."""
+    try:
+        write_output(path, text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _handle_run(args: argparse.Namespace, queries: tuple[str, ...] | None = None) -> int:
     cfg = _config_from_args(args, queries)
     reports = run_pipeline(cfg)
     text = emit_report(reports, cfg.output_format, cfg.score_thresh,
                        cfg.size_thresh, cfg.senti_thresh)
     if cfg.output_path:
-        try:
-            write_output(cfg.output_path, text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {cfg.output_path}: "
-                              f"{type(exc).__name__}: {exc}") from exc
+        _write(cfg.output_path, text)
         print(f"wrote {len(reports)} report rows to {cfg.output_path}")
     else:
         sys.stdout.write(text)
@@ -170,18 +175,18 @@ def _handle_synth(args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown synth kind: {kind!r}")
     try:
         spec = (_corpus_spec_from_dict if kind == "corpus" else _planted_spec_from_dict)(raw)
-    except ValueError as exc:  # a value out of range, or a bad window
+    except (ValueError, ZoneInfoNotFoundError) as exc:  # a value out of range, a bad window or tz
         raise ConfigError(f"{kind} spec: {exc}") from exc
     if kind == "corpus":
         records = synth_corpus(spec)
-        write_output(args.out, serialize_records(records))
+        _write(args.out, serialize_records(records))
         print(f"wrote {len(records)} records to {args.out}")
         return 0
     planted = planted_partition(spec)
-    write_output(args.out, dump_edgelist(planted.graph))
+    _write(args.out, dump_edgelist(planted.graph))
     sides_path = args.out + ".sides"
-    lines = [f"{node} {planted.ground_truth.side_of[node]}" for node in planted.graph.nodes]
-    write_output(sides_path, "\n".join(lines) + "\n")
+    lines = [f"{node} {side}" for node, side in planted.ground_truth.side_of.items()]
+    _write(sides_path, "\n".join(lines) + "\n")
     print(
         f"wrote {planted.graph.edge_count} edges to {args.out} "
         f"({len(planted.bridges)} forced bridges), sides to {sides_path}"

@@ -13,6 +13,10 @@ that prefix. The rule is METIS's two-way refinement bound (Karypis & Kumar,
 SIAM J. Sci. Comput. 1998), after Fiduccia & Mattheyses (DAC 1982). The
 bound holds for the initial attempts on the coarsest graph and for the
 refinement at every level.
+
+A Bipartition is one read-only side array over its graph's sorted ids, as
+METIS returns a partition. bisect builds it directly; make_bipartition is
+the one entry, and the one check, for a {node: "X"|"Y"} map.
 """
 
 from __future__ import annotations
@@ -52,35 +56,58 @@ class InvalidSideMap(PartitionError):
     """The side map names a node outside the graph or a label other than X and Y."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bipartition:
-    """Two-sided node assignment with its cut and balance diagnostics."""
+    """A split of a graph: in_x, read-only, is True on side X at each index of
+    nodes, the graph's own sorted-id tuple. Cut and balance ride along."""
 
-    side_of: dict[str, str]
+    nodes: tuple[str, ...]
+    in_x: np.ndarray
     cut: int
     cut_weight: int
     balance: float
+
+    def __post_init__(self) -> None:
+        if self.in_x.dtype != bool or self.in_x.shape != (len(self.nodes),):
+            raise InvalidSideMap(f"in_x must hold one bool per node, "
+                                 f"got {self.in_x.dtype} {self.in_x.shape}")
+        self.in_x.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Bipartition) and np.array_equal(self.in_x, other.in_x)
+                and (self.nodes, self.cut, self.cut_weight, self.balance)
+                == (other.nodes, other.cut, other.cut_weight, other.balance))
+
+    @property
+    def side_of(self) -> dict[str, str]:
+        """{node: "X"|"Y"} in sorted-id order; a new dict on each access."""
+        return {n: SIDE_X if x else SIDE_Y for n, x in zip(self.nodes, self.in_x.tolist())}
 
     def side_nodes(self, side: str) -> frozenset[str]:
         return frozenset(n for n, s in self.side_of.items() if s == side)
 
     def swapped(self) -> "Bipartition":
         """Same split with the X/Y labels exchanged."""
-        flipped = {
-            n: (SIDE_X if s == SIDE_Y else SIDE_Y) for n, s in self.side_of.items()
-        }
-        return Bipartition(flipped, self.cut, self.cut_weight, self.balance)
+        return Bipartition(self.nodes, ~self.in_x, self.cut, self.cut_weight, self.balance)
 
 
-def _require_assigned(g: EndorsementGraph, side_of: dict[str, str]) -> None:
-    missing = [n for n in g.nodes if n not in side_of]
-    if missing:
-        raise UnassignedNode(f"{len(missing)} nodes unassigned, e.g. {missing[0]!r}")
+def _split(g: EndorsementGraph, in_x: np.ndarray) -> Bipartition:
+    """The Bipartition of g with side X where in_x is True, cut and balance read off g.csr."""
+    nodes, indptr, indices, weights = g.csr
+    crossing = in_x[np.repeat(np.arange(len(nodes)), np.diff(indptr))] != in_x[indices]
+    # each crossing edge is stored twice
+    cut, cutw = int(crossing.sum()) // 2, int(weights[crossing].sum()) // 2
+    n_x = int(in_x.sum())
+    balance = max(n_x, len(nodes) - n_x) / len(nodes) if nodes else 0.0
+    return Bipartition(nodes, in_x, cut, cutw, balance)
 
 
 def make_bipartition(g: EndorsementGraph, side_of: dict[str, str]) -> Bipartition:
-    """Assemble a Bipartition with cut/balance computed from the graph."""
-    _require_assigned(g, side_of)
+    """The Bipartition of g a side map names; the map must give each node of g
+    a side, and name no other node and no label but X and Y."""
+    missing = [n for n in g.nodes if n not in side_of]
+    if missing:
+        raise UnassignedNode(f"{len(missing)} nodes unassigned, e.g. {missing[0]!r}")
     extra = side_of.keys() - g.nodes
     if extra:
         raise InvalidSideMap(f"{len(extra)} nodes not in the graph, e.g. {min(extra)!r}")
@@ -88,14 +115,8 @@ def make_bipartition(g: EndorsementGraph, side_of: dict[str, str]) -> Bipartitio
     if labels:
         bad = min(labels, key=repr)
         raise InvalidSideMap(f"side labels must be {SIDE_X!r} or {SIDE_Y!r}, got {bad!r}")
-    nodes, indptr, indices, weights = g.csr
-    in_x = np.fromiter((side_of[n] == SIDE_X for n in nodes), dtype=bool, count=len(nodes))
-    crossing = in_x[np.repeat(np.arange(len(nodes)), np.diff(indptr))] != in_x[indices]
-    # each crossing edge is stored twice
-    cut, cutw = int(crossing.sum()) // 2, int(weights[crossing].sum()) // 2
-    n_x = int(in_x.sum())
-    balance = max(n_x, len(side_of) - n_x) / len(side_of) if side_of else 0.0
-    return Bipartition(dict(side_of), cut, cutw, balance)
+    return _split(g, np.fromiter((side_of[n] == SIDE_X for n in g.nodes), dtype=bool,
+                                 count=g.node_count))
 
 
 def max_side_nodes(n: int, eps: float) -> int:
@@ -394,6 +415,4 @@ def bisect(g: EndorsementGraph, eps: float = 0.05, seed: int = 0) -> Bipartition
         _fm_refine(levels[level], side, w_max)
 
     # anchor labels: the side holding the smallest node id is X
-    label_of = (SIDE_X, SIDE_Y) if side[0] == 0 else (SIDE_Y, SIDE_X)
-    side_of = {node: label_of[int(side[i])] for i, node in enumerate(nodes)}
-    return make_bipartition(g, side_of)
+    return _split(g, side == side[0])

@@ -32,6 +32,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Collection, Iterable, Sequence, TypeVar
@@ -110,6 +111,9 @@ class PipelineConfig:
                 raise ConfigError(f"{key} must be >= 1, got {value}")
         if not 0.0 <= self.balance_eps <= 0.1:
             raise ConfigError(f"balance_eps must be within [0, 0.1], got {self.balance_eps}")
+        for key in ("score_thresh", "senti_thresh"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         for spec in CONFIG_KEYS:
             if isinstance(spec.kind, tuple) and getattr(self, spec.field) not in spec.kind:
                 raise ConfigError(f"{spec.key} must be one of {list(spec.kind)}, "
@@ -272,7 +276,7 @@ def read_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -495,19 +499,23 @@ def _emit_csv(reports: Sequence[ControversyReport], th: Thresholds) -> str:
 
 
 def parse_report_csv(text: str) -> list[ControversyReport]:
-    """Inverse of the CSV emitter, for round-trips and downstream tooling."""
+    """Inverse of the CSV emitter, for round-trips and downstream tooling. A bad
+    header or row is UnsupportedFormat naming the row (the header is row 1)."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, None)
     if header != _CSV_COLUMNS:
         raise UnsupportedFormat(f"unexpected CSV header: {header}")
     out: list[ControversyReport] = []
-    for row in reader:
+    for number, row in enumerate(reader, start=2):
+        if len(row) != len(_CSV_COLUMNS):
+            raise UnsupportedFormat(f"row {number} has {len(row)} cells, "
+                                    f"expected {len(_CSV_COLUMNS)}")
         cells = dict(zip(_CSV_COLUMNS, row))
         rwc = None
-        if cells["rwc_score"]:
-            rwc = RwcResult(**{c.removeprefix("rwc_"): float(cells[c]) for c in _RWC_COLUMNS})
-        out.append(
-            ControversyReport(
+        try:
+            if cells["rwc_score"]:
+                rwc = RwcResult(**{c.removeprefix("rwc_"): float(cells[c]) for c in _RWC_COLUMNS})
+            out.append(ControversyReport(
                 cells["subtopic"],
                 cells["window"],
                 int(cells["record_count"]),
@@ -518,8 +526,9 @@ def parse_report_csv(text: str) -> list[ControversyReport]:
                 float(cells["sentiment_std"]) if cells["sentiment_std"] else None,
                 int(cells["sentiment_matched"]) if cells["sentiment_matched"] else None,
                 cells["error"] or None,
-            )
-        )
+            ))
+        except ValueError as exc:
+            raise UnsupportedFormat(f"row {number}: {exc}") from exc
     return out
 
 

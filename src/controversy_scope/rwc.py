@@ -22,7 +22,7 @@ reported probability within solver_tol of the exact value. A Monte Carlo
 simulator provides an independent estimate of the same quantity for
 cross-checking. rwc_score and rwc_monte_carlo are the two walk entries. Both
 build one _WalkChain, which alone checks that the graph is connected and
-that every node has a side.
+that the partition splits that graph, then reads its side array as is.
 
 A check against the exact score (rwc_monte_carlo's settle) runs its walks
 as a cap: it stops at the first shard pair whose empirical Bernstein
@@ -58,7 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from .graph import EndorsementGraph, is_connected
-from .partition import SIDE_X, SIDE_Y, Bipartition, _require_assigned
+from .partition import SIDE_X, SIDE_Y, Bipartition, PartitionError
 
 
 class RwcError(Exception):
@@ -95,8 +95,8 @@ class RwcConfig:
             raise ValueError(f"k_top must be >= 1, got {self.k_top}")
         if not 0.0 < self.restart_prob < 1.0:
             raise ValueError(f"restart_prob must be in (0,1), got {self.restart_prob}")
-        if self.solver_tol <= 0:
-            raise ValueError("solver_tol must be positive")
+        if not 0 < self.solver_tol < math.inf:
+            raise ValueError(f"solver_tol must be positive and finite, got {self.solver_tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -120,10 +120,16 @@ def high_degree_nodes(
     Ties break toward the lexicographically smaller node id, so the set is
     deterministic.
     """
-    nodes, indptr, _, _ = g.csr
-    members = np.fromiter((p.side_of.get(n) == side for n in nodes), dtype=bool,
-                          count=len(nodes))
-    return frozenset(nodes[i] for i in _top_degree(members, np.diff(indptr), k_top, side))
+    members = _sides(g, p)[side]
+    return frozenset(g.nodes[i] for i in _top_degree(members, np.diff(g.indptr), k_top, side))
+
+
+def _sides(g: EndorsementGraph, p: Bipartition) -> dict[str, np.ndarray]:
+    """Each side's members as a bool array over g's indices; PartitionError when
+    p splits another graph."""
+    if p.nodes != g.nodes:
+        raise PartitionError("the partition is not of the graph being scored")
+    return {SIDE_X: p.in_x, SIDE_Y: ~p.in_x}
 
 
 def _top_degree(members: np.ndarray, degree: np.ndarray, k_top: int, side: str) -> np.ndarray:
@@ -146,7 +152,6 @@ class _WalkChain:
     def __init__(self, g: EndorsementGraph, p: Bipartition, cfg: RwcConfig):
         if not is_connected(g):
             raise RwcError("controversy scoring requires a connected graph")
-        _require_assigned(g, p.side_of)
         self.cfg = cfg
         self.nodes, self.indptr, self.indices, weights = g.csr
         n = len(self.nodes)
@@ -159,9 +164,7 @@ class _WalkChain:
             np.repeat(np.arange(n), degree), weights=self.step_w, minlength=n
         )
 
-        labels = [p.side_of[node] for node in self.nodes]
-        in_x = np.fromiter((s == SIDE_X for s in labels), dtype=bool, count=n)
-        in_y = np.fromiter((s == SIDE_Y for s in labels), dtype=bool, count=n)
+        in_x, in_y = _sides(g, p).values()
         self.absorb_x = _top_degree(in_x, degree, cfg.k_top, SIDE_X)
         self.absorb_y = _top_degree(in_y, degree, cfg.k_top, SIDE_Y)
         self.absorb_label = np.zeros(n, dtype=np.int8)  # 0 transient, 1 in X+, 2 in Y+

@@ -82,8 +82,7 @@ def planted_partition(spec: PlantedSpec, edge_weight: int = 2) -> PlantedGraph:
         edges.update(dict.fromkeys(bridges, edge_weight))
         graph = EndorsementGraph.from_edges(nodes, edges)
 
-    side_of = {node: SIDE_X for node in x_nodes}
-    side_of.update({node: SIDE_Y for node in y_nodes})
+    side_of = dict.fromkeys(x_nodes, SIDE_X) | dict.fromkeys(y_nodes, SIDE_Y)
     return PlantedGraph(graph, make_bipartition(graph, side_of), bridges)
 
 

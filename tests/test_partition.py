@@ -173,9 +173,8 @@ def test_make_bipartition_cut_examples_and_oracle():
 
 def test_make_bipartition_rejects_unassigned_node():
     g = graph_from_edges({("a", "b"): 1, ("b", "c"): 1})
-    p = Bipartition({"a": "X", "b": "Y"}, 0, 0, 0.5)
     with pytest.raises(UnassignedNode):
-        make_bipartition(g, p.side_of)
+        make_bipartition(g, {"a": "X", "b": "Y"})
 
 
 def test_make_bipartition_rejects_nodes_outside_the_graph():
@@ -198,6 +197,21 @@ def test_swapped_labels_preserve_structure():
     sw = p.swapped()
     assert sw.cut == p.cut
     assert sw.side_nodes("X") == p.side_nodes("Y")
+    assert sw != p and sw.swapped() == p
+
+
+def test_side_array_is_read_only_and_one_entry_per_node():
+    g = two_cliques_bridged(5, 2)
+    p = bisect(g, seed=0)
+    assert p.nodes is g.nodes and p.in_x.dtype == bool and p.in_x.shape == (10,)
+    for part in (p, p.swapped(), make_bipartition(g, p.side_of)):
+        with pytest.raises(ValueError, match="read-only"):
+            part.in_x[0] = not part.in_x[0]
+    assert make_bipartition(g, p.side_of) == p
+    # a side array that misses a node, or holds other than bools, is no partition
+    for in_x in (np.ones(9, dtype=bool), np.ones(10, dtype=np.int8)):
+        with pytest.raises(InvalidSideMap):
+            Bipartition(g.nodes, in_x, 0, 0, 0.5)
 
 
 # --- NumPy helpers against their per-vertex reference loops -------------------

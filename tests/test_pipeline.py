@@ -1,6 +1,7 @@
 import gc
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -141,6 +142,22 @@ def test_csv_round_trip_identity():
 def test_csv_round_trips_a_label_with_a_carriage_return(label):
     reports = [replace(r, subtopic=label, window=label) for r in _fixture_reports()]
     assert parse_report_csv(emit_report(reports, "csv")) == reports
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:2] + [lines[2].rsplit(",", 3)[0]] + lines[3:],
+     "row 3 has 14 cells, expected 17"),
+    (lambda lines: lines[:1] + [lines[1] + ",extra"] + lines[2:], "row 2 has 18 cells"),
+    (lambda lines: lines[:4] + [lines[4].replace(",5000,", ",many,", 1)],
+     "row 5: invalid literal for int"),
+    (lambda lines: lines[:2] + [lines[2].replace(",-0.25,", ",low,", 1)] + lines[3:],
+     "row 3: could not convert string to float"),
+    (lambda lines: [], "unexpected CSV header: None"),
+])
+def test_parse_report_csv_names_the_malformed_row(edit, message):
+    lines = emit_report(_fixture_reports(), "csv").splitlines()
+    with pytest.raises(UnsupportedFormat, match=message):
+        parse_report_csv("".join(line + "\n" for line in edit(lines)))
 
 
 def test_json_output_shape():
@@ -757,6 +774,36 @@ def test_config_file_min_nodes_below_1_or_blank_query_exits_2(raw, message, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("raw, message", [
+    ({"rwc": {"solver_tol": math.inf}}, "solver_tol must be positive and finite, got inf"),
+    ({"rwc": {"solver_tol": math.nan}}, "solver_tol must be positive and finite, got nan"),
+    ({"score_thresh": math.nan}, "score_thresh must be finite, got nan"),
+    ({"senti_thresh": -math.inf}, "senti_thresh must be finite, got -inf"),
+])
+def test_non_finite_floats_are_config_errors(raw, message, tmp_path, capsys):
+    # JSON's Infinity and NaN load as floats: an infinite solver_tol stopped the
+    # solver early with a wrong score, and a nan threshold cleared every flag
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict({"windows": ["2020-09"], **raw})
+    if "rwc" not in raw:
+        with pytest.raises(ConfigError, match=message):
+            small_config(**raw)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"windows": ["2020-09"], "input": "x.jsonl", **raw}),
+                        encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["run", "--config"], ["synth", "--out", "x", "--spec"]])
+def test_a_config_or_spec_with_bad_utf8_exits_2_naming_the_file(command, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_bytes(b"\xff{}")
+    assert cli.main([*command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {path}: ") and err.count("\n") == 1
+
+
 def test_cli_queries_flag_drops_a_blank_token(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(serialize_records(small_corpus()[:5]), encoding="utf-8")
@@ -809,6 +856,12 @@ def test_cli_requires_window_without_config():
     ["--window", "2020-01", "--min-nodes", "0"],
     ["--window", "2020-01", "--balance-eps", "0.5"],
     ["--window", "2020-01", "--mc-check", "--mc-walks", "0"],
+    ["--window", "2020-01", "--rwc-solver-tol", "inf"],
+    ["--window", "2020-01", "--rwc-solver-tol", "nan"],
+    ["--window", "2020-01", "--score-thresh", "nan"],
+    ["--window", "2020-01", "--score-thresh=-inf"],
+    ["--window", "2020-01", "--senti-thresh", "nan"],
+    ["--window", "2020-01", "--senti-thresh", "inf"],
 ])
 def test_cli_invalid_values_exit_2_with_an_error_line(flags, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
@@ -836,6 +889,8 @@ def test_cli_invalid_values_exit_2_with_an_error_line(flags, tmp_path, capsys):
     {"kind": "planted", "n_per_side": True, "p_in": 0.5, "p_out": 0.1},
     {"kind": "corpus", "communities": [{"n_authors": 5}], "window": "2020-09",
      "cross_repost_rate": 0.1, "sentiment_surfaces": ["good"]},
+    {"kind": "corpus", "communities": [{"n_authors": 5}], "window": "2020-01",
+     "tz": "Mars/Base", "cross_repost_rate": 0.1},
 ])
 def test_cli_synth_spec_errors_exit_2(spec, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
@@ -869,6 +924,18 @@ def test_cli_synth_spec_bad_kind_names_the_key(key, spec, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [CORPUS_SPEC, {"kind": "planted", "n_per_side": 3,
+                                                "p_in": 0.5, "p_out": 0.1}])
+def test_cli_synth_out_in_a_missing_directory_exits_2(spec, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "missing" / "out.txt"
+    assert cli.main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: FileNotFoundError") and err.count("\n") == 1
+    assert not out.parent.exists()
 
 
 def test_cli_synth_spec_takes_null_background_cross_rate(tmp_path):

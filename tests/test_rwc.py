@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import controversy_scope
-from controversy_scope.partition import Bipartition, UnassignedNode, bisect, make_bipartition
+from controversy_scope.graph import is_connected
+from controversy_scope.partition import PartitionError, bisect, make_bipartition
 from controversy_scope.rwc import (
     _SHARD_WALKS,
     NoConvergence,
@@ -307,11 +308,12 @@ def test_rwc_requires_connected_graph():
         rwc_score(g, p, RwcConfig(k_top=1))
     with pytest.raises(RwcError):
         rwc_monte_carlo(g, p, RwcConfig(k_top=1), n_walks=10, seed=0)
-    # the walk itself checks, ahead of the side map
+    # the walk itself checks, ahead of the partition's graph
     with pytest.raises(RwcError, match="connected"):
         _WalkChain(g, p, RwcConfig(k_top=1))
+    other = graph_from_edges(clique_edges(["a", "b", "c", "d"]))
     with pytest.raises(RwcError, match="connected"):
-        _WalkChain(g, Bipartition({"a": "X"}, 0, 0, 1.0), RwcConfig(k_top=1))
+        _WalkChain(g, balanced_sides(other, lambda n: n in "ab"), RwcConfig(k_top=1))
 
 
 def test_config_validation():
@@ -321,6 +323,11 @@ def test_config_validation():
         RwcConfig(restart_prob=1.0)
     with pytest.raises(ValueError):
         RwcConfig(solver_tol=0.0)
+    # an infinite tolerance stopped the solver after a few sweeps with a wrong
+    # score, and nan ran every sweep before NoConvergence
+    for tol in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="solver_tol must be positive and finite"):
+            RwcConfig(solver_tol=tol)
 
 
 def test_restart_probability_shifts_outcome():
@@ -373,15 +380,32 @@ def test_chain_rejects_side_too_small():
         rwc_score(g, p, RwcConfig(k_top=2))
 
 
-def test_unassigned_node_raises_instead_of_joining_side_y():
+def test_a_partition_of_another_graph_is_rejected():
     pg = planted_partition(PlantedSpec(30, 0.4, 0.05, seed=8))
     dropped = sorted(pg.ground_truth.side_nodes("X"))[:5]
-    side_of = {n: s for n, s in pg.ground_truth.side_of.items() if n not in dropped}
-    p = Bipartition(side_of, 0, 0, 0.5)
-    with pytest.raises(UnassignedNode):
-        rwc_score(pg.graph, p)
-    with pytest.raises(UnassignedNode):
-        rwc_monte_carlo(pg.graph, p, n_walks=10, seed=0)
+    # the graph without five nodes, and with one more node
+    smaller = graph_from_edges({e: w for e, w in pg.graph.edges.items()
+                                if not set(e) & set(dropped)})
+    larger = graph_from_edges({**pg.graph.edges, edge_key(dropped[0], "zz"): 1})
+    for g in (smaller, larger):
+        assert is_connected(g)
+        for score in (rwc_score, lambda g, p: rwc_monte_carlo(g, p, n_walks=10, seed=0),
+                      lambda g, p: high_degree_nodes(g, "X", p, 1)):
+            with pytest.raises(PartitionError, match="not of the graph"):
+                score(g, pg.ground_truth)
+
+
+def test_make_bipartition_of_a_bisection_is_the_bisection():
+    rng = np.random.default_rng(73)
+    for _ in range(15):
+        g = random_connected_graph(int(rng.integers(10, 40)), float(rng.uniform(0.1, 0.5)), rng)
+        p = bisect(g, seed=int(rng.integers(1 << 30)))
+        again = make_bipartition(g, p.side_of)
+        assert again == p and again.nodes is p.nodes is g.nodes
+        assert p.side_of[g.nodes[0]] == "X"  # the side holding the smallest id
+        cfg = RwcConfig(k_top=2, weighted_walk=bool(rng.integers(2)))
+        a, b = rwc_score(g, p, cfg), rwc_score(g, again, cfg)
+        assert [x.hex() for x in vars(a).values()] == [x.hex() for x in vars(b).values()]
 
 
 def test_max_iter_cap_raises_no_convergence():
