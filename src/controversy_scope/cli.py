@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="full batch: subtopic detection + scoring")
     run_p.set_defaults(handler=_handle_run)
     rq1_p = sub.add_parser("rq1", help="score a pre-specified query list")
-    rq1_p.set_defaults(handler=_handle_rq1)
+    rq1_p.set_defaults(handler=_handle_run)
     _add_flag(rq1_p, _QUERIES, required=True)
     for pipeline_p in (run_p, rq1_p):
         pipeline_p.add_argument("--config", help="pipeline config JSON")
@@ -96,8 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace, queries: tuple[str, ...] | None) -> PipelineConfig:
-    """The config file (or none) with the given flags and rq1's queries written over it.
+def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
+    """The config file (or none) with the given flags written over it.
 
     One config_from_dict call, so the file's windows and --window share the tz.
     """
@@ -107,11 +107,8 @@ def _config_from_args(args: argparse.Namespace, queries: tuple[str, ...] | None)
         raw = {}
     else:
         raise ConfigError("--window is required when no --config is given")
-    overrides = {spec.key: getattr(args, spec.key) for spec in _PIPELINE_FLAGS
-                 if getattr(args, spec.key) is not None}
-    if queries is not None:
-        overrides["queries"] = list(queries)
-    return config_from_dict(raw, overrides)
+    return config_from_dict(raw, {spec.key: value for spec in CONFIG_KEYS
+                                  if (value := getattr(args, spec.key, None)) is not None})
 
 
 def _write(path: str, text: str) -> None:
@@ -122,8 +119,8 @@ def _write(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _handle_run(args: argparse.Namespace, queries: tuple[str, ...] | None = None) -> int:
-    cfg = _config_from_args(args, queries)
+def _handle_run(args: argparse.Namespace) -> int:
+    cfg = _config_from_args(args)
     reports = run_pipeline(cfg)
     text = emit_report(reports, cfg.output_format, cfg.score_thresh,
                        cfg.size_thresh, cfg.senti_thresh)
@@ -133,10 +130,6 @@ def _handle_run(args: argparse.Namespace, queries: tuple[str, ...] | None = None
     else:
         sys.stdout.write(text)
     return 1 if cfg.mc_check and has_mc_failures(reports) else 0
-
-
-def _handle_rq1(args: argparse.Namespace) -> int:
-    return _handle_run(args, tuple(args.queries))
 
 
 # Each synth spec key's kind, as pipeline.is_kind reads it

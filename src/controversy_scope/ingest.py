@@ -24,11 +24,11 @@ the file's rule: a post id carried by two rows raises ``DuplicatePostId``.
 
 Query filtering works on a window's corpus, cut by a timestamp mask. A
 query's rows are the rows carrying its token, closed under in-window repost
-links by one breadth-first search over post ids: each level gathers the
-reposts of the posts it reached from a CSR of rows by repost target, so a
-search costs time linear in what it reaches, plus a few array operations per
-level of repost depth. The CSRs are built once per window corpus and shared
-by all of its queries.
+links by one breadth-first search over rows: each step gathers the reposts
+of the rows it reached from a CSR of rows by repost target, so a search
+costs time linear in what it reaches, plus a few array operations per step
+of repost depth. The two CSRs (reposts by target, token rows by surface) are
+built once per window corpus and shared by all of its queries.
 
 Parsing. Each line is stripped of surrounding whitespace; blank lines are
 skipped. A line is decoded by one ``JSONDecoder().raw_decode`` and must be
@@ -191,8 +191,7 @@ class Corpus:
     (Python ints in an object array when one is past int64), and
     ``target_post`` and ``target_author`` name the reposted post and its
     author, -1 for an original. Row i's tokens are ``token_surface`` and
-    ``token_tag`` over ``token_ptr[i]:token_ptr[i + 1]``. ``window`` is the
-    window every row lies in, when the corpus was cut to one. A sub-corpus
+    ``token_tag`` over ``token_ptr[i]:token_ptr[i + 1]``. A sub-corpus
     shares the tables and the post numbering; the arrays are not to be
     modified.
     """
@@ -209,7 +208,6 @@ class Corpus:
     token_ptr: np.ndarray
     token_surface: np.ndarray
     token_tag: np.ndarray
-    window: TimeWindow | None = None
 
     def __len__(self) -> int:
         return len(self.post)
@@ -241,44 +239,38 @@ class Corpus:
         )
 
     def within(self, window: TimeWindow) -> Corpus:
-        """The rows inside the window, as a corpus cut to it (itself, if it is)."""
-        if self.window == window:
-            return self
+        """The rows inside the window, as a corpus (itself, if no row lies outside)."""
         inside = (self.timestamp >= window.start) & (self.timestamp < window.end)
-        cut = self if inside.all() else self._take(np.flatnonzero(inside))
-        return replace(cut, window=window)
+        return self if inside.all() else self._take(np.flatnonzero(inside))
 
     @cached_property
     def _links(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """CSRs of the rows by own post, of the reposting rows by target post,
-        and of the token rows by surface."""
+        """CSRs of the reposting rows by target post and of the token rows by
+        surface."""
         reposts = np.flatnonzero(self.target_post >= 0)
         by_target, order = _group(self.target_post[reposts], self.post_count)
-        by_post = _group(self.post, self.post_count)
         by_surface, tokens = _group(self.token_surface, len(self.surfaces))
-        return by_post, (by_target, reposts[order]), (by_surface, self.token_row[tokens])
+        return (by_target, reposts[order]), (by_surface, self.token_row[tokens])
 
     def _matching(self, query: str) -> Corpus:
         """The rows carrying the query token, closed under repost links.
 
         A row matches when the token is among its surfaces, or when it
-        reposts a matching post, transitively. Each search level takes the
-        posts first reached at the level before.
+        reposts a matching post, transitively. Each search step takes the
+        reposts of the rows first reached at the step before; a post has at
+        most one row, so no row is reached twice in one step.
         """
-        by_post, by_target, by_surface = self._links
+        by_target, by_surface = self._links
+        reached = np.zeros(len(self), dtype=bool)
         s = bisect_left(self.surfaces, query)
-        if s == len(self.surfaces) or self.surfaces[s] != query:
-            return self._take(np.empty(0, dtype=np.int64))
-        frontier = np.unique(self.post[_gather(by_surface, np.array([s]))])
-        reached = np.zeros(self.post_count, dtype=bool)
-        reached[frontier] = True
-        levels = [frontier]
-        while frontier.size:
-            frontier = np.unique(self.post[_gather(by_target, frontier)])
-            frontier = frontier[~reached[frontier]]
+        if s < len(self.surfaces) and self.surfaces[s] == query:
+            frontier = np.unique(_gather(by_surface, np.array([s])))
             reached[frontier] = True
-            levels.append(frontier)
-        return self._take(np.sort(_gather(by_post, np.concatenate(levels))))
+            while frontier.size:
+                frontier = _gather(by_target, self.post[frontier])
+                frontier = frontier[~reached[frontier]]
+                reached[frontier] = True
+        return self._take(np.flatnonzero(reached))
 
 
 def _build(rows: Iterable[tuple]) -> Corpus:
@@ -480,9 +472,9 @@ def filter_window(corpus: Corpus, window: TimeWindow, query: str | None = None) 
     A row matches the query when the token appears among its surfaces, or
     when it is a repost of a matching row inside the same window (reposts
     inherit the match of their original; bare reposts rarely repeat the
-    keyword), transitively, so repost chains stay intact. The result is cut
-    to the window; a corpus already cut to it keeps its link CSRs for the
-    next query.
+    keyword), transitively, so repost chains stay intact. A corpus with no
+    row outside the window is its own window corpus, so it keeps its link
+    CSRs for the next query.
     """
     in_window = corpus.within(window)
     return in_window if query is None else in_window._matching(query)

@@ -34,7 +34,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Collection, Iterable, Sequence, TypeVar
 from urllib.parse import quote
 from zoneinfo import ZoneInfoNotFoundError
@@ -432,7 +432,9 @@ def _score_window(
     are read, before any is scored, so it never sits beside the graphs and
     solver arrays.
     """
-    in_window = corpus.within(window)
+    # a new object over the same arrays, even when no row lies outside the
+    # window, so the link CSRs cached on it are not kept by the corpus
+    in_window = replace(corpus.within(window))
     if tokens is None:
         freq = extract_candidate_tokens(in_window, stopwords, cfg.noun_tags, cfg.count_mode)
         tokens = top_n_subtopics(freq, cfg.top_n)
@@ -513,6 +515,8 @@ def parse_report_csv(text: str) -> list[ControversyReport]:
         cells = dict(zip(_CSV_COLUMNS, row))
         rwc = None
         try:
+            if cells["undersized"] not in ("0", "1"):
+                raise ValueError(f"undersized is {cells['undersized']!r}, not 0 or 1")
             if cells["rwc_score"]:
                 rwc = RwcResult(**{c.removeprefix("rwc_"): float(cells[c]) for c in _RWC_COLUMNS})
             out.append(ControversyReport(

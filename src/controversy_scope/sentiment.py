@@ -71,23 +71,15 @@ def aggregate_sentiment(
 
     Each record's score is ``score_text`` of its tokens, and the sums run in
     the same order as there and over the records in row order, so the
-    floats are the same bits: a record's matched polarities are added one
-    token position at a time, over all records at once.
+    floats are the same bits: ``np.bincount`` adds each record's matched
+    polarities in token order, starting from zero.
     """
     polarity = np.array([lex.polarity.get(s, math.nan) for s in corpus.surfaces], dtype=float)
     value = polarity[corpus.token_surface]
     hit = ~np.isnan(value)  # polarities lie in [-1, 1], so NaN marks no entry
-    rows, value = corpus.token_row[hit], value[hit]
+    rows = corpus.token_row[hit]
     matched = np.bincount(rows, minlength=len(corpus))
-    # the position of each matched token among its record's matched tokens
-    position = np.arange(rows.size) - (np.cumsum(matched) - matched)[rows]
-    by_position = np.argsort(position, kind="stable")
-    total = np.zeros(len(corpus))
-    start = 0
-    for end in np.cumsum(np.bincount(position)).tolist():
-        level = by_position[start:end]  # at most one token per record
-        total[rows[level]] += value[level]
-        start = end
+    total = np.bincount(rows, weights=value[hit], minlength=len(corpus))
     scored = matched > 0
     scores = (total[scored] / matched[scored]).tolist()
     if not scores:

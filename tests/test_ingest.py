@@ -1,8 +1,10 @@
 import gc
 import json
+import math
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -220,6 +222,10 @@ def _noun(*surfaces):
     return tuple((s, "NOUN") for s in surfaces)
 
 
+def _adj(text):
+    return tuple((s, "ADJ") for s in text.split())
+
+
 # unique post ids from a small set, repost targets from the same set plus
 # "z" (which never posts), and timestamps on both sides of W's bounds, so
 # lists often hold self-reposts, cycles, out-of-window originals, targets
@@ -276,6 +282,10 @@ ORACLE_EXAMPLES = (
                                 ("vaxx", "NOUN"))),
         record("b", "u2", 150, (("mask", "NOUN"), ("vaxx", "NOUN"))),
     ],
+    [  # nine polarities whose mean differs in the last bits when summed pairwise
+        record("a", "u1", 150, (*_adj("bad meh good meh good bad good good meh"),
+                                ("vaxx", "NOUN"))),
+    ],
 )
 
 
@@ -315,6 +325,25 @@ def test_columnar_stages_match_record_oracles(records):
         assert _bits(aggregate_sentiment, cell) == _bits(naive_aggregate_sentiment, expected)
 
 
+def _reduceat_sentiment(corpus, lex):
+    """aggregate_sentiment with each record's polarities summed by np.add.reduceat."""
+    value = np.array([lex.polarity.get(corpus.surfaces[s], math.nan)
+                      for s in corpus.token_surface.tolist()])
+    hit = ~np.isnan(value)
+    rows, value = corpus.token_row[hit], value[hit]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    scores = (np.add.reduceat(value, starts) / np.diff(starts, append=rows.size)).tolist()
+    mean = sum(scores) / len(scores)
+    return mean, math.sqrt(sum((s - mean) ** 2 for s in scores) / len(scores)), len(scores)
+
+
+def test_oracle_examples_catch_a_sentiment_sum_in_another_order():
+    cell = Corpus.from_records(ORACLE_EXAMPLES[-1])
+    assert _bits(aggregate_sentiment, cell) == _bits(naive_aggregate_sentiment,
+                                                     ORACLE_EXAMPLES[-1])
+    assert _bits(_reduceat_sentiment, cell) != _bits(aggregate_sentiment, cell)
+
+
 def test_filter_window_linear_on_deep_chain_and_wide_hub():
     depth, fan = 10_000, 100_000
     chain = [record(f"c{i}", f"u{i}", 150, (), (f"c{i - 1}", f"u{i - 1}"))
@@ -344,9 +373,11 @@ def test_a_window_corpus_groups_its_rows_once_for_all_queries(monkeypatch):
                record("c", "u2", 500, _noun("mask"))]
     in_window = Corpus.from_records(records).within(W)
     assert in_window.within(W) is in_window
+    inside = Corpus.from_records(records[:2])
+    assert inside.within(W) is inside  # no row outside the window: nothing to cut
     for query in VOCAB:
         filter_window(in_window, W, query)
-    assert len(grouped) == 3  # rows by post, reposts by target, tokens by surface
+    assert len(grouped) == 2  # reposts by target, tokens by surface
     assert as_records(filter_window(in_window, W, "mask")) == normalize_ids(records)[:2]
 
 

@@ -12,7 +12,7 @@ from dataclasses import fields, replace
 import pytest
 
 from controversy_scope import cli, pipeline
-from controversy_scope.ingest import TimeWindow, parse_window, serialize_records
+from controversy_scope.ingest import Corpus, TimeWindow, parse_window, serialize_records
 from controversy_scope.pipeline import (
     ConfigError,
     ControversyReport,
@@ -71,6 +71,13 @@ def test_rq1_mode_one_row_per_query_window():
     assert by_key[("2020-09", "ghost")].node_count == 0
     assert by_key[("2020-10", "vaxx")].undersized  # empty window
     assert all(r.rwc is None for r in reports if r.undersized)
+
+
+def test_the_corpus_keeps_no_link_csrs_of_a_window_holding_every_row():
+    corpus = Corpus.from_records(small_corpus(seed=1))
+    assert corpus.within(WINDOW) is corpus
+    run_pipeline(small_config(queries=("vaxx",)), records=corpus)
+    assert "_links" not in vars(corpus)  # they went with the window's corpus
 
 
 def test_phase1_discovers_planted_token_and_matches_rq1_score():
@@ -134,6 +141,7 @@ def _fixture_reports():
 
 def test_csv_round_trip_identity():
     reports = _fixture_reports()
+    assert {r.undersized for r in reports} == {False, True}  # both 0 and 1 round-trip
     text = emit_report(reports, "csv")
     assert parse_report_csv(text) == reports
 
@@ -152,6 +160,8 @@ def test_csv_round_trips_a_label_with_a_carriage_return(label):
      "row 5: invalid literal for int"),
     (lambda lines: lines[:2] + [lines[2].replace(",-0.25,", ",low,", 1)] + lines[3:],
      "row 3: could not convert string to float"),
+    (lambda lines: lines[:2] + [lines[2].replace(",12,1,", ",12,yes,", 1)] + lines[3:],
+     "row 3: undersized is 'yes', not 0 or 1"),
     (lambda lines: [], "unexpected CSV header: None"),
 ])
 def test_parse_report_csv_names_the_malformed_row(edit, message):
@@ -497,8 +507,7 @@ def test_config_file_key_and_cli_flag_agree(key, tmp_path):
     if key == "windows":
         argv = [command, *flags]
     args = cli._build_parser().parse_args(argv)
-    queries = tuple(args.queries) if command == "rq1" else None
-    from_flags = cli._config_from_args(args, queries)
+    from_flags = cli._config_from_args(args)
     assert from_flags == from_file
     assert from_file != config_from_dict({"windows": ["2020-03"]})
 
@@ -704,7 +713,7 @@ def test_cli_tz_flag_applies_to_config_windows(tmp_path):
     parser = cli._build_parser()
 
     def parsed(argv):
-        return cli._config_from_args(parser.parse_args(argv), queries=None)
+        return cli._config_from_args(parser.parse_args(argv))
 
     tokyo = ["--tz", "Asia/Tokyo"]
     from_file = parsed(["run", "--config", str(cfg_path), *tokyo])
