@@ -8,9 +8,10 @@ largest connected component; graphs below the minimum node count (default
 800) are reported as UnderSized rather than scored.
 
 A graph is its sorted-id CSR alone, which every structural pass here and
-in the partitioner and the walk solver reads. build_graph fills it from int
-author pairs, and k_core and largest_component slice and renumber it, so no
-stage on the pipeline path builds a string-keyed edge map or sorts node ids.
+in the partitioner and the walk solver reads. build_graph and
+synth.planted_partition fill it from int pairs, and k_core and
+largest_component slice and renumber it, so none of them builds a
+string-keyed edge map or sorts node ids.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ bound holds for the initial attempts on the coarsest graph and for the
 refinement at every level.
 
 A Bipartition is one read-only side array over its graph's sorted ids, as
-METIS returns a partition. bisect builds it directly; make_bipartition is
-the one entry, and the one check, for a {node: "X"|"Y"} map.
+METIS returns a partition. bisect and planted_partition build it directly;
+make_bipartition is the one entry, and the one check, for a
+{node: "X"|"Y"} map.
 """
 
 from __future__ import annotations

@@ -120,6 +120,8 @@ class PipelineConfig:
                                   f"got {getattr(self, spec.field)!r}")
         if self.queries is not None and not self.queries:
             raise ConfigError("queries must name at least one token")
+        if not self.noun_tags:
+            raise ConfigError("noun_tags must name at least one tag")
         for query in self.queries or ():
             if not query.strip():
                 raise ConfigError(f"queries must not be blank: {query!r}")
@@ -274,7 +276,7 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> PipelineConfig
 def read_config(path: str) -> dict:
     """The JSON object of a config file, before any key is interpreted."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

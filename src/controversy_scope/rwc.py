@@ -38,9 +38,10 @@ cumulative weights on a weighted walk. Float rounding can carry either
 index one past its range for u just below alpha or 1, so both are clipped
 into range. Estimates reach a report only through a failed check.
 
-M is read straight off the graph's own CSR (EndorsementGraph.csr) as flat
-(row, column, probability) arrays over the transient nodes, built once per
-solve, and each sweep's product M z is one np.bincount per column of Z.
+M is the graph's own CSR (EndorsementGraph.csr) masked to transient rows
+and columns, as flat (row, column, probability) arrays in the graph's node
+numbering, built once per solve; b_x and b_y are 0 on absorbing rows. Each
+sweep's product M z is one np.bincount per column of Z.
 The sum order is part of the result: floating-point sums depend on it, and
 the solver's last bits reach the report. bincount adds each row's entries
 one after another in ascending column order, starting from zero, the
@@ -156,13 +157,12 @@ class _WalkChain:
         self.nodes, self.indptr, self.indices, weights = g.csr
         n = len(self.nodes)
         degree = np.diff(self.indptr)
+        self.row = np.repeat(np.arange(n), degree)  # each CSR entry's row
         if cfg.weighted_walk:
             self.step_w = weights.astype(np.float64)
         else:
             self.step_w = np.ones(weights.size, dtype=np.float64)
-        self.out_total = np.bincount(
-            np.repeat(np.arange(n), degree), weights=self.step_w, minlength=n
-        )
+        self.out_total = np.bincount(self.row, weights=self.step_w, minlength=n)
 
         in_x, in_y = _sides(g, p).values()
         self.absorb_x = _top_degree(in_x, degree, cfg.k_top, SIDE_X)
@@ -175,10 +175,6 @@ class _WalkChain:
         # _top_degree left each side more than k_top members, so neither start set is empty
         self.start_x = np.flatnonzero(in_x & transient)
         self.start_y = np.flatnonzero(in_y & transient)
-
-        self.transient = np.flatnonzero(transient)
-        self.t_index = np.full(n, -1, dtype=np.int64)
-        self.t_index[self.transient] = np.arange(self.transient.size)
 
     @cached_property
     def walk_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
@@ -195,23 +191,21 @@ class _WalkChain:
         return self.indptr[:-1], self.indptr[1:] - 1, np.diff(self.indptr) / keep, None
 
     def transient_system(self) -> tuple[np.ndarray, ...]:
-        """The walk's step from transient rows, in transient numbering.
+        """The walk's step from transient rows, in the graph's node numbering.
 
         Returns (rows, cols, prob, b_x, b_y). The first three list M, the
-        transient-to-transient block, entry by entry in CSR order: by row,
-        then by ascending column. b_x and b_y hold each transient row's
-        one-step chance of entering X+ and Y+.
+        CSR's entries with a transient row and column, in CSR order: by row,
+        then by ascending column. b_x and b_y hold each row's one-step
+        chance of entering X+ and Y+, 0 on absorbing rows.
         """
-        degree = np.diff(self.indptr)
-        prob = self.step_w / np.repeat(self.out_total, degree)
-        row = np.repeat(self.t_index, degree)  # -1 on entries of absorbing rows
+        prob = self.step_w / self.out_total[self.row]
         target = self.absorb_label[self.indices]
-        into = np.where(row >= 0, target, -1)  # 0 transient, 1 X+, 2 Y+, -1 not a row of M
+        # 0 transient, 1 X+, 2 Y+, -1 on the entries of absorbing rows
+        into = np.where(self.absorb_label[self.row] == 0, target, -1)
         to_transient = into == 0
-        size = self.transient.size
-        return (row[to_transient], self.t_index[self.indices[to_transient]],
-                prob[to_transient], _row_sums(row, prob, into == 1, size),
-                _row_sums(row, prob, into == 2, size))
+        n = self.out_total.size
+        return (self.row[to_transient], self.indices[to_transient], prob[to_transient],
+                _row_sums(self.row, prob, into == 1, n), _row_sums(self.row, prob, into == 2, n))
 
 
 def _row_sums(row: np.ndarray, values: np.ndarray, mask: np.ndarray, size: int) -> np.ndarray:
@@ -233,9 +227,11 @@ def _solve(chain: _WalkChain) -> tuple[float, float, float, float]:
     """(p_xx, p_xy, p_yy, p_yx) from one batched solve of (I - (1-alpha) M) Z = R.
 
     R's columns are (1-alpha) b_x, (1-alpha) b_y and alpha * 1, so row v of Z
-    holds the chances that a walk from v is absorbed in X+, is absorbed in
-    Y+, or restarts, whichever comes first. Sherman-Morrison folds the restart
-    back in: p_s. = mean(Z[start_s, .]) / (1 - mean(Z[start_s, restart])).
+    holds the chances that a walk from transient v is absorbed in X+, is
+    absorbed in Y+, or restarts, whichever comes first. An absorbing row
+    moves only on sweep 1, by alpha, as every restart column does.
+    Sherman-Morrison folds the restart back in:
+    p_s. = mean(Z[start_s, .]) / (1 - mean(Z[start_s, restart])).
     Jacobi sweeps contract by 1-alpha in the max norm, so after a sweep that
     moved Z by `step`, Z is within e = (1-alpha)/alpha * step of the fixed
     point, and a ratio a / (1 - d) with a, d each off by at most e is off
@@ -246,10 +242,9 @@ def _solve(chain: _WalkChain) -> tuple[float, float, float, float]:
     alpha = cfg.restart_prob
     keep = 1.0 - alpha
     rows, cols, prob, b_x, b_y = chain.transient_system()
-    size = b_x.size
-    rhs = (keep * b_x, keep * b_y, np.full(size, alpha))
-    starts = (chain.t_index[chain.start_x], chain.t_index[chain.start_y])
-    z = [np.zeros(size)] * 3
+    rhs = (keep * b_x, keep * b_y, np.full(b_x.size, alpha))
+    starts = (chain.start_x, chain.start_y)
+    z = [np.zeros(b_x.size)] * 3
     for _ in range(cfg.max_iter):
         z_next = [keep * _times(rows, cols, prob, col) + r for col, r in zip(z, rhs)]
         error = keep / alpha * max(float(np.max(np.abs(a - b))) for a, b in zip(z_next, z))

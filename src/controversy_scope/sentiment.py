@@ -35,7 +35,7 @@ class PolarityLexicon:
 
 def load_lexicon(path: str) -> PolarityLexicon:
     polarity: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

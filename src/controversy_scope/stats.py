@@ -12,7 +12,7 @@ the low-sentiment shortlist.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -112,12 +112,17 @@ def student_t_two_tailed(t: float, df: int) -> float:
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
-    """Sample Pearson r and its two-tailed p-value under the exact t-test."""
+    """Sample Pearson r and its two-tailed p-value under the exact t-test.
+
+    A NaN or infinite value raises ValueError.
+    """
     n = len(xs)
     if n != len(ys):
         raise LengthMismatch(f"lengths differ: {n} vs {len(ys)}")
     if n < 3:
         raise TooFew(f"need at least 3 pairs, got {n}")
+    if not all(math.isfinite(v) for v in (*xs, *ys)):
+        raise ValueError("pearson inputs must be finite")
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n
     dx = [x - mean_x for x in xs]
@@ -224,12 +229,14 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class ClassifiedReports:
-    """The three report views; each view partitions its input reports.
+    """The report views; each view partitions its input reports.
 
-    high/low/undersized partition all reports by the score threshold;
-    large_high/large_low partition the scored reports at or above the size
-    threshold; low_sentiment lists reports whose sentiment mean falls below
-    the sentiment threshold.
+    high/low/undersized/failed partition all reports: high and low split the
+    scored reports by the score threshold, undersized holds the unscored
+    reports marked undersized, and failed every other unscored report (one
+    with an error set). large_high/large_low partition the scored reports at
+    or above the size threshold; low_sentiment lists reports whose sentiment
+    mean falls below the sentiment threshold.
     """
 
     high: tuple["ControversyReport", ...]
@@ -238,6 +245,7 @@ class ClassifiedReports:
     large_high: tuple["ControversyReport", ...]
     large_low: tuple["ControversyReport", ...]
     low_sentiment: tuple["ControversyReport", ...] = field(default=())
+    failed: tuple["ControversyReport", ...] = field(default=())
 
 
 def classify_subtopics(
@@ -248,31 +256,16 @@ def classify_subtopics(
 ) -> ClassifiedReports:
     """Group reports: score strictly above the cut counts as high controversy."""
     th = Thresholds(score_thresh, size_thresh, senti_thresh)
-    high: list[ControversyReport] = []
-    low: list[ControversyReport] = []
-    undersized: list[ControversyReport] = []
-    large_high: list[ControversyReport] = []
-    large_low: list[ControversyReport] = []
-    low_sentiment: list[ControversyReport] = []
+    groups: dict[str, list[ControversyReport]] = {f.name: [] for f in fields(ClassifiedReports)}
     for report in reports:
         is_high, is_large, is_low_senti = th.flags(report)
         if is_high is None:
-            undersized.append(report)
-        elif is_high:
-            high.append(report)
-            if is_large:
-                large_high.append(report)
+            groups["undersized" if report.undersized else "failed"].append(report)
         else:
-            low.append(report)
+            side = "high" if is_high else "low"
+            groups[side].append(report)
             if is_large:
-                large_low.append(report)
+                groups[f"large_{side}"].append(report)
         if is_low_senti:
-            low_sentiment.append(report)
-    return ClassifiedReports(
-        tuple(high),
-        tuple(low),
-        tuple(undersized),
-        tuple(large_high),
-        tuple(large_low),
-        tuple(low_sentiment),
-    )
+            groups["low_sentiment"].append(report)
+    return ClassifiedReports(**{name: tuple(view) for name, view in groups.items()})

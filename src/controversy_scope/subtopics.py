@@ -18,7 +18,7 @@ DEFAULT_NOUN_TAGS = frozenset({"NOUN", "PROPN"})
 def load_stopword_file(path: str) -> frozenset[str]:
     """Read one stopword list: one surface per line, '#' lines are comments."""
     surfaces: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):

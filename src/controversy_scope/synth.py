@@ -3,7 +3,8 @@
 planted_partition builds a two-block random graph with known sides; when
 sampling leaves it disconnected, minimum bridge edges are added and
 reported so downstream preconditions (connected graph) hold even at
-p_out = 0.
+p_out = 0. It draws the edges as node index pairs and builds the graph's
+CSR from them.
 
 synth_corpus emits interaction records for a population of communities.
 Each author endorses through a handful of durable favorite authors (slots),
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import EndorsementGraph, connected_components
+from .graph import EndorsementGraph, _component_roots, _from_pairs
 from .ingest import InteractionRecord, TimeWindow
-from .partition import SIDE_X, SIDE_Y, Bipartition, make_bipartition
+from .partition import Bipartition, _split
 
 
 @dataclass(frozen=True)
@@ -55,35 +56,29 @@ def planted_partition(spec: PlantedSpec, edge_weight: int = 2) -> PlantedGraph:
     """Two planted blocks with intra p_in / inter p_out edges, forced connected.
 
     The default edge weight of 2 lets generated graphs pass the standard
-    repost threshold unchanged.
+    repost threshold unchanged. The x names sort before the y names and zero
+    padding keeps index order, so node i is names[i]: x at i < n, y at
+    n + i. Bridges join the smallest nodes of consecutive components, in
+    ascending order.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n_per_side
     width = len(str(n - 1))
-    x_nodes = [f"x{i:0{width}d}" for i in range(n)]
-    y_nodes = [f"y{i:0{width}d}" for i in range(n)]
+    names = [f"{side}{i:0{width}d}" for side in "xy" for i in range(n)]
 
-    edges: dict[tuple[str, str], int] = {}
     iu, iv = np.triu_indices(n, k=1)
-    for names, prob in ((x_nodes, spec.p_in), (y_nodes, spec.p_in)):
-        mask = rng.random(iu.size) < prob
-        for a, b in zip(iu[mask], iv[mask]):
-            edges[names[a], names[b]] = edge_weight
-    gi, gj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    mask = rng.random(n * n) < spec.p_out
-    for a, b in zip(gi.ravel()[mask], gj.ravel()[mask]):
-        edges[x_nodes[a], y_nodes[b]] = edge_weight
-
-    nodes = x_nodes + y_nodes
-    graph = EndorsementGraph.from_edges(nodes, edges)
-    anchors = [c[0] for c in connected_components(graph)]
-    bridges = tuple(zip(anchors, anchors[1:]))
+    x_edge = rng.random(iu.size) < spec.p_in
+    y_edge = rng.random(iu.size) < spec.p_in
+    gi, gj = np.divmod(np.flatnonzero(rng.random(n * n) < spec.p_out), n)
+    u = np.concatenate((iu[x_edge], iu[y_edge] + n, gi))
+    v = np.concatenate((iv[x_edge], iv[y_edge] + n, gj + n))
+    graph = _from_pairs(names, u, v, np.full(u.size, edge_weight, dtype=np.int64))
+    anchors = np.unique(_component_roots(graph)).tolist()  # each component's smallest index
+    bridges = tuple((names[a], names[b]) for a, b in zip(anchors, anchors[1:]))
     if bridges:
-        edges.update(dict.fromkeys(bridges, edge_weight))
-        graph = EndorsementGraph.from_edges(nodes, edges)
-
-    side_of = dict.fromkeys(x_nodes, SIDE_X) | dict.fromkeys(y_nodes, SIDE_Y)
-    return PlantedGraph(graph, make_bipartition(graph, side_of), bridges)
+        u, v = np.append(u, anchors[:-1]), np.append(v, anchors[1:])
+        graph = _from_pairs(names, u, v, np.full(u.size, edge_weight, dtype=np.int64))
+    return PlantedGraph(graph, _split(graph, np.arange(2 * n) < n), bridges)
 
 
 @dataclass(frozen=True)

@@ -482,31 +482,31 @@ def dense_absorption(
 def naive_transient_system(g: EndorsementGraph, absorb_x, absorb_y, weighted: bool):
     """The walk's step from transient rows, one row at a time: (rows, cols, prob, b_x, b_y).
 
-    Transient nodes are numbered in sorted-id order. Each row's terms come in
-    ascending column order. b_x and b_y add a row's steps into each absorbing
-    set in that order with a one-segment NumPy add.reduceat, the reduction a
-    CSR row sum runs (add.reduce adds in another order), so they can be
-    compared with ==.
+    Nodes keep their sorted-id index. Each transient row's terms come in
+    ascending column order; an absorbing row has no terms and 0.0 in b_x
+    and b_y. b_x and b_y add a row's steps into each absorbing set in that
+    order with a one-segment NumPy add.reduceat, the reduction a CSR row sum
+    runs (add.reduce adds in another order), so they can be compared with ==.
     """
     _, xadj, adjncy, adjwgt = naive_csr(g)
     absorb_x, absorb_y = set(absorb_x), set(absorb_y)
-    transient = [v for v in range(len(xadj) - 1) if v not in absorb_x | absorb_y]
-    position = {v: r for r, v in enumerate(transient)}
+    absorbing = absorb_x | absorb_y
     rows, cols, prob, b_x, b_y = [], [], [], [], []
-    for r, v in enumerate(transient):
-        steps = [(adjncy[i], float(adjwgt[i]) if weighted else 1.0)
-                 for i in range(xadj[v], xadj[v + 1])]
-        total = 0.0
-        for _, w in steps:
-            total += w
+    for v in range(len(xadj) - 1):
         into_x, into_y = [], []
-        for u, w in steps:
-            if u in position:
-                rows.append(r)
-                cols.append(position[u])
-                prob.append(w / total)
-            else:
-                (into_x if u in absorb_x else into_y).append(w / total)
+        if v not in absorbing:
+            steps = [(adjncy[i], float(adjwgt[i]) if weighted else 1.0)
+                     for i in range(xadj[v], xadj[v + 1])]
+            total = 0.0
+            for _, w in steps:
+                total += w
+            for u, w in steps:
+                if u not in absorbing:
+                    rows.append(v)
+                    cols.append(u)
+                    prob.append(w / total)
+                else:
+                    (into_x if u in absorb_x else into_y).append(w / total)
         b_x.append(float(np.add.reduceat(into_x, [0])[0]) if into_x else 0.0)
         b_y.append(float(np.add.reduceat(into_y, [0])[0]) if into_y else 0.0)
     return rows, cols, prob, b_x, b_y

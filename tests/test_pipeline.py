@@ -12,6 +12,7 @@ from dataclasses import fields, replace
 import pytest
 
 from controversy_scope import cli, pipeline
+from controversy_scope.graph import dump_edgelist
 from controversy_scope.ingest import Corpus, TimeWindow, parse_window, serialize_records
 from controversy_scope.pipeline import (
     ConfigError,
@@ -27,7 +28,13 @@ from controversy_scope.pipeline import (
     write_output,
 )
 from controversy_scope.rwc import _SHARD_WALKS, RwcResult
-from controversy_scope.synth import CommunitySpec, CorpusSpec, PlantedSpec, synth_corpus
+from controversy_scope.synth import (
+    CommunitySpec,
+    CorpusSpec,
+    PlantedSpec,
+    planted_partition,
+    synth_corpus,
+)
 
 WINDOW = TimeWindow(1_600_000_000, 1_602_592_000, "2020-09")
 
@@ -762,6 +769,22 @@ def test_empty_queries_exit_2_from_a_config_file_and_the_cli(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_empty_noun_tags_exit_2_from_a_config_file_and_the_cli(tmp_path, capsys):
+    # an empty tag set shortlisted nothing: exit 0 with a header-only report
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(serialize_records(small_corpus()[:5]), encoding="utf-8")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"windows": ["2020-09"], "input": str(corpus),
+                                    "noun_tags": []}), encoding="utf-8")
+    out = tmp_path / "report.csv"
+    assert cli.main(["run", "--config", str(cfg_path), "--output", str(out)]) == 2
+    from_file = capsys.readouterr().err
+    assert cli.main(["run", "--input", str(corpus), "--window", "2020-09",
+                     "--noun-tags", ",", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == from_file == "error: noun_tags must name at least one tag\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("raw, message", [
     ({"min_nodes": 0}, "min_nodes must be >= 1, got 0"),
     ({"min_nodes": -1}, "min_nodes must be >= 1, got -1"),
@@ -811,6 +834,20 @@ def test_a_config_or_spec_with_bad_utf8_exits_2_naming_the_file(command, tmp_pat
     assert cli.main([*command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read config {path}: ") and err.count("\n") == 1
+
+
+def test_a_config_or_spec_with_a_bom_loads(tmp_path):
+    raw = {"windows": ["2020-09"], "queries": ["vaxx"]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("\ufeff" + json.dumps(raw), encoding="utf-8")
+    assert load_config(str(cfg_path)) == config_from_dict(raw)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text("\ufeff" + json.dumps({"kind": "planted", "n_per_side": 5, "p_in": 0.5,
+                                                 "p_out": 0.1}), encoding="utf-8")
+    out = tmp_path / "planted.edges"
+    assert cli.main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 0
+    want = dump_edgelist(planted_partition(PlantedSpec(5, 0.5, 0.1)).graph)
+    assert out.read_text(encoding="utf-8") == want
 
 
 def test_cli_queries_flag_drops_a_blank_token(tmp_path):

@@ -113,6 +113,12 @@ def test_lexicon_file_roundtrip(tmp_path):
         load_lexicon(str(bad))
 
 
+def test_lexicon_file_drops_a_leading_bom(tmp_path):
+    path = tmp_path / "bom.tsv"
+    path.write_text("\ufeffgood\t1.0\nbad\t-1.0\n", encoding="utf-8")
+    assert load_lexicon(str(path)).polarity == {"good": 1.0, "bad": -1.0}
+
+
 def test_lexicon_validation():
     with pytest.raises(ValueError):
         PolarityLexicon({"over": 1.5})

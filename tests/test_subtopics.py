@@ -87,6 +87,12 @@ def test_no_output_token_is_stopworded_or_non_noun():
     assert not set(out) & stopwords
 
 
+def test_stopword_file_drops_a_leading_bom(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_text("\ufeffvaxx\nnews\n", encoding="utf-8")
+    assert load_stopword_file(str(path)) == frozenset({"vaxx", "news"})
+
+
 def test_stopword_file_loading(tmp_path):
     one = tmp_path / "one.txt"
     one.write_text("# topic words\nvirus\ncorona\n\n", encoding="utf-8")

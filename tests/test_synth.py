@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from controversy_scope.graph import build_graph
+from controversy_scope.graph import build_graph, dump_edgelist
 from controversy_scope.ingest import Corpus, TimeWindow
 from controversy_scope.synth import (
     CommunitySpec,
@@ -53,6 +55,28 @@ def test_planted_ground_truth_sides_and_determinism():
     assert pg1.ground_truth == pg2.ground_truth
     assert len(pg1.ground_truth.side_nodes("X")) == 25
     assert len(pg1.ground_truth.side_nodes("Y")) == 25
+
+
+@pytest.mark.parametrize("spec, n_bridges, digest", [
+    # p_out = 0: one forced bridge
+    (PlantedSpec(12, 0.5, 0.0, seed=1), 1,
+     "60bedfa637e249eb9c1793189d556ed5b7c67e370fae9bbd9218eac1010a1a88"),
+    # p_in = 1: complete blocks, no bridge
+    (PlantedSpec(7, 1.0, 0.2, seed=2), 0,
+     "f4f46c15d4046fb339ddd6e66dacda6aa743d6409ea05279609f4b8f0f2d5e79"),
+    (PlantedSpec(30, 0.06, 0.01, seed=3), 4,
+     "9604ec4023a5d3636809a97f56615122b46715ab535197ba9edfbe20e1e9331f"),
+    (PlantedSpec(500, 0.006, 0.0005, seed=4), 50,
+     "0803a56f8b2128eb7d9f99b851901b029e539c5675f7a8aa093da55649bcb462"),
+])
+def test_planted_graph_sides_and_bridges_keep_their_bytes(spec, n_bridges, digest):
+    # sha256 of the edge list, the .sides lines and the bridges, as generated
+    # by the string-keyed edge-map builder this one replaced
+    pg = planted_partition(spec)
+    sides = "".join(f"{node} {side}\n" for node, side in pg.ground_truth.side_of.items())
+    text = dump_edgelist(pg.graph) + sides + repr(pg.bridges)
+    assert len(pg.bridges) == n_bridges
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_planted_spec_validation():
