@@ -193,14 +193,6 @@ def _component_roots(g: EndorsementGraph) -> np.ndarray:
     return root
 
 
-def connected_components(g: EndorsementGraph) -> list[list[str]]:
-    """All components as ascending node-id lists, ordered by their smallest id."""
-    components: dict[int, list[str]] = {}
-    for node, root in zip(g.nodes, _component_roots(g).tolist()):
-        components.setdefault(root, []).append(node)
-    return list(components.values())
-
-
 def is_connected(g: EndorsementGraph) -> bool:
     """True when every node shares the smallest id's component (or there is none)."""
     return not _component_roots(g).any()

@@ -14,6 +14,12 @@ SIAM J. Sci. Comput. 1998), after Fiduccia & Mattheyses (DAC 1982). The
 bound holds for the initial attempts on the coarsest graph and for the
 refinement at every level.
 
+The initial attempts grow a side from every vertex of a coarsest graph of
+at most 16 vertices, else from vertex 0, the highest-degree vertex and
+INIT_ATTEMPTS random draws. Each distinct start grows once, each distinct
+grown side is FM-refined once, and the refined side with the smallest
+(cut weight, heavier side) wins, the earliest on a tie.
+
 A Bipartition is one read-only side array over its graph's sorted ids, as
 METIS returns a partition. bisect and planted_partition build it directly;
 make_bipartition is the one entry, and the one check, for a
@@ -83,13 +89,6 @@ class Bipartition:
     def side_of(self) -> dict[str, str]:
         """{node: "X"|"Y"} in sorted-id order; a new dict on each access."""
         return {n: SIDE_X if x else SIDE_Y for n, x in zip(self.nodes, self.in_x.tolist())}
-
-    def side_nodes(self, side: str) -> frozenset[str]:
-        return frozenset(n for n, s in self.side_of.items() if s == side)
-
-    def swapped(self) -> "Bipartition":
-        """Same split with the X/Y labels exchanged."""
-        return Bipartition(self.nodes, ~self.in_x, self.cut, self.cut_weight, self.balance)
 
 
 def _split(g: EndorsementGraph, in_x: np.ndarray) -> Bipartition:
@@ -369,10 +368,14 @@ def _initial_partition(
         starts = list(dict.fromkeys([0, int(np.argmax(degrees)), *draws]))
     best_side: np.ndarray | None = None
     best_key: tuple[int, int] | None = None
+    # FM is deterministic and only a strictly smaller key wins, so a side
+    # grown again would refine to the same side and change nothing
+    grown: set[bytes] = set()
     for start in starts:
         side = _grow_bisection(ig, w_max, start)
-        if side is None:
+        if side is None or side.tobytes() in grown:
             continue
+        grown.add(side.tobytes())
         _fm_refine(ig, side, w_max)
         side_w = _side_weights(ig, side)
         key = (_weighted_cut(ig, side), max(side_w))

@@ -122,9 +122,10 @@ class PipelineConfig:
             raise ConfigError("queries must name at least one token")
         if not self.noun_tags:
             raise ConfigError("noun_tags must name at least one tag")
-        for query in self.queries or ():
-            if not query.strip():
-                raise ConfigError(f"queries must not be blank: {query!r}")
+        for key, tokens in (("queries", self.queries or ()), ("noun_tags", sorted(self.noun_tags))):
+            for token in tokens:
+                if not token.strip():
+                    raise ConfigError(f"{key} must not be blank: {token!r}")
         for key, names in (("windows", [w.label for w in self.windows]),
                            ("queries", list(self.queries or ()))):
             if len(set(names)) < len(names):
@@ -182,7 +183,7 @@ CONFIG_KEYS: tuple[ConfigKey, ...] = (
     ConfigKey("rwc.k_top", "k_top", int, "absorbing nodes per side"),
     ConfigKey("rwc.restart_prob", "restart_prob", float, "walk restart probability"),
     ConfigKey("rwc.solver_tol", "solver_tol", float, "error bound on each solved probability"),
-    ConfigKey("rwc.max_iter", "max_iter", int, "cap on the solver's sweeps"),
+    ConfigKey("rwc.max_iter", "max_iter", int, "cap on the solver's matrix products"),
     ConfigKey("rwc.weighted_walk", "weighted_walk", bool, "step in proportion to edge weight"),
     ConfigKey("mc_walks", "mc_walks", int, "most walks per side for --mc-check"),
     ConfigKey("mc_check", "mc_check", bool, "cross-check the solver against the simulator"),

@@ -13,12 +13,16 @@ which lies in [-1, 1] and approaches 1 when walkers almost never cross.
 
 The exact figures come from the absorbing-chain linear system on the
 transient nodes. The restart couples every node to the start distribution,
-a rank-one term, so it is kept out of the system: one batched Jacobi
-iteration solves (I - (1-alpha) M) Z = [(1-alpha) b_x, (1-alpha) b_y,
+a rank-one term, so it is kept out of the system: one batched Chebyshev
+semi-iteration solves (I - (1-alpha) M) Z = [(1-alpha) b_x, (1-alpha) b_y,
 alpha 1] for both sides at once, and the Sherman-Morrison identity recovers
-each side's probabilities from Z (see _solve). The iteration contracts by
-1-alpha per sweep, so it stops once an a-posteriori bound puts every
-reported probability within solver_tol of the exact value. A Monte Carlo
+each side's probabilities from Z (see _solve). The system's spectrum lies
+in [alpha, 2 - alpha], so Chebyshev with centre 1 and half-width 1-alpha
+gains a factor of about 0.56 a product at alpha = 0.15, where a Jacobi
+sweep gains 0.85. Each stop test reads the Jacobi step from the current
+iterate, which is within (1-alpha)/alpha times its change of the fixed
+point, and stops once that bound puts every reported probability within
+solver_tol of the exact value. A Monte Carlo
 simulator provides an independent estimate of the same quantity for
 cross-checking. rwc_score and rwc_monte_carlo are the two walk entries. Both
 build one _WalkChain, which alone checks that the graph is connected and
@@ -36,12 +40,16 @@ The simulator moves every live walker with one uniform draw u per step
 otherwise u, rescaled past alpha, picks the neighbor, along the row's
 cumulative weights on a weighted walk. Float rounding can carry either
 index one past its range for u just below alpha or 1, so both are clipped
-into range. Estimates reach a report only through a failed check.
+into range. X's shard j and Y's shard j step in lockstep (_walk_pair), the
+live X walkers held before the live Y walkers, each side drawing from its
+own generator: the counts are those of each side's walks run alone, and
+the two sides' tails share one run of iterations. Estimates reach a report
+only through a failed check.
 
 M is the graph's own CSR (EndorsementGraph.csr) masked to transient rows
 and columns, as flat (row, column, probability) arrays in the graph's node
 numbering, built once per solve; b_x and b_y are 0 on absorbing rows. Each
-sweep's product M z is one np.bincount per column of Z.
+product M z is one np.bincount per column of Z.
 The sum order is part of the result: floating-point sums depend on it, and
 the solver's last bits reach the report. bincount adds each row's entries
 one after another in ascending column order, starting from zero, the
@@ -71,7 +79,7 @@ class SideTooSmall(RwcError):
 
 
 class NoConvergence(RwcError):
-    """The iterative solve missed the tolerance within max_iter sweeps."""
+    """The iterative solve missed the tolerance within max_iter products."""
 
 
 @dataclass(frozen=True)
@@ -80,9 +88,11 @@ class RwcConfig:
 
     solver_tol bounds the error of each reported absorption probability
     against the exact solution of the linear system. max_iter only caps the
-    number of solver sweeps; reaching it raises NoConvergence. The sweeps
-    needed grow like log(solver_tol) / log(1 - restart_prob), about 150 at
-    the defaults.
+    number of the solver's matrix products (one per iteration); reaching it
+    raises NoConvergence. The products needed grow like log(solver_tol) /
+    log(rate), with rate = (sqrt(k) - 1) / (sqrt(k) + 1) and k = (2 -
+    restart_prob) / restart_prob: about 50 at the defaults, where Jacobi
+    sweeps would take about 150.
     """
 
     k_top: int = 10
@@ -228,15 +238,21 @@ def _solve(chain: _WalkChain) -> tuple[float, float, float, float]:
 
     R's columns are (1-alpha) b_x, (1-alpha) b_y and alpha * 1, so row v of Z
     holds the chances that a walk from transient v is absorbed in X+, is
-    absorbed in Y+, or restarts, whichever comes first. An absorbing row
-    moves only on sweep 1, by alpha, as every restart column does.
-    Sherman-Morrison folds the restart back in:
+    absorbed in Y+, or restarts, whichever comes first. Sherman-Morrison
+    folds the restart back in:
     p_s. = mean(Z[start_s, .]) / (1 - mean(Z[start_s, restart])).
-    Jacobi sweeps contract by 1-alpha in the max norm, so after a sweep that
-    moved Z by `step`, Z is within e = (1-alpha)/alpha * step of the fixed
-    point, and a ratio a / (1 - d) with a, d each off by at most e is off
-    by at most e (1 + p) / (1 - d - e). The loop stops once that bound is
-    within solver_tol for all four probabilities.
+
+    The iterate V runs Chebyshev semi-iteration on the spectrum's interval
+    [alpha, 2 - alpha], with centre 1 and half-width 1-alpha (Golub & Varga
+    1961; Saad 2003, Alg. 12.1): V += s, where the step is
+    s = rho_k rho_{k-1} s + 2 rho_k / (1-alpha) r, r = R - (I - (1-alpha) M) V,
+    rho_0 = 1-alpha and rho_k = 1 / (2 / (1-alpha) - rho_{k-1}); the first
+    step is r. The one product M V of an iteration also gives the Jacobi
+    step J = V + r, the point every stop test reads. Jacobi steps contract
+    by 1-alpha in the max norm, so J is within e = (1-alpha)/alpha * max|r|
+    of the fixed point, and a ratio a / (1 - d) with a, d each off by at
+    most e is off by at most e (1 + p) / (1 - d - e). The loop stops once
+    that bound is within solver_tol for all four probabilities.
     """
     cfg = chain.cfg
     alpha = cfg.restart_prob
@@ -244,22 +260,30 @@ def _solve(chain: _WalkChain) -> tuple[float, float, float, float]:
     rows, cols, prob, b_x, b_y = chain.transient_system()
     rhs = (keep * b_x, keep * b_y, np.full(b_x.size, alpha))
     starts = (chain.start_x, chain.start_y)
-    z = [np.zeros(b_x.size)] * 3
+    v = [np.zeros(b_x.size) for _ in rhs]
+    steps = [np.zeros(b_x.size) for _ in rhs]
+    rho, carry, gain = keep, 0.0, 1.0  # the first step is r itself
     for _ in range(cfg.max_iter):
-        z_next = [keep * _times(rows, cols, prob, col) + r for col, r in zip(z, rhs)]
-        error = keep / alpha * max(float(np.max(np.abs(a - b))) for a, b in zip(z_next, z))
-        z = z_next
-        if error > cfg.solver_tol:  # the bound below cannot hold yet
-            continue
-        # a (size, 3) array's column means add row by row; a 1-D mean adds pairwise
-        stacked = np.column_stack(z)
-        means = np.stack([stacked[start].mean(axis=0) for start in starts])
-        absorbed = 1.0 - means[:, 2:]  # absorbed before the first restart
-        probs = means[:, :2] / absorbed
-        if np.all(error * (1.0 + probs) <= cfg.solver_tol * (absorbed - error)):
-            (p_xx, p_xy), (p_yx, p_yy) = probs.tolist()
-            return p_xx, p_xy, p_yy, p_yx
-    raise NoConvergence(f"no convergence within {cfg.max_iter} iterations")
+        jacobi = [keep * _times(rows, cols, prob, col) + r for col, r in zip(v, rhs)]
+        residual = [j - col for j, col in zip(jacobi, v)]
+        error = keep / alpha * max(float(np.max(np.abs(r))) for r in residual)
+        if error <= cfg.solver_tol:  # else the bound below cannot hold yet
+            # a (size, 3) array's column means add row by row; a 1-D mean adds pairwise
+            stacked = np.column_stack(jacobi)
+            means = np.stack([stacked[start].mean(axis=0) for start in starts])
+            absorbed = 1.0 - means[:, 2:]  # absorbed before the first restart
+            probs = means[:, :2] / absorbed
+            if np.all(error * (1.0 + probs) <= cfg.solver_tol * (absorbed - error)):
+                (p_xx, p_xy), (p_yx, p_yy) = probs.tolist()
+                return p_xx, p_xy, p_yy, p_yx
+        for col, step, r in zip(v, steps, residual):
+            step *= carry
+            r *= gain
+            step += r
+            col += step
+        rho_next = 1.0 / (2.0 / keep - rho)
+        rho, carry, gain = rho_next, rho_next * rho, 2.0 * rho_next / keep
+    raise NoConvergence(f"no convergence within {cfg.max_iter} products")
 
 
 def rwc_score(g: EndorsementGraph, p: Bipartition, cfg: RwcConfig | None = None) -> RwcResult:
@@ -276,55 +300,91 @@ _SETTLE_DELTA = 1e-6
 
 
 def _pick(
-    u: np.ndarray, alpha: float, n_start: int, first: np.ndarray, last: np.ndarray,
-    scale: np.ndarray, cum0: np.ndarray | None = None,
+    u: np.ndarray, n_x: int, alpha: float, sizes: tuple[int, int], first: np.ndarray,
+    last: np.ndarray, scale: np.ndarray, cum0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One step's move for each walker, from its one uniform draw u in [0, 1).
+    """One step's move for each walker of a pair, from its one uniform draw u in [0, 1).
 
-    first and last are the walker's row's first and last edge, and scale is
-    the row's width over (1 - alpha): its degree, or on a weighted walk
-    (cum0 holds the cumulative edge weights from 0) its total weight.
-    Returns (restart, slot, edge). A walker with u < alpha restarts, to
-    start slot floor(u * n_start / alpha). Any other walker goes
-    (u - alpha) * scale into its row: to edge first + floor of that, or to
-    the edge whose cumulative-weight interval holds it. Rounding carries
-    u * n_start / alpha up to n_start for u just below alpha, and the row
-    offset up to the width for u just below 1, so both are clipped: every
-    slot is below n_start and every edge lies in its walker's row.
+    The first n_x walkers start in X and the rest in Y; sizes holds the two
+    start sets' sizes. first and last are each walker's row's first and last
+    edge, and scale is the row's width over (1 - alpha): its degree, or on a
+    weighted walk (cum0 holds the cumulative edge weights from 0) its total
+    weight. Returns (restart, slot, edge). restart lists, ascending, the
+    walkers with u < alpha, and slot the place each restarts to in X's start
+    set followed by Y's: floor(u * size / alpha) into its own side's set.
+    edge is every walker's move, (u - alpha) * scale into its row: edge
+    first + floor of that, or the edge whose cumulative-weight interval
+    holds it. Rounding carries u * size / alpha up to size for u just below
+    alpha, and the row offset up to the width for u just below 1, so both
+    are clipped: every slot lies in its side's set and every edge in its
+    walker's row, that of a restarting walker included.
     """
-    restart = u < alpha
-    slot = np.minimum((u * (n_start / alpha)).astype(np.intp), n_start - 1)
-    offset = (u - alpha) * scale
+    restart = np.flatnonzero(u < alpha)
+    k = int(restart.searchsorted(n_x))  # the restarting X walkers come first
+    scaled = u[restart]
+    scaled[:k] *= sizes[0] / alpha
+    scaled[k:] *= sizes[1] / alpha
+    slot = scaled.astype(np.intp)
+    np.minimum(slot[:k], sizes[0] - 1, out=slot[:k])
+    np.minimum(slot[k:], sizes[1] - 1, out=slot[k:])
+    slot[k:] += sizes[0]
+    offset = u - alpha
+    offset *= scale
     if cum0 is None:
-        edge = first + offset.astype(np.intp)
+        edge = offset.astype(np.intp)
+        edge += first
     else:
-        edge = np.searchsorted(cum0, cum0[first] + offset, side="right") - 1
-    return restart, slot, np.clip(edge, first, last)
+        offset += cum0[first]
+        edge = np.searchsorted(cum0, offset, side="right")
+        edge -= 1
+    np.minimum(edge, last, out=edge)
+    return restart, slot, np.maximum(edge, first, out=edge)
 
 
-def _walk_shard(
-    chain: _WalkChain, start: np.ndarray, count: int, rng: np.random.Generator
-) -> tuple[int, int]:
-    """Absorptions in (X+, Y+) of count walks from uniform starts, drawn from rng."""
+def _walk_pair(
+    chain: _WalkChain, count: int, rng_x: np.random.Generator, rng_y: np.random.Generator
+) -> tuple[int, int, int, int]:
+    """Absorptions (X walks in X+, X walks in Y+, Y walks in X+, Y walks in Y+) of
+    count walks from uniform starts in each side, stepped together.
+
+    The live X walkers are held before the live Y walkers. Each side draws
+    from its own generator, as many values per step as it has live walkers,
+    and compaction keeps their order, so each side's counts are those of
+    its walks run alone on its generator.
+    """
     alpha = chain.cfg.restart_prob
     first, last, scale, cum0 = chain.walk_rows
     label = chain.absorb_label
-    hit_x = 0
-    hit_y = 0
-    pos = start[rng.integers(0, start.size, count)]
+    start_x, start_y = chain.start_x, chain.start_y
+    starts = np.concatenate((start_x, start_y))
+    sizes = (start_x.size, start_y.size)
+    pos = np.concatenate((start_x[rng_x.integers(0, start_x.size, count)],
+                          start_y[rng_y.integers(0, start_y.size, count)]))
+    n_x = count
+    draws = np.empty(pos.size)
+    x_in_x = x_in_y = y_in_x = y_in_y = 0
     while pos.size:
-        restart, slot, edge = _pick(rng.random(pos.size), alpha, start.size, first[pos],
-                                    last[pos], scale[pos], cum0)
-        pos = np.where(restart, start[slot], chain.indices[edge])
+        u = draws[:pos.size]
+        rng_x.random(out=u[:n_x])
+        rng_y.random(out=u[n_x:])
+        restart, slot, edge = _pick(u, n_x, alpha, sizes, first[pos], last[pos], scale[pos],
+                                    cum0)
+        pos = chain.indices[edge]
+        pos[restart] = starts[slot]
         absorbed = label[pos]
         live = absorbed == 0
         n_live = np.count_nonzero(live)
         if n_live < pos.size:
-            x = np.count_nonzero(absorbed == 1)
-            hit_x += x
-            hit_y += pos.size - n_live - x
+            n_live_x = np.count_nonzero(live[:n_x])
+            x_hit_x = np.count_nonzero(absorbed[:n_x] == 1)
+            y_hit_x = np.count_nonzero(absorbed[n_x:] == 1)
+            x_in_x += x_hit_x
+            x_in_y += n_x - n_live_x - x_hit_x
+            y_in_x += y_hit_x
+            y_in_y += pos.size - n_x - (n_live - n_live_x) - y_hit_x
             pos = pos[live]
-    return hit_x, hit_y
+            n_x = n_live_x
+    return x_in_x, x_in_y, y_in_x, y_in_y
 
 
 def _settled(sum_d: int, sum_d2: int, n: int, cap: int, exact: float, tol: float,
@@ -393,8 +453,8 @@ def rwc_monte_carlo(
     Each side runs its walks in shards of up to 25 000, and shard j of side
     s (0 for X, 1 for Y) draws from the substream (seed, s, j), so a fixed
     seed gives bit-identical estimates, and the counts of a run are the
-    sums of its shards' counts. Shards run in pairs: X shard j, then Y
-    shard j.
+    sums of its shards' counts. Shards run in pairs: X shard j and Y shard
+    j step together, each on its own substream.
 
     Without settle, each side runs exactly n_walks walks. With it, the run
     stops after the first shard pair, short of n_walks, whose confidence
@@ -423,10 +483,9 @@ def rwc_monte_carlo(
     verdict = None
     for shard in range(-(-n_walks // _SHARD_WALKS)):
         count = min(_SHARD_WALKS, n_walks - walks)
-        a, a_cross = _walk_shard(chain, chain.start_x, count,
-                                 np.random.default_rng((seed, 0, shard)))
-        b_cross, b = _walk_shard(chain, chain.start_y, count,
-                                 np.random.default_rng((seed, 1, shard)))
+        a, a_cross, b_cross, b = _walk_pair(chain, count,
+                                            np.random.default_rng((seed, 0, shard)),
+                                            np.random.default_rng((seed, 1, shard)))
         x_same, x_cross, y_cross, y_same = (x_same + a, x_cross + a_cross,
                                             y_cross + b_cross, y_same + b)
         walks += count

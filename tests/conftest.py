@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from controversy_scope.graph import EndorsementGraph
+from controversy_scope.graph import EndorsementGraph, _component_roots
 from controversy_scope.ingest import (
     Corpus,
     DuplicatePostId,
@@ -27,6 +27,8 @@ from controversy_scope.ingest import (
     ParseResult,
     TimeWindow,
 )
+from controversy_scope.partition import SIDE_X, Bipartition
+from controversy_scope.rwc import _times
 from controversy_scope.sentiment import AllUnmatched, PolarityLexicon, score_text
 
 # Property tests replay the same examples on every run and stay quick, so
@@ -143,6 +145,25 @@ def random_connected_graph(n: int, p: float, rng: np.random.Generator) -> Endors
 
 def unit_weights(g: EndorsementGraph) -> EndorsementGraph:
     return EndorsementGraph.from_edges(g.nodes, {pair: 1 for pair in g.edges})
+
+
+def connected_components(g: EndorsementGraph) -> list[list[str]]:
+    """All components as ascending node-id lists, ordered by their smallest id,
+    grouped from the package's component roots."""
+    components: dict[int, list[str]] = {}
+    for node, root in zip(g.nodes, _component_roots(g).tolist()):
+        components.setdefault(root, []).append(node)
+    return list(components.values())
+
+
+def side_nodes(p: Bipartition, side: str) -> frozenset[str]:
+    """The nodes p puts on side "X" or "Y"."""
+    return frozenset(n for n, x in zip(p.nodes, p.in_x.tolist()) if x == (side == SIDE_X))
+
+
+def swapped(p: Bipartition) -> Bipartition:
+    """The same split with the X/Y labels exchanged."""
+    return Bipartition(p.nodes, ~p.in_x, p.cut, p.cut_weight, p.balance)
 
 
 # --- naive oracles -----------------------------------------------------------
@@ -518,3 +539,61 @@ def naive_times(rows, cols, prob, z) -> list[float]:
     for r, c, p in zip(rows, cols, prob):
         out[r] += p * z[c]
     return out
+
+
+def naive_walk_shard(chain, start, count: int, rng: np.random.Generator) -> tuple[int, int]:
+    """Absorptions in (X+, Y+) of count walks from uniform starts in one side, drawn from rng.
+
+    One side at a time: each step draws one u per live walker, works out
+    both the restart slot and the move for every walker, and keeps one of
+    them with np.where.
+    """
+    alpha = chain.cfg.restart_prob
+    first, last, scale, cum0 = chain.walk_rows
+    hit_x = hit_y = 0
+    pos = start[rng.integers(0, start.size, count)]
+    while pos.size:
+        u = rng.random(pos.size)
+        slot = np.minimum((u * (start.size / alpha)).astype(np.intp), start.size - 1)
+        offset = (u - alpha) * scale[pos]
+        if cum0 is None:
+            edge = first[pos] + offset.astype(np.intp)
+        else:
+            edge = np.searchsorted(cum0, cum0[first[pos]] + offset, side="right") - 1
+        edge = np.clip(edge, first[pos], last[pos])
+        pos = np.where(u < alpha, start[slot], chain.indices[edge])
+        absorbed = chain.absorb_label[pos]
+        hit_x += int(np.count_nonzero(absorbed == 1))
+        hit_y += int(np.count_nonzero(absorbed == 2))
+        pos = pos[absorbed == 0]
+    return hit_x, hit_y
+
+
+def jacobi_solve(chain) -> tuple[float, float, float, float]:
+    """(p_xx, p_xy, p_yy, p_yx) by Jacobi sweeps on the system rwc._solve solves.
+
+    Each sweep is Z <- (1-alpha) M Z + R, which contracts by 1-alpha in the
+    max norm; it stops on the same a-posteriori bound as rwc._solve, so each
+    probability is within solver_tol of the exact one.
+    """
+    cfg = chain.cfg
+    alpha = cfg.restart_prob
+    keep = 1.0 - alpha
+    rows, cols, prob, b_x, b_y = chain.transient_system()
+    rhs = (keep * b_x, keep * b_y, np.full(b_x.size, alpha))
+    starts = (chain.start_x, chain.start_y)
+    z = [np.zeros(b_x.size)] * 3
+    for _ in range(cfg.max_iter):
+        z_next = [keep * _times(rows, cols, prob, col) + r for col, r in zip(z, rhs)]
+        error = keep / alpha * max(float(np.max(np.abs(a - b))) for a, b in zip(z_next, z))
+        z = z_next
+        if error > cfg.solver_tol:
+            continue
+        stacked = np.column_stack(z)
+        means = np.stack([stacked[start].mean(axis=0) for start in starts])
+        absorbed = 1.0 - means[:, 2:]
+        probs = means[:, :2] / absorbed
+        if np.all(error * (1.0 + probs) <= cfg.solver_tol * (absorbed - error)):
+            (p_xx, p_xy), (p_yx, p_yy) = probs.tolist()
+            return p_xx, p_xy, p_yy, p_yx
+    raise AssertionError(f"Jacobi did not converge within {cfg.max_iter} sweeps")

@@ -7,7 +7,6 @@ from controversy_scope.graph import (
     EndorsementGraph,
     UnderSized,
     build_graph,
-    connected_components,
     dump_edgelist,
     is_connected,
     k_core,
@@ -22,6 +21,7 @@ from controversy_scope.synth import CommunitySpec, CorpusSpec, synth_corpus
 from conftest import (
     bfs_components,
     clique_edges,
+    connected_components,
     edge_counts,
     edge_key,
     graph_from_edges,

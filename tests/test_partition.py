@@ -35,6 +35,8 @@ from conftest import (
     naive_weighted_cut,
     random_connected_graph,
     random_graph,
+    side_nodes,
+    swapped,
     unit_weights,
 )
 
@@ -52,7 +54,7 @@ def test_two_five_cliques_single_bridge_exact():
     g = two_cliques_bridged(5, 1)
     p = bisect(g, seed=0)
     assert p.cut == 1
-    sides = {p.side_nodes("X"), p.side_nodes("Y")}
+    sides = {side_nodes(p, "X"), side_nodes(p, "Y")}
     assert sides == {frozenset(f"a{i:02d}" for i in range(5)),
                      frozenset(f"b{i:02d}" for i in range(5))}
 
@@ -77,7 +79,7 @@ def test_planted_cliques_recovered_across_sizes_and_seeds():
         for seed in (0, 1, 2):
             p = bisect(g, seed=seed)
             assert p.cut == b, (m, b, seed)
-            assert p.side_nodes(p.side_of["a00"]) == frozenset(
+            assert side_nodes(p, p.side_of["a00"]) == frozenset(
                 f"a{i:02d}" for i in range(m)
             )
 
@@ -89,9 +91,9 @@ def test_bisect_respects_balance_bound():
         g = random_connected_graph(n, 0.5, rng)
         for eps in (0.0, 0.05, 0.1):
             p = bisect(g, eps=eps, seed=int(rng.integers(1 << 16)))
-            largest = max(len(p.side_nodes("X")), len(p.side_nodes("Y")))
+            largest = max(len(side_nodes(p, "X")), len(side_nodes(p, "Y")))
             assert largest <= max_side_nodes(n, eps)
-            assert min(len(p.side_nodes("X")), len(p.side_nodes("Y"))) >= 1
+            assert min(len(side_nodes(p, "X")), len(side_nodes(p, "Y"))) >= 1
 
 
 def test_bisect_near_optimal_on_small_graphs():
@@ -194,17 +196,17 @@ def test_make_bipartition_rejects_labels_other_than_x_and_y():
 def test_swapped_labels_preserve_structure():
     g = two_cliques_bridged(5, 2)
     p = bisect(g, seed=0)
-    sw = p.swapped()
+    sw = swapped(p)
     assert sw.cut == p.cut
-    assert sw.side_nodes("X") == p.side_nodes("Y")
-    assert sw != p and sw.swapped() == p
+    assert side_nodes(sw, "X") == side_nodes(p, "Y")
+    assert sw != p and swapped(sw) == p
 
 
 def test_side_array_is_read_only_and_one_entry_per_node():
     g = two_cliques_bridged(5, 2)
     p = bisect(g, seed=0)
     assert p.nodes is g.nodes and p.in_x.dtype == bool and p.in_x.shape == (10,)
-    for part in (p, p.swapped(), make_bipartition(g, p.side_of)):
+    for part in (p, swapped(p), make_bipartition(g, p.side_of)):
         with pytest.raises(ValueError, match="read-only"):
             part.in_x[0] = not part.in_x[0]
     assert make_bipartition(g, p.side_of) == p
@@ -358,37 +360,52 @@ def test_fm_pass_stops_limit_moves_after_its_best_prefix(monkeypatch):
 
 
 def test_repeated_initial_starts_run_once_and_keep_the_partition(monkeypatch):
-    rng = np.random.default_rng(71)
-    g = random_connected_graph(24, 0.3, rng)
-    ig = index_graph_of(g)
-    seed = 3
-    draws = np.random.default_rng(seed).integers(0, ig.n, size=INIT_ATTEMPTS).tolist()
-    starts = [0, int(np.argmax(np.diff(ig.xadj))), *draws]
-    assert len(set(starts)) < len(starts)
-
-    # every start in turn, repeats included; a later key wins only when smaller
-    w_max = max_side_nodes(ig.n, 0.05)
-    best_key, best_side = None, None
-    for start in starts:
-        side = _grow_bisection(ig, w_max, start)
-        if side is None:
-            continue
-        _fm_refine(ig, side, w_max)
-        key = (_weighted_cut(ig, side), max(_side_weights(ig, side)))
-        if best_key is None or key < best_key:
-            best_key, best_side = key, side
-    nodes = g.csr[0]
-    want = make_bipartition(
-        g, {node: "X" if best_side[i] == best_side[0] else "Y" for i, node in enumerate(nodes)}
-    )
-
     grown: list[int] = []
-    real_grow = partition._grow_bisection
+    refined: list[bytes] = []
+    real_grow, real_refine = partition._grow_bisection, partition._fm_refine
 
     def grow(ig, w_max, start):
         grown.append(start)
         return real_grow(ig, w_max, start)
 
-    monkeypatch.setattr(partition, "_grow_bisection", grow)
-    assert bisect(g, eps=0.05, seed=seed) == want
-    assert grown == list(dict.fromkeys(starts))
+    def refine(ig, side, w_max):
+        refined.append(side.tobytes())
+        real_refine(ig, side, w_max)
+
+    # on two bridged cliques, the starts in one clique grow that clique
+    for g in (random_connected_graph(24, 0.3, np.random.default_rng(71)),
+              two_cliques_bridged(12, 2)):
+        ig = index_graph_of(g)
+        seed = 3
+        draws = np.random.default_rng(seed).integers(0, ig.n, size=INIT_ATTEMPTS).tolist()
+        starts = [0, int(np.argmax(np.diff(ig.xadj))), *draws]
+        assert len(set(starts)) < len(starts)
+
+        # every start in turn, repeats included; a later key wins only when smaller
+        w_max = max_side_nodes(ig.n, 0.05)
+        best_key, best_side = None, None
+        sides = []
+        for start in starts:
+            side = real_grow(ig, w_max, start)
+            if side is None:
+                continue
+            sides.append(side.tobytes())
+            real_refine(ig, side, w_max)
+            key = (_weighted_cut(ig, side), max(_side_weights(ig, side)))
+            if best_key is None or key < best_key:
+                best_key, best_side = key, side
+        nodes = g.csr[0]
+        want = make_bipartition(
+            g, {node: "X" if best_side[i] == best_side[0] else "Y" for i, node in enumerate(nodes)}
+        )
+
+        grown.clear()
+        refined.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(partition, "_grow_bisection", grow)
+            patch.setattr(partition, "_fm_refine", refine)
+            assert bisect(g, eps=0.05, seed=seed) == want
+        assert grown == list(dict.fromkeys(starts))
+        # g is the coarsest level, and each distinct grown side is refined once
+        assert refined == list(dict.fromkeys(sides))
+    assert len(refined) < len(grown)

@@ -791,10 +791,13 @@ def test_empty_noun_tags_exit_2_from_a_config_file_and_the_cli(tmp_path, capsys)
     ({"queries": ["vaxx", ""]}, "queries must not be blank: ''"),
     ({"queries": ["vaxx", " "]}, "queries must not be blank: ' '"),
     ({"queries": ["\t\n"]}, "queries must not be blank: '\\t\\n'"),
+    ({"noun_tags": ["NN", " "]}, "noun_tags must not be blank: ' '"),
+    ({"noun_tags": [""]}, "noun_tags must not be blank: ''"),
 ])
 def test_config_file_min_nodes_below_1_or_blank_query_exits_2(raw, message, tmp_path, capsys):
-    # each used to score a cell and exit 0: an empty cell as a TooSmall row, a
-    # blank token as a row with a blank subtopic
+    # each used to score a cell or shortlist nothing and exit 0: an empty cell
+    # as a TooSmall row, a blank token as a row with a blank subtopic, a blank
+    # noun tag as a header-only report
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(serialize_records(small_corpus()[:5]), encoding="utf-8")
     cfg_path = tmp_path / "cfg.json"
@@ -804,6 +807,12 @@ def test_config_file_min_nodes_below_1_or_blank_query_exits_2(raw, message, tmp_
     assert cli.main(["run", "--config", str(cfg_path), "--output", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+    # and as PipelineConfig fields, where noun_tags is a frozenset
+    (field, value), = raw.items()
+    if isinstance(value, list):
+        value = frozenset(value) if field == "noun_tags" else tuple(value)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        small_config(**{field: value})
 
 
 @pytest.mark.parametrize("raw, message", [

@@ -18,7 +18,7 @@ from controversy_scope.rwc import (
     _pick,
     _settled,
     _times,
-    _walk_shard,
+    _walk_pair,
     _WalkChain,
     high_degree_nodes,
     rwc_monte_carlo,
@@ -32,9 +32,13 @@ from conftest import (
     edge_counts,
     edge_key,
     graph_from_edges,
+    jacobi_solve,
     naive_times,
     naive_transient_system,
+    naive_walk_shard,
     random_connected_graph,
+    side_nodes,
+    swapped,
 )
 
 
@@ -125,7 +129,7 @@ def test_rwc_er_graphs_score_low():
 def test_rwc_swap_symmetry():
     pg = planted_partition(PlantedSpec(30, 0.4, 0.05, seed=8))
     r1 = rwc_score(pg.graph, pg.ground_truth)
-    r2 = rwc_score(pg.graph, pg.ground_truth.swapped())
+    r2 = rwc_score(pg.graph, swapped(pg.ground_truth))
     assert r2.score == pytest.approx(r1.score, abs=1e-9)
     assert r2.p_xx == pytest.approx(r1.p_yy, abs=1e-9)
     assert r2.p_xy == pytest.approx(r1.p_yx, abs=1e-9)
@@ -155,7 +159,7 @@ def test_monte_carlo_deterministic_across_shard_merging():
     n_walks = _SHARD_WALKS + 1
     mc = rwc_monte_carlo(pg.graph, pg.ground_truth, n_walks=n_walks, seed=15)
     for side, start in enumerate((chain.start_x, chain.start_y)):
-        shards = [_walk_shard(chain, start, count, np.random.default_rng((15, side, shard)))
+        shards = [naive_walk_shard(chain, start, count, np.random.default_rng((15, side, shard)))
                   for shard, count in enumerate((_SHARD_WALKS, 1))]
         hit_x, hit_y = map(sum, zip(*shards))
         assert hit_x + hit_y == n_walks
@@ -164,6 +168,33 @@ def test_monte_carlo_deterministic_across_shard_merging():
     assert mc.p_xx + mc.p_xy == 1.0
     assert mc.p_yy + mc.p_yx == 1.0
     assert mc == rwc_monte_carlo(pg.graph, pg.ground_truth, n_walks=n_walks, seed=15)
+
+
+def test_walk_pair_counts_are_the_per_side_walks_counts():
+    # the two sides stepped together draw from their own generators, as
+    # many values a step as each has live walkers, so every count is that
+    # of the side's walks run alone
+    rng = np.random.default_rng(83)
+    planted = planted_partition(PlantedSpec(30, 0.3, 0.05, seed=14))
+    cases = [(planted.graph, planted.ground_truth)]
+    for _ in range(3):
+        g = random_connected_graph(int(rng.integers(20, 40)), float(rng.uniform(0.15, 0.4)), rng)
+        cases.append((g, make_bipartition(g, random_halves(g, rng))))
+    # a lopsided split: X's start set is about three times Y's
+    g = cases[-1][0]
+    lopsided = {n: "X" if i % 4 else "Y" for i, n in enumerate(g.nodes)}
+    cases.append((g, make_bipartition(g, lopsided)))
+    for g, p in cases:
+        for weighted in (False, True):
+            chain = _WalkChain(g, p, RwcConfig(k_top=3, weighted_walk=weighted))
+            for count in (1, 7, _SHARD_WALKS + 1):
+                seeds = [(count, side) for side in (0, 1)]
+                got = _walk_pair(chain, count, *map(np.random.default_rng, seeds))
+                want = [naive_walk_shard(chain, start, count, np.random.default_rng(seed))
+                        for start, seed in zip((chain.start_x, chain.start_y), seeds)]
+                assert got == (*want[0], *want[1])
+                assert sum(got[:2]) == sum(got[2:]) == count
+    assert chain.start_x.size > 2 * chain.start_y.size
 
 
 def test_settled_needs_two_pairs():
@@ -254,13 +285,16 @@ STEP_U = (0.0, np.nextafter(STEP_ALPHA, 0.0), STEP_ALPHA, np.nextafter(1.0, 0.0)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
-@pytest.mark.parametrize("n_start", [41, 79])
-def test_pick_stays_in_range_at_the_draw_edges(weighted, n_start):
+# named by the size of X's start set
+@pytest.mark.parametrize("sizes", [(41, 79), (79, 41)], ids=["41", "79"])
+def test_pick_stays_in_range_at_the_draw_edges(weighted, sizes):
+    # a pair's walkers: every draw on every row, for X's walkers and then Y's
     alpha = STEP_ALPHA
     degree = np.array([1, 5, 7, 10])
     indptr = np.concatenate(([0], np.cumsum(degree)))
-    row = np.repeat(np.arange(degree.size), len(STEP_U))
-    u = np.tile(STEP_U, degree.size)
+    row = np.tile(np.repeat(np.arange(degree.size), len(STEP_U)), 2)
+    u = np.tile(STEP_U, 2 * degree.size)
+    n_x = u.size // 2
     first, last = indptr[:-1][row], indptr[1:][row] - 1
     cum0 = None
     scale = degree[row] / (1 - alpha)
@@ -268,15 +302,19 @@ def test_pick_stays_in_range_at_the_draw_edges(weighted, n_start):
         cum0 = np.concatenate(([0.0], np.cumsum(np.arange(1.0, indptr[-1] + 1))))
         scale = (cum0[last + 1] - cum0[first]) / (1 - alpha)
     # unclipped, rounding carries these draws one past the last slot or edge
-    assert int(STEP_U[1] * (n_start / alpha)) == n_start
+    assert all(int(STEP_U[1] * (n / alpha)) == n for n in sizes)
     assert all(int((STEP_U[3] - alpha) * (d / (1 - alpha))) == d for d in (5, 7, 10))
 
-    restart, slot, edge = _pick(u, alpha, n_start, first, last, scale, cum0)
-    assert np.array_equal(restart, u < alpha)
-    assert np.all((slot >= 0) & (slot < n_start))
+    restart, slot, edge = _pick(u, n_x, alpha, sizes, first, last, scale, cum0)
+    assert np.array_equal(restart, np.flatnonzero(u < alpha))
+    # each side's slots index its own part of X's start set followed by Y's
+    base = np.where(restart < n_x, 0, sizes[0])
+    size = np.where(restart < n_x, sizes[0], sizes[1])
+    assert np.all((slot >= base) & (slot < base + size))
+    draw = u[restart]
+    assert np.array_equal(slot[draw == STEP_U[0]], base[draw == STEP_U[0]])
+    assert np.array_equal(slot[draw == STEP_U[1]], (base + size - 1)[draw == STEP_U[1]])
     assert np.all((edge >= first) & (edge <= last))
-    assert np.all(slot[u == STEP_U[0]] == 0)
-    assert np.all(slot[u == STEP_U[1]] == n_start - 1)
     at_alpha, below_one = u == STEP_U[2], u == STEP_U[3]
     assert np.array_equal(edge[at_alpha], first[at_alpha])
     assert np.array_equal(edge[below_one], last[below_one])
@@ -368,7 +406,7 @@ def test_chain_absorbing_sets_match_high_degree_nodes():
         chain = _WalkChain(g, p, RwcConfig(k_top=k_top))
         degree = edge_counts(g)
         for side, absorb in (("X", chain.absorb_x), ("Y", chain.absorb_y)):
-            by_sort = sorted(p.side_nodes(side), key=lambda n: (-degree[n], n))[:k_top]
+            by_sort = sorted(side_nodes(p, side), key=lambda n: (-degree[n], n))[:k_top]
             got = frozenset(chain.nodes[i] for i in absorb)
             assert got == high_degree_nodes(g, side, p, k_top) == frozenset(by_sort)
 
@@ -382,7 +420,7 @@ def test_chain_rejects_side_too_small():
 
 def test_a_partition_of_another_graph_is_rejected():
     pg = planted_partition(PlantedSpec(30, 0.4, 0.05, seed=8))
-    dropped = sorted(pg.ground_truth.side_nodes("X"))[:5]
+    dropped = sorted(side_nodes(pg.ground_truth, "X"))[:5]
     # the graph without five nodes, and with one more node
     smaller = graph_from_edges({e: w for e, w in pg.graph.edges.items()
                                 if not set(e) & set(dropped)})
@@ -446,7 +484,9 @@ def test_transient_system_and_product_match_per_row_loops():
 
 
 def test_solver_matches_the_sparse_matrix_solver_bit_for_bit():
-    # float.hex of (p_xx, p_xy, p_yy, p_yx) from the scipy.sparse solver this one replaced
+    # float.hex of (p_xx, p_xy, p_yy, p_yx) from the scipy.sparse solver that
+    # the Jacobi reference replaced; the Chebyshev solve sums in another
+    # order, and each solver is within solver_tol of the exact value
     rng = np.random.default_rng(71)
     g = random_connected_graph(40, 0.5, rng)
     p = make_bipartition(g, random_halves(g, rng))
@@ -461,8 +501,25 @@ def test_solver_matches_the_sparse_matrix_solver_bit_for_bit():
           "0x1.923d2db46f1e8p-1", "0x1.b70b492d56a76p-3"]),
     ]
     for graph, partition, weighted, want in cases:
-        r = rwc_score(graph, partition, RwcConfig(k_top=10, weighted_walk=weighted))
-        assert [x.hex() for x in (r.p_xx, r.p_xy, r.p_yy, r.p_yx)] == want
+        cfg = RwcConfig(k_top=10, weighted_walk=weighted)
+        assert [x.hex() for x in jacobi_solve(_WalkChain(graph, partition, cfg))] == want
+        r = rwc_score(graph, partition, cfg)
+        for got, pinned in zip((r.p_xx, r.p_xy, r.p_yy, r.p_yx), want):
+            assert abs(got - float.fromhex(pinned)) <= 2 * cfg.solver_tol
+
+
+def test_chebyshev_solve_is_within_twice_the_tolerance_of_jacobi():
+    rng = np.random.default_rng(79)
+    for _ in range(8):
+        g = random_connected_graph(int(rng.integers(20, 60)), float(rng.uniform(0.1, 0.4)), rng)
+        p = make_bipartition(g, random_halves(g, rng))
+        for weighted in (False, True):
+            for alpha in (0.05, 0.3):
+                cfg = RwcConfig(k_top=3, restart_prob=alpha, weighted_walk=weighted)
+                r = rwc_score(g, p, cfg)
+                want = jacobi_solve(_WalkChain(g, p, cfg))
+                for got, ref in zip((r.p_xx, r.p_xy, r.p_yy, r.p_yx), want):
+                    assert abs(got - ref) <= 2 * cfg.solver_tol
 
 
 def test_scoring_never_imports_scipy():

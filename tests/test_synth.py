@@ -13,7 +13,7 @@ from controversy_scope.synth import (
     synth_corpus,
 )
 
-from conftest import bfs_components
+from conftest import bfs_components, side_nodes
 
 WINDOW = TimeWindow(1_600_000_000, 1_602_592_000, "2020-09")
 
@@ -53,8 +53,8 @@ def test_planted_ground_truth_sides_and_determinism():
     pg2 = planted_partition(spec)
     assert pg1.graph.nodes == pg2.graph.nodes and pg1.graph.edges == pg2.graph.edges
     assert pg1.ground_truth == pg2.ground_truth
-    assert len(pg1.ground_truth.side_nodes("X")) == 25
-    assert len(pg1.ground_truth.side_nodes("Y")) == 25
+    assert len(side_nodes(pg1.ground_truth, "X")) == 25
+    assert len(side_nodes(pg1.ground_truth, "Y")) == 25
 
 
 @pytest.mark.parametrize("spec, n_bridges, digest", [
