@@ -15,11 +15,17 @@ that cannot be written, reported as one `error: ...` line.
 Each key of pipeline.CONFIG_KEYS is a flag of `run` and `rq1`, written over
 the config file: `--<key>` with "_" and "." written as "-", except
 `--window`, `--k-top` and `--restart`. `queries` is rq1's `--queries`.
+
+Every command takes `--log-level` (default WARNING), which attaches one
+stderr handler to the `controversy_scope` logger for the command's run: at
+INFO it shows the records read and malformed lines skipped, and each checked
+cell's Monte Carlo walks. Log lines never enter a report.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from zoneinfo import ZoneInfoNotFoundError
 
@@ -93,6 +99,10 @@ def _build_parser() -> argparse.ArgumentParser:
     synth_p.add_argument("--spec", required=True, help="generator spec JSON")
     synth_p.add_argument("--out", required=True, help="output path")
     synth_p.set_defaults(handler=_handle_synth)
+    for command_p in (run_p, rq1_p, synth_p):
+        command_p.add_argument("--log-level", default="WARNING",
+                               choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                               help="show the package's log lines at this level on stderr")
     return parser
 
 
@@ -190,11 +200,20 @@ def _handle_synth(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    log = logging.getLogger("controversy_scope")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(args.log_level)
     try:
         return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

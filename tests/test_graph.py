@@ -13,8 +13,9 @@ from controversy_scope.graph import (
     largest_component,
     prepare_conversation_graph,
 )
-from controversy_scope.ingest import Corpus, TimeWindow
+from controversy_scope.ingest import Corpus, TimeWindow, filter_window
 from controversy_scope.partition import SIDE_X, bisect, max_side_nodes
+from controversy_scope.pipeline import PipelineConfig, run_pipeline
 from controversy_scope.rwc import rwc_monte_carlo, rwc_score
 from controversy_scope.synth import CommunitySpec, CorpusSpec, synth_corpus
 
@@ -170,6 +171,26 @@ def test_prepare_success_is_connected_min_degree_two():
     degrees = edge_counts(g)
     assert min(degrees.values()) >= 2
     assert len(bfs_components(g)) == 1
+
+
+def test_a_pair_with_no_cross_reposts_keeps_one_camp_and_scores_unpolarized():
+    # Pins the largest-component rule: with no cross reposts the 2-core is
+    # one component per camp, and keeping the largest reads the strongest
+    # echo chamber as no controversy. A change to the rule changes this.
+    window = TimeWindow(1_600_000_000, 1_602_592_000, "2020-09")
+    camps = (CommunitySpec(600, ("vaxx",), 0.6), CommunitySpec(600, ("vaxx",), -0.6))
+    records = synth_corpus(CorpusSpec(camps, 0.0, window, seed=1))
+    cell = filter_window(Corpus.from_records(records), window, "vaxx")
+    components = connected_components(k_core(build_graph(cell), 2))
+    assert len(components) == 2
+    assert all(len({node[:2] for node in c}) == 1 for c in components)  # "c0…" or "c1…"
+    prepared = prepare_conversation_graph(cell, min_nodes=300)
+    assert list(prepared.nodes) in components  # one camp's component, whole
+    assert prepared.node_count == max(map(len, components))
+    [row] = run_pipeline(PipelineConfig(windows=(window,), min_nodes=300, seed=1,
+                                        queries=("vaxx",)), records=records)
+    assert row.node_count == prepared.node_count
+    assert row.rwc is not None and row.rwc.score < 0.3
 
 
 def test_dump_edgelist_format():

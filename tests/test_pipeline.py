@@ -671,6 +671,30 @@ def test_cli_synth_then_rq1_csv(tmp_path):
     assert by_topic["ghost"].undersized
 
 
+def test_cli_log_level_shows_the_parse_counts_on_stderr_only(tmp_path, capsys):
+    records = small_corpus(seed=1)
+    lines = serialize_records(records).splitlines()
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join([lines[0], "not json", *lines[1:]]), encoding="utf-8")
+    rq1 = ["rq1", "--queries", "vaxx", "--input", str(corpus), "--window", "2020-09",
+           "--min-nodes", "150"]
+    quiet, verbose = tmp_path / "quiet.csv", tmp_path / "verbose.csv"
+    assert cli.main([*rq1, "--output", str(quiet)]) == 0
+    assert capsys.readouterr().err == ""
+    assert cli.main([*rq1, "--output", str(verbose), "--log-level", "INFO"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"INFO: read {len(records)} records, skipped 1 malformed lines from {corpus}"]
+    assert verbose.read_bytes() == quiet.read_bytes()
+    assert logging.getLogger("controversy_scope").handlers == []
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_per_side": 4, "p_in": 0.9, "p_out": 0.1,
+                                "kind": "planted"}), encoding="utf-8")
+    assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "g.edges"),
+                     "--log-level", "INFO"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_run_with_config_markdown_stdout(tmp_path, capsys):
     corpus = synth_corpus(
         CorpusSpec(
