@@ -41,7 +41,8 @@ not integers). A line counts as malformed, and is skipped, when
   rejected, as is any line given to ``parse_records`` that cannot be encoded
   as UTF-8;
 - it is not one JSON value, or decoding it fails on an integer past the
-  interpreter's digit limit or nesting past the recursion limit;
+  interpreter's digit limit; or its lists and objects nest deeper than
+  ``ingest_kernel.MAX_DEPTH``, wherever the parse is called from;
 - the value is not an object with a non-empty string ``post_id`` and
   ``author_id``, an integer (not boolean) ``timestamp``, a ``tokens`` list
   of ``[surface, pos]`` string pairs (absent means empty) and an optional
@@ -56,9 +57,10 @@ is read with universal newlines: a line ends at "\\n", "\\r\\n" or a lone
 "\\r".
 
 Parts. ``ingest_kernel`` holds these rules and builds one part: the tables
-of consecutive lines in first-seen order, and int columns over them.
-``_merge`` joins parts, in input order, into the one corpus a single pass
-would build, errors included. ``parse_records`` and ``Corpus.from_records``
+of consecutive lines in first-seen order, and int columns over them. It
+numbers a repeated post id like any other; ``_merge`` joins parts, in input
+order, into the one corpus a single pass would build, and is the one place
+that raises DuplicatePostId. ``parse_records`` and ``Corpus.from_records``
 build one part. ``parse_records_file`` cuts a regular file into
 ``min(usable CPUs, size // MIN_PART_BYTES)`` byte ranges, each ending just
 after a "\\n", so every range reads whole lines as the file does. It parses
@@ -303,20 +305,17 @@ def _merge(parts: list[Part]) -> Corpus:
     whole input; they join the table only when a part follows (two parts
     never grow the first one's table). Later authors, surfaces and tags
     join their tables the same way, and the author and surface tables are
-    then sorted. A post id carried by rows in two parts, or twice in one,
-    raises DuplicatePostId naming the one a single parse meets first. A
-    later part's post ids are dropped from the list once numbered.
+    then sorted. Each part in turn, the first included, goes through
+    ``_carry``: a post id carried by two rows raises DuplicatePostId. A
+    later part's post ids are dropped from the list once numbered and checked.
     """
     first = parts[0]
-    if first.repeat is not None:
-        raise DuplicatePostId(first.repeat)
     posts, authors, surfaces, tags = first.posts, first.authors, first.surfaces, first.tags
     post_count = len(posts)
-    carried = np.frombuffer(first.carried, dtype=bool)
+    carried = _carry(np.zeros(0, dtype=bool), post_count, first)
     numbered = [(None, None, None, None)]  # each part's numbers into the merged tables
     for k in range(1, len(parts)):
         part = parts[k]
-        post = np.frombuffer(part.post, dtype=np.int32)
         numbers = np.fromiter(chain(map(posts.get, part.posts, repeat(-1)), (-1,)),
                               dtype=np.int32, count=len(part.posts) + 1)
         missing = numbers[:-1] < 0
@@ -324,18 +323,10 @@ def _merge(parts: list[Part]) -> Corpus:
         numbers[:-1][missing] = new
         if k < len(parts) - 1:
             posts.update(zip(compress(part.posts, missing), new.tolist()))
-        rows = numbers[post]
-        seen = np.flatnonzero(rows < post_count)
-        clash = seen[carried[rows[seen]]]
-        if clash.size:
-            raise DuplicatePostId(next(islice(part.posts, int(post[clash[0]]), None)))
-        if part.repeat is not None:
-            raise DuplicatePostId(part.repeat)
+        post_count += new.size
+        carried = _carry(carried, post_count, part, numbers)
         # numbered: its post ids are not held while the columns are joined
         parts[k] = part = part._replace(posts=None)
-        post_count += new.size
-        carried = np.concatenate([carried, np.zeros(new.size, dtype=bool)])
-        carried[rows] = True
         numbered.append((numbers, _numbers(authors, part.authors),
                          _numbers(surfaces, part.surfaces), _numbers(tags, part.tags)))
     author_names, author_rank = _sorted_table(authors)
@@ -374,6 +365,26 @@ def _merge(parts: list[Part]) -> Corpus:
         token_surface=column("token_surface", 2),
         token_tag=column("token_tag", 3),
     )
+
+
+def _carry(carried: np.ndarray, post_count: int, part: Part,
+           numbers: np.ndarray | None = None) -> np.ndarray:
+    """``carried`` (is each merged post number some row's?) grown to
+    ``post_count`` and set for the part's rows, their post numbers taken
+    through ``numbers`` if given. DuplicatePostId names the first row, in
+    file order, whose number an earlier row carries."""
+    local = np.frombuffer(part.post, dtype=np.int32)
+    rows = local if numbers is None else numbers[local]
+    marked = np.zeros(post_count, dtype=bool)
+    marked[:carried.size] = carried
+    marked[rows] = True
+    if np.count_nonzero(marked) - np.count_nonzero(carried) < rows.size:  # find the repeat
+        seen = set(np.flatnonzero(carried).tolist())
+        for row, number in enumerate(rows.tolist()):
+            if number in seen:
+                raise DuplicatePostId(next(islice(part.posts, int(local[row]), None)))
+            seen.add(number)
+    return marked
 
 
 def _numbers(table: dict[str, int], names: Iterable[str]) -> np.ndarray:

@@ -11,8 +11,8 @@ its int columns as bytes. ``ingest`` merges the parts of a file into one
 
 A part is a ``Part``. Its post ids, authors, surfaces and tags are each
 numbered in first-seen order within the part, and its columns hold those
-numbers. A post id carried by a second row ends the part: ``repeat`` names
-it, and the rows before it are kept.
+numbers. A part keeps every valid line's row: a post id carried by two rows
+gets one number, and ``ingest._merge`` raises the error for it.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ import sys
 from array import array
 from collections import namedtuple
 
+# A line whose lists and objects nest deeper than this is malformed.
+MAX_DEPTH = 500
+
 Part = namedtuple("Part", [
     "malformed",  # lines skipped as malformed
-    "repeat",  # the post id a second row carried, or None
-    "carried",  # per post id, 1 when a row carries it, 0 when it is only a repost target
     "posts", "authors", "surfaces", "tags",  # tables: dicts of name -> number, or name lists
     "post", "author", "timestamp", "target_post", "target_author",  # per row
     "token_ptr", "token_surface", "token_tag",  # a row's tokens are a token_ptr slice
@@ -43,34 +44,21 @@ int64 from 0. A target column holds -1 for an original.
 def build(rows) -> Part:
     """The part of (post_id, author_id, timestamp, tokens, repost_of) rows.
 
-    Rows end at the first post id carried by an earlier row, which becomes
-    ``repeat``; one that was only a repost target is not a repeat. The loop
-    reads every table, column and lookup from a local name: it runs once
-    per input line.
+    The loop reads every table, column and lookup from a local name: it runs
+    once per input line.
     """
     posts: dict[str, int] = {}
     authors: dict[str, int] = {}
     surfaces: dict[str, int] = {}
     tags: dict[str, int] = {}
-    carried = bytearray()
     post, author, target_post, target_author = (array("i") for _ in range(4))
     timestamp: array | list = array("q")
     token_ptr, token_surface, token_tag = array("q", [0]), array("i"), array("i")
-    posts_get, authors_set = posts.get, authors.setdefault
+    posts_set, authors_set = posts.setdefault, authors.setdefault
     surfaces_set, tags_set = surfaces.setdefault, tags.setdefault
     append_timestamp = timestamp.append
-    repeat = None
     for post_id, author_id, ts, tokens, repost_of in rows:
-        p = posts_get(post_id)
-        if p is None:
-            p = posts[post_id] = len(posts)
-            carried.append(1)
-        elif carried[p]:
-            repeat = post_id
-            break
-        else:
-            carried[p] = 1
-        post.append(p)
+        post.append(posts_set(post_id, len(posts)))
         author.append(authors_set(author_id, len(authors)))
         try:
             append_timestamp(ts)
@@ -86,13 +74,9 @@ def build(rows) -> Part:
             target_author.append(-1)
         else:
             target, original_author = repost_of
-            t = posts_get(target)
-            if t is None:
-                t = posts[target] = len(posts)
-                carried.append(0)
-            target_post.append(t)
+            target_post.append(posts_set(target, len(posts)))
             target_author.append(authors_set(original_author, len(authors)))
-    return Part(0, repeat, carried, posts, authors, surfaces, tags, post, author, timestamp,
+    return Part(0, posts, authors, surfaces, tags, post, author, timestamp,
                 target_post, target_author, token_ptr, token_surface, token_tag)
 
 
@@ -132,7 +116,19 @@ def _fields(obj: object) -> tuple | None:
     elif not tokens:
         # only pure reposts may carry an empty token list
         return None
+    # the record's own fields nest 3 deep: only another key can nest deeper
+    if len(obj) > 3 + ("tokens" in obj) + ("repost_of" in obj) and _depth(obj) > MAX_DEPTH:
+        return None
     return post_id, author_id, timestamp, tokens, repost_of
+
+
+def _depth(value: object) -> int:
+    """How deep lists and objects nest in a decoded JSON value, level by level."""
+    depth, level = 0, [value]
+    while level := [x for x in level if type(x) is list or type(x) is dict]:
+        depth += 1
+        level = [item for x in level for item in (x.values() if type(x) is dict else x)]
+    return depth
 
 
 def _utf8_encodable(text: str) -> bool:
@@ -153,6 +149,15 @@ def _strings(fields: tuple) -> str:
 _decode = json.JSONDecoder().raw_decode
 
 
+def _decode_afresh(line: str) -> tuple:
+    """``_decode`` on a new thread, whose stack starts empty, so that how deep
+    the caller runs does not change what a line decodes to."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(_decode, line).result()
+
+
 def parse(stream) -> Part:
     """The part of an iterable of lines: its valid lines' rows, and its
     malformed lines counted."""
@@ -168,7 +173,10 @@ def parse(stream) -> Part:
                 malformed += 1
                 continue
             try:
-                obj, end = _decode(line)
+                try:
+                    obj, end = _decode(line)
+                except RecursionError:  # too deep for the stack left here
+                    obj, end = _decode_afresh(line)
             except (ValueError, RecursionError):
                 # JSONDecodeError, an integer past the digit limit, deep nesting
                 malformed += 1
@@ -227,8 +235,8 @@ def main(argv: list[str]) -> None:
     path, start, stop = argv[1], int(argv[2]), int(argv[3])
     with lines(path, start, stop) as stream:
         part = parse(stream)
-    # marshal writes the arrays and the bytearray as bytes
-    marshal.dump((*part[:3], *map(list, part[3:7]), *part[7:]), sys.stdout.buffer)
+    # marshal writes the arrays as bytes
+    marshal.dump((part[0], *map(list, part[1:5]), *part[5:]), sys.stdout.buffer)
 
 
 if __name__ == "__main__":

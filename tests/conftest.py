@@ -27,6 +27,7 @@ from controversy_scope.ingest import (
     ParseResult,
     TimeWindow,
 )
+from controversy_scope.ingest_kernel import MAX_DEPTH
 from controversy_scope.partition import SIDE_X, Bipartition
 from controversy_scope.rwc import _times
 from controversy_scope.sentiment import AllUnmatched, PolarityLexicon, score_text
@@ -273,12 +274,33 @@ def _naive_utf8(line: str, record: InteractionRecord) -> bool:
     return True
 
 
+def _naive_depth(line: str) -> int:
+    """How deep brackets and braces nest in a line's text outside its strings."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for char in line:
+        if escaped:
+            escaped = False
+        elif in_string:
+            escaped = char == "\\"
+            in_string = char != '"'
+        elif char == '"':
+            in_string = True
+        elif char in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif char in "]}":
+            depth -= 1
+    return deepest
+
+
 def naive_parse_records(stream: Iterable[str]) -> ParseResult:
     """``json.loads`` and ``isinstance`` checks on every line, the collector untouched.
 
-    The parser as it stood before its loop was tuned, plus one rule: a line
+    The parser as it stood before its loop was tuned, plus two rules: a line
     that cannot be encoded as UTF-8, or whose record holds a string that
-    cannot, is malformed.
+    cannot, is malformed; so is a line whose text nests deeper than
+    ``MAX_DEPTH``, counted before it is decoded.
     """
     records: list[InteractionRecord] = []
     seen: set[str] = set()
@@ -286,6 +308,9 @@ def naive_parse_records(stream: Iterable[str]) -> ParseResult:
     for line in stream:
         line = line.strip()
         if not line:
+            continue
+        if _naive_depth(line) > MAX_DEPTH:
+            malformed += 1
             continue
         try:
             obj = json.loads(line)

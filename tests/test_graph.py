@@ -193,6 +193,21 @@ def test_a_pair_with_no_cross_reposts_keeps_one_camp_and_scores_unpolarized():
     assert row.rwc is not None and row.rwc.score < 0.3
 
 
+@pytest.mark.parametrize("cross_rate, polarized", [(0.05, True), (0.3, False)])
+def test_a_planted_pair_reads_polarized_at_a_low_cross_rate_only(cross_rate, polarized):
+    # The calibration curve: the mean score over seeds 1-3 falls with the
+    # cross rate and crosses the 0.3 cut between rates 0.1 and 0.2.
+    window = TimeWindow(1_600_000_000, 1_602_592_000, "2020-09")
+    camps = (CommunitySpec(600, ("vaxx",), 0.6), CommunitySpec(600, ("vaxx",), -0.6))
+    scores = []
+    for seed in (1, 2, 3):
+        records = synth_corpus(CorpusSpec(camps, cross_rate, window, seed=seed))
+        [row] = run_pipeline(PipelineConfig(windows=(window,), min_nodes=300, seed=seed,
+                                            queries=("vaxx",)), records=records)
+        scores.append(row.rwc.score)
+    assert (sum(scores) / len(scores) > 0.3) == polarized
+
+
 def test_dump_edgelist_format():
     g = graph_from_edges({("b", "a"): 2, ("c", "a"): 5})
     assert dump_edgelist(g) == "a b 2\na c 5\n"

@@ -1,6 +1,10 @@
 import gc
+import inspect
 import json
+import marshal
 import math
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -9,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from controversy_scope import ingest
+from controversy_scope import ingest, ingest_kernel
 from controversy_scope.graph import build_graph
 from controversy_scope.ingest import (
     Corpus,
@@ -554,6 +558,38 @@ def test_parse_file_drops_a_leading_bom_only(tmp_path):
     assert [r.author_id for r in as_records(result.records)] == ["u1", "u2"]
     assert result.malformed == 0
     assert parse_records(["\ufeff" + G1, G2]).malformed == 1
+
+
+def nested(depth: int) -> str:
+    """G1 with one more key, holding lists that nest the line ``depth`` deep."""
+    return G1[:-1] + ', "x": ' + "[" * (depth - 1) + "]" * (depth - 1) + "}"
+
+
+@pytest.mark.parametrize("depth, malformed", [(ingest_kernel.MAX_DEPTH, 0),
+                                              (ingest_kernel.MAX_DEPTH + 1, 1)])
+def test_a_line_nested_past_max_depth_is_malformed(depth, malformed):
+    lines = [nested(depth), G2]
+    assert parse_records(lines).malformed == malformed
+    assert parse_outcome(parse_records, lines) == parse_outcome(naive_parse_records, lines)
+
+
+def frames_deeper(frames, call):
+    return call() if frames == 0 else frames_deeper(frames - 1, call)
+
+
+@pytest.mark.parametrize("depth", [ingest_kernel.MAX_DEPTH, 700])
+def test_a_line_gets_one_verdict_at_any_stack_depth(tmp_path, depth):
+    line = nested(depth)
+    # the deepest call leaves the decode too little stack, so it is retried
+    deepest = sys.getrecursionlimit() - len(inspect.stack()) - 50
+    verdicts = [frames_deeper(frames, lambda: ingest_kernel.parse([line]).malformed)
+                for frames in (0, 400, deepest)]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    child = subprocess.run([sys.executable, "-I", "-S", ingest_kernel.__file__, str(path), "0",
+                            str(path.stat().st_size)], capture_output=True, timeout=60, check=True)
+    verdicts.append(marshal.loads(child.stdout)[0])
+    assert verdicts == [int(depth > ingest_kernel.MAX_DEPTH)] * 4
 
 
 # --- the collector around a parse --------------------------------------------

@@ -80,6 +80,8 @@ def line(text, head=b"", tail=b"", end=b"\n"):
          cuts=[0, 2])  # repeated ids in different parts: the first in file order is named
 @example(lines=[line(G3), line(G1), line(G2), line(G1)], bom=False,
          cuts=[0, 0])  # an id repeated within a later part, and across two later parts
+@example(lines=[line(G3), line(G3), line(G1), line(G1)], bom=False,
+         cuts=[1, 1])  # a repeat in part 0 and another in part 1: part 0's is named
 @example(lines=[line(G1), line(json.dumps({"post_id": "r1", "author_id": "u9", "timestamp": 1,
                                            "tokens": [], "repost_of": ["t0", "u8"]})),
                 line(json.dumps({"post_id": "r2", "author_id": "u7", "timestamp": 2,
@@ -230,8 +232,19 @@ def failing_kernel(tmp_path, body):
     return str(script)
 
 
+# the kernel's part, written with the 15 fields it had when it still carried
+# a part's repeated post id and its carried flags
+OLD_WIRE = """import marshal, sys
+sys.path.insert(0, {kernel_dir!r})
+import ingest_kernel as kernel
+with kernel.lines(sys.argv[1], int(sys.argv[2]), int(sys.argv[3])) as stream:
+    part = kernel.parse(stream)
+marshal.dump((part[0], None, b"", *map(list, part[1:5]), *part[5:]), sys.stdout.buffer)
+"""
+
+
 @pytest.mark.parametrize("break_child", ["exits 3", "writes junk", "writes nothing",
-                                         "no interpreter"])
+                                         "writes 15 fields", "no interpreter"])
 def test_a_failed_child_has_its_range_parsed_here(tmp_path, children, monkeypatch,
                                                  break_child):
     path = small_file(tmp_path)
@@ -241,7 +254,9 @@ def test_a_failed_child_has_its_range_parsed_here(tmp_path, children, monkeypatc
     else:
         body = {"exits 3": "raise SystemExit(3)",
                 "writes junk": "import sys; sys.stdout.write('junk')",
-                "writes nothing": "pass"}[break_child]
+                "writes nothing": "pass",
+                "writes 15 fields": OLD_WIRE.format(
+                    kernel_dir=os.path.dirname(ingest_kernel.__file__))}[break_child]
         monkeypatch.setattr(ingest_kernel, "__file__", failing_kernel(tmp_path, body))
     assert result_of(lambda: parse_records_file(path)) == want
     assert all_ended(children)
@@ -261,6 +276,18 @@ def test_no_child_outlives_a_failure_in_this_process(tmp_path, children, monkeyp
     with pytest.raises(Stop):
         parse_records_file(path)
     assert len(children) == 2 and all_ended(children)
+
+
+def test_the_kernel_keeps_every_row_and_numbers_a_repeated_post_id_once():
+    rows = [("p1", "u1", 1, [["a", "NOUN"]], None), ("p2", "u2", 2, [], ("p1", "u1")),
+            ("p1", "u3", 3, [["b", "NOUN"]], None), ("p3", "u1", 4, [], ("p2", "u2"))]
+    part = ingest_kernel.build(rows)
+    assert list(part.posts) == ["p1", "p2", "p3"]
+    assert list(part.post) == [0, 1, 0, 2]
+    assert list(part.target_post) == [-1, 0, -1, 1]
+    assert list(part.author) == [0, 1, 2, 0]
+    with pytest.raises(DuplicatePostId, match="^p1$"):
+        ingest._merge([part])
 
 
 def wire(part):
