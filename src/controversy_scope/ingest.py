@@ -44,10 +44,11 @@ not integers). A line counts as malformed, and is skipped, when
   interpreter's digit limit; or its lists and objects nest deeper than
   ``ingest_kernel.MAX_DEPTH``, wherever the parse is called from;
 - the value is not an object with a non-empty string ``post_id`` and
-  ``author_id``, an integer (not boolean) ``timestamp``, a ``tokens`` list
-  of ``[surface, pos]`` string pairs (absent means empty) and an optional
-  ``repost_of`` ``[post_id, author_id]`` string pair with a non-empty author
-  (``null`` means absent); or it has no tokens and is not a repost;
+  ``author_id``, an integer (not boolean) ``timestamp`` in the signed 64-bit
+  range [-2**63, 2**63 - 1], a ``tokens`` list of ``[surface, pos]`` string
+  pairs (absent means empty) and an optional ``repost_of`` ``[post_id,
+  author_id]`` string pair with a non-empty author (``null`` means absent);
+  or it has no tokens and is not a repost;
 - one of the record's strings holds a lone surrogate written as an escape
   (``"\\ud800"``), which no report could write as UTF-8.
 
@@ -56,9 +57,10 @@ that starts with a BOM is malformed, as ``json.loads`` would have it. A file
 is read with universal newlines: a line ends at "\\n", "\\r\\n" or a lone
 "\\r".
 
-Parts. ``ingest_kernel`` holds these rules and builds one part: the tables
-of consecutive lines in first-seen order, and int columns over them. It
-numbers a repeated post id like any other; ``_merge`` joins parts, in input
+Parts. ``ingest_kernel`` holds these rules, each record's in ``_fields``,
+and builds one part: the tables of consecutive lines in first-seen order,
+and int columns over them. It numbers a repeated post id like any other, and
+appends every timestamp to an int64 column; ``_merge`` joins parts, in input
 order, into the one corpus a single pass would build, and is the one place
 that raises DuplicatePostId. ``parse_records`` and ``Corpus.from_records``
 build one part. ``parse_records_file`` cuts a regular file into
@@ -210,9 +212,8 @@ class Corpus:
     ``authors``, ``surfaces`` and ``tags`` are the intern tables; ``authors``
     and ``surfaces`` are sorted. ``post_count`` is the number of distinct
     post ids, targets included. Per row: ``post`` numbers the post id in
-    first-seen order, ``author`` indexes its table, ``timestamp`` is int64
-    (Python ints in an object array when one is past int64), and
-    ``target_post`` and ``target_author`` name the reposted post and its
+    first-seen order, ``author`` indexes its table, ``timestamp`` is int64,
+    and ``target_post`` and ``target_author`` name the reposted post and its
     author, -1 for an original. Row i's tokens are ``token_surface`` and
     ``token_tag`` over ``token_ptr[i]:token_ptr[i + 1]``. A sub-corpus
     shares the tables and the post numbering; the arrays are not to be
@@ -238,7 +239,7 @@ class Corpus:
     @classmethod
     def from_records(cls, records: Iterable[InteractionRecord]) -> Corpus:
         """The records as a corpus, in their order; a repeated post id raises
-        DuplicatePostId."""
+        DuplicatePostId, and a timestamp outside int64 OverflowError."""
         return _merge([ingest_kernel.build((r.post_id, r.author_id, r.timestamp, r.tokens,
                                             r.repost_of) for r in records)])
 
@@ -343,13 +344,6 @@ def _merge(parts: list[Part]) -> Corpus:
             pieces = [v if m[slot] is None else m[slot][v] for v, m in zip(pieces, maps)]
         return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
-    stamps = [part.timestamp for part in parts]
-    if any(isinstance(ts, list) for ts in stamps):  # one past int64: Python ints
-        timestamp = np.array([t for ts in stamps for t in (
-            ts if isinstance(ts, list) else np.frombuffer(ts, dtype=np.int64).tolist())],
-            dtype=object)
-    else:
-        timestamp = column("timestamp", dtype=np.int64)
     ptrs = [np.frombuffer(part.token_ptr, dtype=np.int64) for part in parts]
     ends = np.cumsum([ptr[-1] for ptr in ptrs])
     token_ptr = ptrs[0] if len(parts) == 1 else np.concatenate(
@@ -358,7 +352,7 @@ def _merge(parts: list[Part]) -> Corpus:
         post_count=post_count, authors=author_names, surfaces=surface_names, tags=tuple(tags),
         post=column("post", 0),
         author=column("author", 1),
-        timestamp=timestamp,
+        timestamp=column("timestamp", dtype=np.int64),
         target_post=column("target_post", 0),
         target_author=column("target_author", 1),
         token_ptr=token_ptr,

@@ -36,14 +36,16 @@ Part = namedtuple("Part", [
 Part.__doc__ = """One part's tables, in first-seen order, and its columns over them.
 
 Columns are ``array``s (or bytes of one): int32 ("i"), but ``timestamp``
-int64 ("q") or a list of ints once one is past int64, and ``token_ptr``
-int64 from 0. A target column holds -1 for an original.
+and ``token_ptr`` int64 ("q"), ``token_ptr`` from 0. A target column holds
+-1 for an original.
 """
 
 
 def build(rows) -> Part:
     """The part of (post_id, author_id, timestamp, tokens, repost_of) rows.
 
+    It only numbers and appends: the rules on a row are ``_fields``'s. A
+    timestamp outside int64 raises the ``array`` append's OverflowError.
     The loop reads every table, column and lookup from a local name: it runs
     once per input line.
     """
@@ -52,19 +54,14 @@ def build(rows) -> Part:
     surfaces: dict[str, int] = {}
     tags: dict[str, int] = {}
     post, author, target_post, target_author = (array("i") for _ in range(4))
-    timestamp: array | list = array("q")
+    timestamp = array("q")
     token_ptr, token_surface, token_tag = array("q", [0]), array("i"), array("i")
     posts_set, authors_set = posts.setdefault, authors.setdefault
     surfaces_set, tags_set = surfaces.setdefault, tags.setdefault
-    append_timestamp = timestamp.append
     for post_id, author_id, ts, tokens, repost_of in rows:
         post.append(posts_set(post_id, len(posts)))
         author.append(authors_set(author_id, len(authors)))
-        try:
-            append_timestamp(ts)
-        except OverflowError:  # past int64: the column holds Python ints from here on
-            timestamp = [*timestamp, ts]
-            append_timestamp = timestamp.append
+        timestamp.append(ts)
         for surface, pos in tokens:
             token_surface.append(surfaces_set(surface, len(surfaces)))
             token_tag.append(tags_set(pos, len(tags)))
@@ -99,6 +96,8 @@ def _fields(obj: object) -> tuple | None:
     if type(author_id) is not str or not author_id:
         return None
     if type(timestamp) is not int or type(tokens) is not list:
+        return None
+    if not -(1 << 63) <= timestamp < 1 << 63:  # the timestamp column is int64
         return None
     for entry in tokens:
         if type(entry) is not list or len(entry) != 2:

@@ -72,9 +72,13 @@ def aggregate_sentiment(
     Each record's score is ``score_text`` of its tokens, and the sums run in
     the same order as there and over the records in row order, so the
     floats are the same bits: ``np.bincount`` adds each record's matched
-    polarities in token order, starting from zero.
+    polarities in token order, starting from zero. Only the surfaces the
+    corpus's tokens carry are looked up, not its whole surface table.
     """
-    polarity = np.array([lex.polarity.get(s, math.nan) for s in corpus.surfaces], dtype=float)
+    counts = np.bincount(corpus.token_surface)
+    present = np.flatnonzero(counts)
+    polarity = np.full(counts.size, math.nan)
+    polarity[present] = [lex.polarity.get(corpus.surfaces[s], math.nan) for s in present.tolist()]
     value = polarity[corpus.token_surface]
     hit = ~np.isnan(value)  # polarities lie in [-1, 1], so NaN marks no entry
     rows = corpus.token_row[hit]

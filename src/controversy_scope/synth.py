@@ -52,14 +52,18 @@ class PlantedGraph:
     bridges: tuple[tuple[str, str], ...]
 
 
-def planted_partition(spec: PlantedSpec, edge_weight: int = 2) -> PlantedGraph:
+# Every planted edge weighs 2, so a planted graph passes the standard repost
+# threshold unchanged.
+PLANTED_EDGE_WEIGHT = 2
+
+
+def planted_partition(spec: PlantedSpec) -> PlantedGraph:
     """Two planted blocks with intra p_in / inter p_out edges, forced connected.
 
-    The default edge weight of 2 lets generated graphs pass the standard
-    repost threshold unchanged. The x names sort before the y names and zero
-    padding keeps index order, so node i is names[i]: x at i < n, y at
-    n + i. Bridges join the smallest nodes of consecutive components, in
-    ascending order.
+    Every edge weighs ``PLANTED_EDGE_WEIGHT``. The x names sort before the
+    y names and zero padding keeps index order, so node i is names[i]: x at
+    i < n, y at n + i. Bridges join the smallest nodes of consecutive
+    components, in ascending order.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n_per_side
@@ -72,12 +76,12 @@ def planted_partition(spec: PlantedSpec, edge_weight: int = 2) -> PlantedGraph:
     gi, gj = np.divmod(np.flatnonzero(rng.random(n * n) < spec.p_out), n)
     u = np.concatenate((iu[x_edge], iu[y_edge] + n, gi))
     v = np.concatenate((iv[x_edge], iv[y_edge] + n, gj + n))
-    graph = _from_pairs(names, u, v, np.full(u.size, edge_weight, dtype=np.int64))
+    graph = _from_pairs(names, u, v, np.full(u.size, PLANTED_EDGE_WEIGHT, dtype=np.int64))
     anchors = np.unique(_component_roots(graph)).tolist()  # each component's smallest index
     bridges = tuple((names[a], names[b]) for a, b in zip(anchors, anchors[1:]))
     if bridges:
         u, v = np.append(u, anchors[:-1]), np.append(v, anchors[1:])
-        graph = _from_pairs(names, u, v, np.full(u.size, edge_weight, dtype=np.int64))
+        graph = _from_pairs(names, u, v, np.full(u.size, PLANTED_EDGE_WEIGHT, dtype=np.int64))
     return PlantedGraph(graph, _split(graph, np.arange(2 * n) < n), bridges)
 
 

@@ -240,6 +240,8 @@ def _naive_record_from_obj(obj: object) -> InteractionRecord | None:
         return None
     if isinstance(timestamp, bool) or not isinstance(timestamp, int):
         return None
+    if not -2**63 <= timestamp < 2**63:  # the timestamp column is int64
+        return None
     if not isinstance(raw_tokens, list):
         return None
     tokens: list[tuple[str, str]] = []

@@ -385,16 +385,27 @@ def test_a_window_corpus_groups_its_rows_once_for_all_queries(monkeypatch):
     assert as_records(filter_window(in_window, W, "mask")) == normalize_ids(records)[:2]
 
 
-def test_timestamps_past_int64_keep_their_value_and_window():
-    big = 2**63
-    records = (record("p1", "u1", big, _noun("vaxx")),
+def test_a_timestamp_outside_int64_is_malformed(tmp_path):
+    top, bottom = 2**63 - 1, -2**63
+    records = (record("p1", "u1", top, _noun("vaxx")),
                record("p2", "u2", 150, (), ("p1", "u1")),
-               record("p3", "u1", -big - 1, _noun("vaxx")))
-    corpus = parse_records(serialize_records(records).splitlines()).records
-    assert as_records(corpus) == normalize_ids(records)
-    far = TimeWindow(big, big + 1, "far")
-    assert as_records(filter_window(corpus, far, "vaxx")) == normalize_ids(records)[:1]
-    assert as_records(filter_window(corpus, W, "vaxx")) == []
+               record("p3", "u1", bottom, _noun("vaxx")))
+    outside = (record("p4", "u3", top + 1, _noun("vaxx")),
+               record("p5", "u3", bottom - 1, _noun("vaxx")))
+    text = serialize_records([outside[0], *records, outside[1]])
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(text, encoding="utf-8")
+    for result in (parse_records(text.splitlines()), parse_records_file(str(path))):
+        assert result.malformed == 2
+        corpus = result.records
+        assert corpus.timestamp.dtype == np.int64
+        assert as_records(corpus) == normalize_ids(records)
+        low = TimeWindow(bottom, bottom + 1, "low")
+        assert as_records(filter_window(corpus, low, "vaxx")) == normalize_ids(records)[2:]
+        assert as_records(filter_window(corpus, W, "vaxx")) == []
+    for stamped in outside:  # a record has no malformed verdict: it does not fit
+        with pytest.raises(OverflowError):
+            Corpus.from_records([*records, stamped])
 
 
 def test_parsed_corpus_holds_at_most_45_bytes_per_row():
@@ -445,7 +456,7 @@ valid_records = st.lists(
         InteractionRecord,
         post_id=st.text(min_size=1, max_size=6),
         author_id=st.text(min_size=1, max_size=6),
-        timestamp=st.integers(),
+        timestamp=st.integers(-2**63, 2**63 - 1),  # a parsed timestamp fits int64
         tokens=st.lists(st.tuples(st.text(max_size=5), st.text(max_size=5)), max_size=3)
         .map(tuple),
         repost_of=st.none() | st.tuples(st.text(max_size=5), st.text(min_size=1, max_size=5)),

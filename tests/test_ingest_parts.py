@@ -22,7 +22,7 @@ from controversy_scope.ingest import serialize_records
 from controversy_scope.synth import CommunitySpec, CorpusSpec, synth_corpus
 
 from conftest import naive_parse_records
-from test_ingest import G1, G2, G3, GOOD_LINE, W, oracle_lines, parse_outcome, with_timestamp
+from test_ingest import G1, G2, G3, GOOD_LINE, W, oracle_lines, parse_outcome
 
 FIELDS = ("post_count", "authors", "surfaces", "tags", "post", "author", "timestamp",
           "target_post", "target_author", "token_ptr", "token_surface", "token_tag")
@@ -72,9 +72,9 @@ def line(text, head=b"", tail=b"", end=b"\n"):
          cuts=[0, 1])  # a leading BOM; invalid UTF-8 on both sides of a cut
 @example(lines=[line(G1, end=b"\r\n"), line("\ufeff" + G2, end=b"\r"), line(G3)], bom=False,
          cuts=[0, 1])  # a BOM opening a later line, \r\n and a lone \r
-@example(lines=[line(with_timestamp(str(BIG))), line(G2),
-                line(G3.replace('"timestamp": 100', f'"timestamp": {-BIG - 1}'))],
-         bom=False, cuts=[0, 1])  # timestamps past int64 in two parts
+@example(lines=[line(json.dumps(dict(GOOD_LINE, post_id=f"p{i}", timestamp=ts)))
+                for i, ts in enumerate((BIG - 1, BIG, -BIG, -BIG - 1))],
+         bom=False, cuts=[0, 1, 2])  # int64's edges and one past each, a cut between each
 @example(lines=[line(G1), line(G2), line(G1), line(G3)], bom=False, cuts=[1, 2])
 @example(lines=[line(G3), line(G1), line(G2), line(G1.replace('"p1"', '"p3"'))], bom=False,
          cuts=[0, 2])  # repeated ids in different parts: the first in file order is named

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from controversy_scope.ingest import Corpus
+from controversy_scope.ingest import Corpus, TimeWindow, filter_window
 from controversy_scope.sentiment import (
     AllUnmatched,
     PolarityLexicon,
@@ -12,7 +12,7 @@ from controversy_scope.sentiment import (
     score_text,
 )
 
-from conftest import record
+from conftest import naive_aggregate_sentiment, record
 
 LEX = PolarityLexicon({"good": 1.0, "bad": -1.0, "meh": 0.25})
 
@@ -100,6 +100,25 @@ def test_aggregate_duplication_invariance():
     mean2, std2, _ = aggregate_sentiment(Corpus.from_records(doubled), LEX)
     assert mean2 == pytest.approx(mean1, abs=1e-12)
     assert std2 == pytest.approx(std1, abs=1e-12)
+
+
+def test_aggregate_looks_up_only_the_surfaces_a_cell_carries():
+    class Counted(dict):
+        def get(self, key, default=None):
+            looked_up.append(key)
+            return super().get(key, default)
+
+    looked_up = []
+    lex = PolarityLexicon(Counted(LEX.polarity))
+    vocabulary = [record(f"v{i}", "u", ts=5_000, tokens=toks(f"w{i}")) for i in range(2_000)]
+    cell = [record("p1", "u", tokens=toks("good", "w7", "good")),
+            record("p2", "v", tokens=toks("meh", "bad")),
+            record("p3", "v", tokens=toks("w7"))]
+    corpus = Corpus.from_records([*vocabulary, *cell])
+    window = filter_window(corpus, TimeWindow(0, 2_000, "cell"))
+    assert len(window.surfaces) > 2_000
+    assert aggregate_sentiment(window, lex) == naive_aggregate_sentiment(cell, LEX)
+    assert sorted(looked_up) == ["bad", "good", "meh", "w7"]
 
 
 def test_lexicon_file_roundtrip(tmp_path):
