@@ -16,9 +16,10 @@ refinement at every level.
 
 The initial attempts grow a side from every vertex of a coarsest graph of
 at most 16 vertices, else from vertex 0, the highest-degree vertex and
-INIT_ATTEMPTS random draws. Each distinct start grows once, each distinct
-grown side is FM-refined once, and the refined side with the smallest
-(cut weight, heavier side) wins, the earliest on a tie.
+INIT_ATTEMPTS random draws. The search runs in two passes: the first grows
+each distinct start once and keeps each distinct grown side in the order
+grown, the second FM-refines each kept side once. The refined side with the
+smallest (cut weight, heavier side) wins, the earliest on a tie.
 
 A Bipartition is one read-only side array over its graph's sorted ids, as
 METIS returns a partition. bisect and planted_partition build it directly;
@@ -226,7 +227,6 @@ def _heavy_edge_matching(
     for v in order:
         if cmap[v] < 0:
             cmap[v] = n_coarse
-            group_w[n_coarse] = vwgt[v]
             n_coarse += 1
     return np.asarray(cmap, dtype=np.int64), n_coarse
 
@@ -255,33 +255,27 @@ def _weighted_cut(ig: _IndexGraph, side: np.ndarray) -> int:
 
 
 def _grow_bisection(ig: _IndexGraph, w_max: int, start: int) -> np.ndarray | None:
-    """Greedy graph growing: pull the most-attached vertex into side 0 until balanced."""
+    """Greedy graph growing: pull the first most-attached vertex that fits into
+    side 0 until it holds its share; None once no vertex fits."""
     xadj, adjncy, adjwgt, vwgt = ig.as_lists()
     need = sum(vwgt) - w_max
     conn = [0] * ig.n
     in_x = [False] * ig.n
     w_x = 0
-
-    def add(v: int) -> None:
-        nonlocal w_x
+    v = start
+    while True:
         in_x[v] = True
         w_x += vwgt[v]
+        if w_x >= need:
+            return np.where(in_x, 0, 1).astype(np.int8)
         for idx in range(xadj[v], xadj[v + 1]):
             conn[adjncy[idx]] += adjwgt[idx]
-
-    add(start)
-    while w_x < need:
-        best = -1
-        best_conn = -1
-        for v in range(ig.n):
-            if in_x[v] or w_x + vwgt[v] > w_max:
-                continue
-            if conn[v] > best_conn:
-                best, best_conn = v, conn[v]
-        if best < 0:
+        v, best = -1, -1
+        for u in range(ig.n):
+            if conn[u] > best and not in_x[u] and w_x + vwgt[u] <= w_max:
+                v, best = u, conn[u]
+        if v < 0:
             return None
-        add(best)
-    return np.where(in_x, 0, 1).astype(np.int8)
 
 
 def _boundary_gains(ig: _IndexGraph, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -359,31 +353,25 @@ def _fm_refine(ig: _IndexGraph, side: np.ndarray, w_max: int) -> None:
 def _initial_partition(
     ig: _IndexGraph, w_max: int, rng: np.random.Generator
 ) -> np.ndarray:
-    degrees = ig.xadj[1:] - ig.xadj[:-1]
     if ig.n <= 16:
         starts = list(range(ig.n))
     else:
         draws = rng.integers(0, ig.n, size=INIT_ATTEMPTS).tolist()
         # a repeated start would grow and refine to the same side again
-        starts = list(dict.fromkeys([0, int(np.argmax(degrees)), *draws]))
-    best_side: np.ndarray | None = None
-    best_key: tuple[int, int] | None = None
-    # FM is deterministic and only a strictly smaller key wins, so a side
-    # grown again would refine to the same side and change nothing
-    grown: set[bytes] = set()
+        starts = list(dict.fromkeys([0, int(np.argmax(np.diff(ig.xadj))), *draws]))
+    # FM is deterministic, so a side grown again would refine to the same side
+    grown: dict[bytes, np.ndarray] = {}
     for start in starts:
         side = _grow_bisection(ig, w_max, start)
-        if side is None or side.tobytes() in grown:
-            continue
-        grown.add(side.tobytes())
-        _fm_refine(ig, side, w_max)
-        side_w = _side_weights(ig, side)
-        key = (_weighted_cut(ig, side), max(side_w))
-        if best_key is None or key < best_key:
-            best_side, best_key = side.copy(), key
-    if best_side is None:
+        if side is not None:
+            grown.setdefault(side.tobytes(), side)
+    if not grown:
         raise PartitionError("no feasible initial bisection found")
-    return best_side
+    for side in grown.values():
+        _fm_refine(ig, side, w_max)
+    # min keeps the earliest side on a tie
+    return min(grown.values(),
+               key=lambda side: (_weighted_cut(ig, side), max(_side_weights(ig, side))))
 
 
 def bisect(g: EndorsementGraph, eps: float = 0.05, seed: int = 0) -> Bipartition:

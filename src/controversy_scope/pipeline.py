@@ -15,7 +15,8 @@ the CLI builds its flags from it and hands their values to config_from_dict
 as flat keys, written over the file's. checked is the one check of a JSON
 object's keys and kinds, for the config file and every synth spec alike.
 _row is the one report row: the json format writes it as is, the csv format
-flattens it.
+flattens it. _EMITTERS is the one table of report formats, and the format
+key's choices are its keys.
 
 Each rule is written down once too. PipelineConfig.__post_init__ checks
 every value, from a config file, the CLI or a library caller alike: choices,
@@ -61,6 +62,8 @@ from .subtopics import (
 )
 
 MC_CHECK_TOLERANCE = 0.02
+# the error prefix of a cell whose Monte Carlo check failed; the CLI exits 1 on it
+MC_CHECK_FAILED = "mc-check failed"
 
 _log = logging.getLogger("controversy_scope")
 
@@ -90,9 +93,9 @@ class PipelineConfig:
     balance_eps: float = 0.05
     rwc: RwcConfig = field(default_factory=RwcConfig)
     lexicon_path: str | None = None
-    score_thresh: float = 0.3
-    size_thresh: int = 10_000
-    senti_thresh: float = -0.5
+    score_thresh: float = Thresholds.score
+    size_thresh: int = Thresholds.size
+    senti_thresh: float = Thresholds.sentiment
     seed: int = 0
     tz: str = "UTC"
     phase1_scope: str = "window"
@@ -149,6 +152,160 @@ class ControversyReport:
     error: str | None = None
 
 
+# --- report emission ---------------------------------------------------------
+
+_FLAGS = ("high_controversy", "large", "low_sentiment")
+_RWC_COLUMNS = ("rwc_score", "p_xx", "p_xy", "p_yy", "p_yx")
+
+
+def _row(r: ControversyReport, th: Thresholds) -> dict:
+    """One report row: the report's fields, then the group flags before ``error``."""
+    row = asdict(r)
+    row.update(zip(_FLAGS, th.flags(r)), error=row.pop("error"))
+    return row
+
+
+def _flat(row: dict) -> dict:
+    """A row as CSV cells: the rwc object spread over _RWC_COLUMNS."""
+    rwc = row["rwc"] or {}
+    cells: dict = {}
+    for key, value in row.items():
+        if key == "rwc":
+            cells.update((c, rwc.get(c.removeprefix("rwc_"))) for c in _RWC_COLUMNS)
+        else:
+            cells[key] = value
+    return cells
+
+
+_CSV_COLUMNS = list(_flat(_row(ControversyReport("", "", 0, 0, False, None), Thresholds())))
+
+
+def _opt(value: object) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return str(value)
+
+
+def _csv_line(cells: Iterable[str]) -> str:
+    """One CSV row, ended by a line feed.
+
+    The writer quotes a field for the characters of its line terminator but
+    not for a lone carriage return, so it writes CR LF, which quotes both,
+    and the CR is dropped after it.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2] + "\n"
+
+
+def _emit_csv(reports: Sequence[ControversyReport], th: Thresholds) -> str:
+    rows = (map(_opt, _flat(_row(r, th)).values()) for r in reports)
+    return "".join(map(_csv_line, [_CSV_COLUMNS, *rows]))
+
+
+def parse_report_csv(text: str) -> list[ControversyReport]:
+    """Inverse of the CSV emitter, for round-trips and downstream tooling. A bad
+    header or row is UnsupportedFormat naming the row (the header is row 1)."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header != _CSV_COLUMNS:
+        raise UnsupportedFormat(f"unexpected CSV header: {header}")
+    out: list[ControversyReport] = []
+    for number, row in enumerate(reader, start=2):
+        if len(row) != len(_CSV_COLUMNS):
+            raise UnsupportedFormat(f"row {number} has {len(row)} cells, "
+                                    f"expected {len(_CSV_COLUMNS)}")
+        cells = dict(zip(_CSV_COLUMNS, row))
+        rwc = None
+        try:
+            if cells["undersized"] not in ("0", "1"):
+                raise ValueError(f"undersized is {cells['undersized']!r}, not 0 or 1")
+            if cells["rwc_score"]:
+                rwc = RwcResult(**{c.removeprefix("rwc_"): float(cells[c]) for c in _RWC_COLUMNS})
+            out.append(ControversyReport(
+                cells["subtopic"],
+                cells["window"],
+                int(cells["record_count"]),
+                int(cells["node_count"]),
+                cells["undersized"] == "1",
+                rwc,
+                float(cells["sentiment_mean"]) if cells["sentiment_mean"] else None,
+                float(cells["sentiment_std"]) if cells["sentiment_std"] else None,
+                int(cells["sentiment_matched"]) if cells["sentiment_matched"] else None,
+                cells["error"] or None,
+            ))
+        except ValueError as exc:
+            raise UnsupportedFormat(f"row {number}: {exc}") from exc
+    return out
+
+
+def _emit_json(reports: Sequence[ControversyReport], th: Thresholds) -> str:
+    return json.dumps([_row(r, th) for r in reports], indent=2, ensure_ascii=False) + "\n"
+
+
+def _md_escape(label: str) -> str:
+    """A label as one table cell: an unescaped ``|`` would end the cell, and a
+    line break would end the row, so each line break becomes one space."""
+    for line_break in ("\r\n", "\r", "\n"):
+        label = label.replace(line_break, " ")
+    return label.replace("|", "\\|")
+
+
+def _emit_markdown(reports: Sequence[ControversyReport], th: Thresholds) -> str:
+    """Subtopics-by-windows table: bold above the score cut, dash when unscored."""
+    windows: list[str] = []
+    subtopics: list[str] = []
+    by_cell: dict[tuple[str, str], ControversyReport] = {}
+    for r in reports:
+        if r.window not in windows:
+            windows.append(r.window)
+        if r.subtopic not in subtopics:
+            subtopics.append(r.subtopic)
+        by_cell[(r.subtopic, r.window)] = r
+    lines = ["| " + " | ".join(["Subtopic", *map(_md_escape, windows)]) + " |",
+             "| --- |" + " --- |" * len(windows)]
+    for subtopic in subtopics:
+        cells = []
+        for window in windows:
+            r = by_cell.get((subtopic, window))
+            if r is None or r.rwc is None:
+                cells.append("-")
+            elif th.flags(r)[0]:
+                cells.append(f"**{r.rwc.score:.3f}**")
+            else:
+                cells.append(f"{r.rwc.score:.3f}")
+        lines.append("| " + _md_escape(subtopic) + " | " + " | ".join(cells) + " |")
+    return "\n".join(lines) + "\n"
+
+
+# the report formats: the config's format choices are this table's keys
+_EMITTERS = {"csv": _emit_csv, "json": _emit_json, "markdown": _emit_markdown}
+
+
+def emit_report(
+    reports: Sequence[ControversyReport],
+    fmt: str = "csv",
+    score_thresh: float = Thresholds.score,
+    size_thresh: int = Thresholds.size,
+    senti_thresh: float = Thresholds.sentiment,
+) -> str:
+    """Deterministic serialization: csv, json, or a markdown score table.
+
+    csv and json carry the threshold group flags per row; markdown renders
+    the subtopics-by-windows score table with bold above the score cut.
+    """
+    if fmt not in _EMITTERS:
+        raise UnsupportedFormat(f"unsupported format: {fmt!r}")
+    return _EMITTERS[fmt](reports, Thresholds(score_thresh, size_thresh, senti_thresh))
+
+
+# --- config table ----------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class ConfigKey:
     """A config file key, the field it sets, its kind and its help.
@@ -193,7 +350,7 @@ CONFIG_KEYS: tuple[ConfigKey, ...] = (
     ConfigKey("senti_thresh", "senti_thresh", float, "low-sentiment cut"),
     ConfigKey("seed", "seed", int, "base seed for all cells"),
     ConfigKey("dump_graphs", "dump_graphs_dir", str, "write each scored cell's edge list here"),
-    ConfigKey("format", "output_format", ("csv", "json", "markdown"), "report format"),
+    ConfigKey("format", "output_format", tuple(_EMITTERS), "report format"),
     ConfigKey("output", "output_path", str, "write the report here (atomic); default stdout"),
 )
 
@@ -349,7 +506,7 @@ def _score_cell(
                       else "ran to the cap")
             if gap > MC_CHECK_TOLERANCE:
                 error = (
-                    f"mc-check failed: |exact - monte-carlo| = {gap:.4f} "
+                    f"{MC_CHECK_FAILED}: |exact - monte-carlo| = {gap:.4f} "
                     f"> {MC_CHECK_TOLERANCE}"
                 )
         return ControversyReport(
@@ -370,8 +527,9 @@ def _stopwords(cfg: PipelineConfig) -> frozenset[str]:
 
 
 def _check_output_paths(cfg: PipelineConfig) -> None:
-    """Create the dump directory and check that the report's directory exists;
-    a ConfigError naming the path otherwise."""
+    """Create the dump directory, and check that the report's directory exists
+    and that the report path is not a directory; a ConfigError naming the path
+    otherwise."""
     if cfg.dump_graphs_dir is not None:
         try:
             os.makedirs(cfg.dump_graphs_dir, exist_ok=True)
@@ -382,6 +540,8 @@ def _check_output_paths(cfg: PipelineConfig) -> None:
         directory = os.path.dirname(os.path.abspath(cfg.output_path))
         if not os.path.isdir(directory):
             raise ConfigError(f"cannot write {cfg.output_path}: no directory {directory}")
+        if os.path.isdir(cfg.output_path):
+            raise ConfigError(f"cannot write {cfg.output_path}: it is a directory")
 
 
 def run_pipeline(
@@ -448,158 +608,6 @@ def _score_window(
             for token, cell in zip(tokens, cells)]
 
 
-# --- report emission ---------------------------------------------------------
-
-_FLAGS = ("high_controversy", "large", "low_sentiment")
-_RWC_COLUMNS = ("rwc_score", "p_xx", "p_xy", "p_yy", "p_yx")
-
-
-def _row(r: ControversyReport, th: Thresholds) -> dict:
-    """One report row: the report's fields, then the group flags before ``error``."""
-    row = asdict(r)
-    row.update(zip(_FLAGS, th.flags(r)), error=row.pop("error"))
-    return row
-
-
-def _flat(row: dict) -> dict:
-    """A row as CSV cells: the rwc object spread over _RWC_COLUMNS."""
-    rwc = row["rwc"] or {}
-    cells: dict = {}
-    for key, value in row.items():
-        if key == "rwc":
-            cells.update((c, rwc.get(c.removeprefix("rwc_"))) for c in _RWC_COLUMNS)
-        else:
-            cells[key] = value
-    return cells
-
-
-_CSV_COLUMNS = list(_flat(_row(ControversyReport("", "", 0, 0, False, None), Thresholds())))
-
-
-def _opt(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return str(value)
-
-
-def _csv_line(cells: Iterable[str]) -> str:
-    """One CSV row, ended by a line feed.
-
-    The writer quotes a field for the characters of its line terminator but
-    not for a lone carriage return, so it writes CR LF, which quotes both,
-    and the CR is dropped after it.
-    """
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\r\n").writerow(cells)
-    return buf.getvalue()[:-2] + "\n"
-
-
-def _emit_csv(reports: Sequence[ControversyReport], th: Thresholds) -> str:
-    rows = (map(_opt, _flat(_row(r, th)).values()) for r in reports)
-    return "".join(map(_csv_line, [_CSV_COLUMNS, *rows]))
-
-
-def parse_report_csv(text: str) -> list[ControversyReport]:
-    """Inverse of the CSV emitter, for round-trips and downstream tooling. A bad
-    header or row is UnsupportedFormat naming the row (the header is row 1)."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != _CSV_COLUMNS:
-        raise UnsupportedFormat(f"unexpected CSV header: {header}")
-    out: list[ControversyReport] = []
-    for number, row in enumerate(reader, start=2):
-        if len(row) != len(_CSV_COLUMNS):
-            raise UnsupportedFormat(f"row {number} has {len(row)} cells, "
-                                    f"expected {len(_CSV_COLUMNS)}")
-        cells = dict(zip(_CSV_COLUMNS, row))
-        rwc = None
-        try:
-            if cells["undersized"] not in ("0", "1"):
-                raise ValueError(f"undersized is {cells['undersized']!r}, not 0 or 1")
-            if cells["rwc_score"]:
-                rwc = RwcResult(**{c.removeprefix("rwc_"): float(cells[c]) for c in _RWC_COLUMNS})
-            out.append(ControversyReport(
-                cells["subtopic"],
-                cells["window"],
-                int(cells["record_count"]),
-                int(cells["node_count"]),
-                cells["undersized"] == "1",
-                rwc,
-                float(cells["sentiment_mean"]) if cells["sentiment_mean"] else None,
-                float(cells["sentiment_std"]) if cells["sentiment_std"] else None,
-                int(cells["sentiment_matched"]) if cells["sentiment_matched"] else None,
-                cells["error"] or None,
-            ))
-        except ValueError as exc:
-            raise UnsupportedFormat(f"row {number}: {exc}") from exc
-    return out
-
-
-def _emit_json(reports: Sequence[ControversyReport], th: Thresholds) -> str:
-    return json.dumps([_row(r, th) for r in reports], indent=2, ensure_ascii=False) + "\n"
-
-
-def _md_escape(label: str) -> str:
-    """A label as one table cell: an unescaped ``|`` would end the cell, and a
-    line break would end the row, so each line break becomes one space."""
-    for line_break in ("\r\n", "\r", "\n"):
-        label = label.replace(line_break, " ")
-    return label.replace("|", "\\|")
-
-
-def _emit_markdown(reports: Sequence[ControversyReport], th: Thresholds) -> str:
-    """Subtopics-by-windows table: bold above the score cut, dash when unscored."""
-    windows: list[str] = []
-    subtopics: list[str] = []
-    by_cell: dict[tuple[str, str], ControversyReport] = {}
-    for r in reports:
-        if r.window not in windows:
-            windows.append(r.window)
-        if r.subtopic not in subtopics:
-            subtopics.append(r.subtopic)
-        by_cell[(r.subtopic, r.window)] = r
-    lines = ["| " + " | ".join(["Subtopic", *map(_md_escape, windows)]) + " |",
-             "| --- |" + " --- |" * len(windows)]
-    for subtopic in subtopics:
-        cells = []
-        for window in windows:
-            r = by_cell.get((subtopic, window))
-            if r is None or r.rwc is None:
-                cells.append("-")
-            elif th.flags(r)[0]:
-                cells.append(f"**{r.rwc.score:.3f}**")
-            else:
-                cells.append(f"{r.rwc.score:.3f}")
-        lines.append("| " + _md_escape(subtopic) + " | " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n"
-
-
-def emit_report(
-    reports: Sequence[ControversyReport],
-    fmt: str = "csv",
-    score_thresh: float = 0.3,
-    size_thresh: int = 10_000,
-    senti_thresh: float = -0.5,
-) -> str:
-    """Deterministic serialization: csv, json, or a markdown score table.
-
-    csv and json carry the threshold group flags per row; markdown renders
-    the subtopics-by-windows score table with bold above the score cut.
-    """
-    th = Thresholds(score_thresh, size_thresh, senti_thresh)
-    if fmt == "csv":
-        return _emit_csv(reports, th)
-    if fmt == "json":
-        return _emit_json(reports, th)
-    if fmt == "markdown":
-        return _emit_markdown(reports, th)
-    raise UnsupportedFormat(f"unsupported format: {fmt!r}")
-
-
 def write_output(path: str, content: str) -> None:
     """Atomic write: fsynced temp file in the target directory, then rename over.
 
@@ -624,5 +632,5 @@ def write_output(path: str, content: str) -> None:
 
 
 def has_mc_failures(reports: Sequence[ControversyReport]) -> bool:
-    return any(r.error and r.error.startswith("mc-check failed") for r in reports)
+    return any(r.error and r.error.startswith(MC_CHECK_FAILED) for r in reports)
 

@@ -213,7 +213,8 @@ def correlate_indicators(
 
 @dataclass(frozen=True)
 class Thresholds:
-    """The group cuts behind both the report flags and classify_subtopics."""
+    """The group cuts behind both the report flags and classify_subtopics; its
+    defaults are the ones PipelineConfig, emit_report and classify_subtopics use."""
 
     score: float = 0.3
     size: int = 10_000
@@ -250,9 +251,9 @@ class ClassifiedReports:
 
 def classify_subtopics(
     reports: Sequence["ControversyReport"],
-    score_thresh: float = 0.3,
-    size_thresh: int = 10_000,
-    senti_thresh: float = -0.5,
+    score_thresh: float = Thresholds.score,
+    size_thresh: int = Thresholds.size,
+    senti_thresh: float = Thresholds.sentiment,
 ) -> ClassifiedReports:
     """Group reports: score strictly above the cut counts as high controversy."""
     th = Thresholds(score_thresh, size_thresh, senti_thresh)

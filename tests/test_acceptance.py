@@ -5,6 +5,7 @@ Heavier artifacts (graph suites, the synthetic corpus) are built once per
 module and shared between criteria.
 """
 
+import hashlib
 import itertools
 import time
 from contextlib import contextmanager
@@ -292,6 +293,14 @@ def test_criterion_7_end_to_end(e2e_corpus):
         assert elapsed < 300.0, f"took {elapsed:.1f}s"
 
 
+# sha256 of criterion 8's reports: the e2e corpus batch at seed 5
+E2E_REPORT_SHA256 = {
+    "csv": "a24d835e1c787aebe2d78cf050d0ec0c27fd1878c075e6a658bba3ec9b36eacb",
+    "json": "e791986c4ee175e7eaa256d563a647e9b973ad82dd522026efe054281a1b6837",
+    "markdown": "659ba1bb226163bf6bf22a9140a101865535ab570ee4f50bcf02b429552f5e34",
+}
+
+
 def test_criterion_8_determinism(e2e_corpus, tmp_path):
     with criterion("8 determinism"):
         corpus_path = tmp_path / "corpus.jsonl"
@@ -307,3 +316,8 @@ def test_criterion_8_determinism(e2e_corpus, tmp_path):
         second = run_pipeline(cfg)
         for fmt in ("csv", "json", "markdown"):
             assert emit_report(first, fmt).encode() == emit_report(second, fmt).encode()
+        # the bytes themselves are pinned too: a change that moves a report bit
+        # on purpose (a new bisect search, walk scheme or rule) re-pins them
+        digests = {fmt: hashlib.sha256(emit_report(first, fmt).encode()).hexdigest()
+                   for fmt in E2E_REPORT_SHA256}
+        assert digests == E2E_REPORT_SHA256

@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from controversy_scope import partition
-from controversy_scope.graph import EndorsementGraph
+from controversy_scope.graph import EndorsementGraph, build_graph, largest_component
+from controversy_scope.ingest import Corpus, TimeWindow, filter_window
 from controversy_scope.partition import (
+    COARSEN_TARGET,
     INIT_ATTEMPTS,
     Bipartition,
     DisconnectedGraph,
@@ -22,6 +26,13 @@ from controversy_scope.partition import (
     bisect,
     make_bipartition,
     max_side_nodes,
+)
+from controversy_scope.synth import (
+    CommunitySpec,
+    CorpusSpec,
+    PlantedSpec,
+    planted_partition,
+    synth_corpus,
 )
 
 from conftest import (
@@ -137,6 +148,39 @@ def test_bisect_deterministic_for_seed():
     rng = np.random.default_rng(37)
     g = random_connected_graph(12, 0.4, rng)
     assert bisect(g, seed=5) == bisect(g, seed=5)
+
+
+def synth_cell_graph() -> EndorsementGraph:
+    """The largest component of a weakly split synth pair's cell: 300 nodes,
+    pair weights from 2 up."""
+    window = TimeWindow(1_600_000_000, 1_602_592_000, "2020-09")
+    camps = (CommunitySpec(150, ("vaxx",), 0.5), CommunitySpec(150, ("vaxx",), -0.5))
+    records = synth_corpus(CorpusSpec(camps, 0.3, window, seed=1))
+    return largest_component(build_graph(filter_window(Corpus.from_records(records), window, "vaxx")))
+
+
+@pytest.mark.parametrize("make, digest", [
+    (lambda: planted_partition(PlantedSpec(150, 0.03, 0.03, 0)).graph,
+     "70fd0be2038d1700ab5602673d9cc3a47d89a68e9a2bd1b597cbdeeda77b6b4f"),
+    (lambda: planted_partition(PlantedSpec(150, 0.03, 0.03, 1)).graph,
+     "22e7e9203feabb7c31dbc7951b7afba69020d3787e5e73f5501d192d21998624"),
+    (lambda: planted_partition(PlantedSpec(150, 0.03, 0.03, 2)).graph,
+     "5b894da01493dfdfeabf21efb0041c20b951fbcdcc985a393e257cabab706ef9"),
+    (synth_cell_graph,
+     "27fb41d38f6af425e001f15e67b3fb9c803d3ee4ce53540a87cf934aaf260713"),
+], ids=["planted-0", "planted-1", "planted-2", "synth-cell"])
+def test_bisect_pins_its_sides_on_graphs_that_coarsen(make, digest):
+    # Pins bisect's bits across changes on the multilevel path. These graphs
+    # have no planted cut (cut weights differ from seed to seed), so any
+    # change to matching, the initial search or FM moves a digest. A change
+    # that alters the search on purpose re-pins the digests and says why.
+    g = make()
+    assert g.node_count > COARSEN_TARGET
+    h = hashlib.sha256()
+    for seed in range(4):
+        p = bisect(g, seed=seed)
+        h.update(p.in_x.tobytes() + f" {p.cut} {p.cut_weight};".encode())
+    assert h.hexdigest() == digest
 
 
 def test_bisect_rejects_bad_inputs():

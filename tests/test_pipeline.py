@@ -582,10 +582,20 @@ def test_cli_unwritable_output_paths_exit_2_before_the_parse(tmp_path, monkeypat
         assert cli.main([*rq1, "--output", str(missing)]) == 2
         assert capsys.readouterr().err == (f"error: cannot write {missing}: "
                                            f"no directory {missing.parent}\n")
-    # a report path the writer cannot replace fails once the batch has run
-    assert cli.main([*rq1, "--output", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
+        assert cli.main([*rq1, "--output", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (f"error: cannot write {tmp_path}: "
+                                           f"it is a directory\n")
+    # a report the writer cannot put in place fails once the batch has run,
+    # with the same one line, and leaves no temp file behind
+    def replace_denied(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "replace", replace_denied)
+        assert cli.main([*rq1, "--output", str(report)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot write {report}: "
+                                       f"PermissionError: [Errno 13] Permission denied\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "taken"]
 
 
 def test_write_output_atomic(tmp_path):
@@ -693,6 +703,29 @@ def test_cli_log_level_shows_the_parse_counts_on_stderr_only(tmp_path, capsys):
     assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "g.edges"),
                      "--log-level", "INFO"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_cli_exits_1_on_a_failed_mc_check_and_0_on_a_passed_one(tmp_path, capsys):
+    # one walk per side can only estimate -1, 0 or 1, far from an 80-node
+    # pair's exact score; the default cap settles the check well inside it
+    camps = (CommunitySpec(40, ("vaxx",), 0.6), CommunitySpec(40, ("vaxx",), -0.6))
+    corpus = tmp_path / "corpus.jsonl"
+    records = synth_corpus(CorpusSpec(camps, 0.05, parse_window("2020-09"), seed=1))
+    corpus.write_text(serialize_records(records), encoding="utf-8")
+    report = tmp_path / "report.csv"
+    rq1 = ["rq1", "--queries", "vaxx", "--input", str(corpus), "--window", "2020-09",
+           "--min-nodes", "10", "--mc-check", "--log-level", "INFO", "--output", str(report)]
+    for walks, code, stop in ((["--mc-walks", "1"], 1, "ran to the cap"),
+                              ([], 0, "settled (pass) before the cap")):
+        assert cli.main([*rq1, *walks]) == code
+        [row] = parse_report_csv(report.read_text(encoding="utf-8"))
+        assert row.node_count == 80 and row.rwc is not None
+        if code:
+            assert row.error.startswith("mc-check failed: |exact - monte-carlo| = ")
+        else:
+            assert row.error is None
+        log = capsys.readouterr().err.splitlines()
+        assert log[-1].startswith("INFO: mc-check vaxx 2020-09: ") and log[-1].endswith(stop)
 
 
 def test_cli_run_with_config_markdown_stdout(tmp_path, capsys):
