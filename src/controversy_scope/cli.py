@@ -10,7 +10,8 @@ a planted two-block graph (edge list + sides) from a JSON spec. Exit code
 is 0 when the batch completes, even if cells are dashes; 1 is reserved for
 enabled monte-carlo cross-check failures; 2 is a configuration error, a
 bad input, stopword or lexicon file, or a dump, report or synth output path
-that cannot be written, reported as one `error: ...` line.
+that cannot be written or names a file the command reads, reported as one
+`error: ...` line.
 
 Each key of pipeline.CONFIG_KEYS is a flag of `run` and `rq1`, written over
 the config file: `--<key>` with "_" and "." written as "-", except
@@ -36,6 +37,7 @@ from .pipeline import (
     ConfigError,
     ConfigKey,
     PipelineConfig,
+    check_not_read,
     checked,
     config_from_dict,
     emit_report,
@@ -131,6 +133,7 @@ def _write(path: str, text: str) -> None:
 
 def _handle_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
+    check_not_read(cfg.output_path, [("config file", args.config)])
     reports = run_pipeline(cfg)
     text = emit_report(reports, cfg.output_format, cfg.score_thresh,
                        cfg.size_thresh, cfg.senti_thresh)
@@ -176,6 +179,8 @@ def _handle_synth(args: argparse.Namespace) -> int:
     kind = raw.pop("kind", "corpus")
     if kind not in ("corpus", "planted"):
         raise ConfigError(f"unknown synth kind: {kind!r}")
+    for out in (args.out,) if kind == "corpus" else (args.out, args.out + ".sides"):
+        check_not_read(out, [("spec", args.spec)])
     try:
         spec = (_corpus_spec_from_dict if kind == "corpus" else _planted_spec_from_dict)(raw)
     except (ValueError, ZoneInfoNotFoundError) as exc:  # a value out of range, a bad window or tz

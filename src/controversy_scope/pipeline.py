@@ -455,6 +455,27 @@ def _load_file(load: Callable[[str], T], path: str) -> T:
         raise ConfigError(f"cannot load {path}: {type(exc).__name__}: {exc}") from exc
 
 
+# the longest file name, in bytes, that common file systems take
+NAME_MAX = 255
+
+
+def _dump_name(token: str, window_label: str) -> str:
+    """A cell's edge dump file name: quote(token)_quote(label).edges.
+
+    A name over NAME_MAX bytes keeps the longest prefix of the quoted token
+    that fits, cut before a %XX escape rather than inside it, then "~" and
+    16 hex digits of sha256 over the token and label, so that it stays
+    unique and deterministic.
+    """
+    token_q, tail = quote(token, safe=""), f"_{quote(window_label, safe='')}.edges"
+    if len(token_q) + len(tail) <= NAME_MAX:
+        return token_q + tail
+    digest = hashlib.sha256(f"{token}\0{window_label}".encode()).hexdigest()[:16]
+    cut = max(0, NAME_MAX - len(tail) - 1 - len(digest))
+    escape = token_q.rfind("%", max(0, cut - 2), cut)
+    return f"{token_q[:cut if escape < 0 else escape]}~{digest}{tail}"
+
+
 def cell_seed(seed: int, window_label: str, token: str) -> int:
     """Stable per-cell seed so identical cells score identically across modes."""
     digest = hashlib.sha256(f"{seed}|{window_label}|{token}".encode()).digest()
@@ -485,8 +506,7 @@ def _score_cell(
                 True, None, mean, std, matched,
             )
         if cfg.dump_graphs_dir is not None:
-            name = f"{quote(token, safe='')}_{quote(window.label, safe='')}.edges"
-            write_output(os.path.join(cfg.dump_graphs_dir, name),
+            write_output(os.path.join(cfg.dump_graphs_dir, _dump_name(token, window.label)),
                          dump_edgelist(prepared))
         seed = cell_seed(cfg.seed, window.label, token)
         part = bisect(prepared, eps=cfg.balance_eps, seed=seed)
@@ -526,10 +546,24 @@ def _stopwords(cfg: PipelineConfig) -> frozenset[str]:
                                for path in cfg.stopword_paths))
 
 
+def check_not_read(out: str | None, reads: Iterable[tuple[str, str | None]]) -> None:
+    """A ConfigError naming out when it is an existing file that the command
+    reads, so that writing it would destroy an input.
+
+    reads holds (what, path) pairs, what naming the file in the error; a
+    None path is skipped.
+    """
+    if out is None or not os.path.exists(out):
+        return
+    for what, path in reads:
+        if path is not None and os.path.exists(path) and os.path.samefile(out, path):
+            raise ConfigError(f"cannot write {out}: it is the {what} {path}")
+
+
 def _check_output_paths(cfg: PipelineConfig) -> None:
     """Create the dump directory, and check that the report's directory exists
-    and that the report path is not a directory; a ConfigError naming the path
-    otherwise."""
+    and that the report path is neither a directory nor a file the run reads;
+    a ConfigError naming the path otherwise."""
     if cfg.dump_graphs_dir is not None:
         try:
             os.makedirs(cfg.dump_graphs_dir, exist_ok=True)
@@ -542,6 +576,8 @@ def _check_output_paths(cfg: PipelineConfig) -> None:
             raise ConfigError(f"cannot write {cfg.output_path}: no directory {directory}")
         if os.path.isdir(cfg.output_path):
             raise ConfigError(f"cannot write {cfg.output_path}: it is a directory")
+        check_not_read(cfg.output_path, [("input", cfg.input_path), ("lexicon", cfg.lexicon_path),
+                                         *(("stopword file", path) for path in cfg.stopword_paths)])
 
 
 def run_pipeline(
@@ -611,14 +647,15 @@ def _score_window(
 def write_output(path: str, content: str) -> None:
     """Atomic write: fsynced temp file in the target directory, then rename over.
 
-    Each call creates its own randomly named temp file with O_EXCL, so
-    concurrent writers to one path never share or clobber a temp file and
-    the last rename wins with a whole file. The file is created with mode
-    0o666 less the umask, as a plain open() would; the temp file is removed
-    if anything fails.
+    Each call creates its own randomly named temp file, .<16 hex>.tmp, with
+    O_EXCL, so concurrent writers to one path never share or clobber a temp
+    file and the last rename wins with a whole file. The temp name does not
+    grow with the target's, so any target name within NAME_MAX writes. The
+    file is created with mode 0o666 less the umask, as a plain open() would;
+    the temp file is removed if anything fails.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    tmp = os.path.join(directory, f".{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as fh:

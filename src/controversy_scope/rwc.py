@@ -43,8 +43,9 @@ index one past its range for u just below alpha or 1, so both are clipped
 into range. X's shard j and Y's shard j step in lockstep (_walk_pair), the
 live X walkers held before the live Y walkers, each side drawing from its
 own generator: the counts are those of each side's walks run alone, and
-the two sides' tails share one run of iterations. Estimates reach a report
-only through a failed check.
+the two sides' tails share one run of iterations. Each side counts only
+the walks that end on its own side; every walk ends absorbed, so the rest
+ended across. Estimates reach a report only through a failed check.
 
 M is the graph's own CSR (EndorsementGraph.csr) masked to transient rows
 and columns, as flat (row, column, probability) arrays in the graph's node
@@ -190,15 +191,15 @@ class _WalkChain:
     def walk_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
         """Per-node (first, last, scale, cum0) for _pick: the simulator's view.
 
-        first and last are each row's first and last edge, scale its width
-        (degree, or total weight on a weighted walk) over (1 - alpha), and
-        cum0 the cumulative edge weights from 0 on a weighted walk, else None.
+        first and last are each row's first and last edge, scale its
+        out_total (total weight, or the degree as a float) over (1 - alpha),
+        and cum0 the cumulative edge weights from 0 on a weighted walk, else None.
         """
-        keep = 1.0 - self.cfg.restart_prob
+        cum0 = None
         if self.cfg.weighted_walk:
             cum0 = np.concatenate(([0.0], np.cumsum(self.step_w)))
-            return self.indptr[:-1], self.indptr[1:] - 1, self.out_total / keep, cum0
-        return self.indptr[:-1], self.indptr[1:] - 1, np.diff(self.indptr) / keep, None
+        scale = self.out_total / (1.0 - self.cfg.restart_prob)
+        return self.indptr[:-1], self.indptr[1:] - 1, scale, cum0
 
     def transient_system(self) -> tuple[np.ndarray, ...]:
         """The walk's step from transient rows, in the graph's node numbering.
@@ -343,14 +344,14 @@ def _pick(
 
 def _walk_pair(
     chain: _WalkChain, count: int, rng_x: np.random.Generator, rng_y: np.random.Generator
-) -> tuple[int, int, int, int]:
-    """Absorptions (X walks in X+, X walks in Y+, Y walks in X+, Y walks in Y+) of
-    count walks from uniform starts in each side, stepped together.
+) -> tuple[int, int]:
+    """(X walks that end in X+, Y walks that end in Y+) of count walks from
+    uniform starts in each side, stepped together; every other walk ended across.
 
     The live X walkers are held before the live Y walkers. Each side draws
     from its own generator, as many values per step as it has live walkers,
-    and compaction keeps their order, so each side's counts are those of
-    its walks run alone on its generator.
+    and compaction keeps their order, so each side's count is that of its
+    walks run alone on its generator.
     """
     alpha = chain.cfg.restart_prob
     first, last, scale, cum0 = chain.walk_rows
@@ -362,7 +363,7 @@ def _walk_pair(
                           start_y[rng_y.integers(0, start_y.size, count)]))
     n_x = count
     draws = np.empty(pos.size)
-    x_in_x = x_in_y = y_in_x = y_in_y = 0
+    x_in_x = y_in_y = 0
     while pos.size:
         u = draws[:pos.size]
         rng_x.random(out=u[:n_x])
@@ -373,18 +374,12 @@ def _walk_pair(
         pos[restart] = starts[slot]
         absorbed = label[pos]
         live = absorbed == 0
-        n_live = np.count_nonzero(live)
-        if n_live < pos.size:
-            n_live_x = np.count_nonzero(live[:n_x])
-            x_hit_x = np.count_nonzero(absorbed[:n_x] == 1)
-            y_hit_x = np.count_nonzero(absorbed[n_x:] == 1)
-            x_in_x += x_hit_x
-            x_in_y += n_x - n_live_x - x_hit_x
-            y_in_x += y_hit_x
-            y_in_y += pos.size - n_x - (n_live - n_live_x) - y_hit_x
+        if np.count_nonzero(live) < pos.size:
+            x_in_x += np.count_nonzero(absorbed[:n_x] == 1)
+            y_in_y += np.count_nonzero(absorbed[n_x:] == 2)
+            n_x = np.count_nonzero(live[:n_x])
             pos = pos[live]
-            n_x = n_live_x
-    return x_in_x, x_in_y, y_in_x, y_in_y
+    return x_in_x, y_in_y
 
 
 def _settled(sum_d: int, sum_d2: int, n: int, cap: int, exact: float, tol: float,
@@ -462,9 +457,10 @@ def rwc_monte_carlo(
     outside it, and the estimate is that of the walks run so far: the same
     figures as an unsettled run of that many walks.
 
-    The interval needs the walks paired, but a shard returns counts only:
-    a and b walks of its c from X and from Y end on their own side. The
-    walks of a side are i.i.d., so given a, which a of them end there is a
+    A shard pair returns two counts: a and b of its c walks from X and from
+    Y end on their own side. Every walk ends absorbed, so the other c - a
+    and c - b end across. The interval needs the walks paired, but the walks
+    of a side are i.i.d., so given a, which a of them end there is a
     uniformly random subset. Pairing X's walk i with Y's walk i then meets
     the b own-side Y walks with a uniformly random b-subset of the X walks,
     and the number k11 of pairs where both end on their own side is
@@ -478,17 +474,13 @@ def rwc_monte_carlo(
     if n_walks < 1:
         raise ValueError(f"n_walks must be >= 1, got {n_walks}")
     chain = _WalkChain(g, p, cfg)
-    x_same = x_cross = y_same = y_cross = 0
-    walks = sum_d2 = 0
+    x_same = y_same = walks = sum_d2 = 0
     verdict = None
     for shard in range(-(-n_walks // _SHARD_WALKS)):
         count = min(_SHARD_WALKS, n_walks - walks)
-        a, a_cross, b_cross, b = _walk_pair(chain, count,
-                                            np.random.default_rng((seed, 0, shard)),
-                                            np.random.default_rng((seed, 1, shard)))
-        x_same, x_cross, y_cross, y_same = (x_same + a, x_cross + a_cross,
-                                            y_cross + b_cross, y_same + b)
-        walks += count
+        a, b = _walk_pair(chain, count, np.random.default_rng((seed, 0, shard)),
+                          np.random.default_rng((seed, 1, shard)))
+        x_same, y_same, walks = x_same + a, y_same + b, walks + count
         if settle is None or walks == n_walks:  # at the cap the caller's point rule decides
             continue
         k11 = int(np.random.default_rng((seed, 2, shard)).hypergeometric(a, count - a, b))
@@ -499,8 +491,6 @@ def rwc_monte_carlo(
             break
     if settle is not None:
         settle.walks, settle.verdict = walks, verdict
-    p_xx = x_same / walks
-    p_xy = x_cross / walks
-    p_yy = y_same / walks
-    p_yx = y_cross / walks
+    p_xx, p_xy = x_same / walks, (walks - x_same) / walks
+    p_yy, p_yx = y_same / walks, (walks - y_same) / walks
     return RwcResult(p_xx, p_xy, p_yy, p_yx, p_xx * p_yy - p_xy * p_yx)

@@ -57,26 +57,19 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 + aa * d
+            if abs(d) < _CF_FPMIN:
+                d = _CF_FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _CF_FPMIN:
+                c = _CF_FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < _CF_EPS:  # tested after the odd coefficient only
             return h
     raise StatsError("incomplete beta continued fraction did not converge")
 

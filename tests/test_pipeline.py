@@ -8,6 +8,7 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
+from urllib.parse import quote
 
 import pytest
 
@@ -15,6 +16,7 @@ from controversy_scope import cli, pipeline
 from controversy_scope.graph import dump_edgelist
 from controversy_scope.ingest import Corpus, TimeWindow, parse_window, serialize_records
 from controversy_scope.pipeline import (
+    NAME_MAX,
     ConfigError,
     ControversyReport,
     PipelineConfig,
@@ -598,6 +600,35 @@ def test_cli_unwritable_output_paths_exit_2_before_the_parse(tmp_path, monkeypat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "taken"]
 
 
+@pytest.mark.parametrize("what", ["input", "lexicon", "stopword file", "config file"])
+def test_cli_output_over_a_file_the_run_reads_exits_2_before_the_parse(what, tmp_path,
+                                                                       monkeypatch, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(serialize_records(small_corpus()[:5]), encoding="utf-8")
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text("vaxx\t0.5\n", encoding="utf-8")
+    stopwords = tmp_path / "stop.txt"
+    stopwords.write_text("news\n", encoding="utf-8")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"input": str(corpus), "windows": ["2020-09"]}),
+                      encoding="utf-8")
+    read = {"input": corpus, "lexicon": lexicon, "stopword file": stopwords,
+            "config file": config}[what]
+    before = read.read_bytes()
+    # the same file by another spelling of its path
+    out = os.path.join(str(tmp_path), ".", read.name)
+
+    def parse_not_reached(path):
+        pytest.fail("the corpus was parsed before the output path was checked")
+
+    monkeypatch.setattr(pipeline, "parse_records_file", parse_not_reached)
+    argv = ["rq1", "--config", str(config), "--queries", "vaxx", "--lexicon", str(lexicon),
+            "--stopwords", str(stopwords), "--output", out]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: it is the {what} {read}\n"
+    assert read.read_bytes() == before
+
+
 def test_write_output_atomic(tmp_path):
     target = tmp_path / "report.csv"
     write_output(str(target), "hello\n")
@@ -605,6 +636,21 @@ def test_write_output_atomic(tmp_path):
     write_output(str(target), "replaced\n")
     assert target.read_text() == "replaced\n"
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_write_output_writes_a_name_of_the_longest_length(tmp_path, capsys):
+    # the temp name does not grow with the target's, so a 244-byte report
+    # name, and one of NAME_MAX bytes, write and leave nothing else behind
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(serialize_records(small_corpus()[:5]), encoding="utf-8")
+    report = tmp_path / ("r" * 240 + ".csv")
+    assert cli.main(["rq1", "--input", str(corpus), "--window", "2020-09", "--queries", "vaxx",
+                     "--output", str(report)]) == 0
+    assert capsys.readouterr().out == f"wrote 1 report rows to {report}\n"
+    longest = tmp_path / ("x" * NAME_MAX)
+    write_output(str(longest), "hello\n")
+    assert longest.read_text() == "hello\n"
+    assert sorted(tmp_path.iterdir()) == sorted([corpus, report, longest])
 
 
 def test_write_output_leaves_other_temp_files_alone(tmp_path):
@@ -1050,6 +1096,24 @@ def test_cli_synth_out_in_a_missing_directory_exits_2(spec, tmp_path, capsys):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("spec, suffix", [
+    (CORPUS_SPEC, ""),
+    ({"kind": "planted", "n_per_side": 3, "p_in": 0.5, "p_out": 0.1}, ""),
+    ({"kind": "planted", "n_per_side": 3, "p_in": 0.5, "p_out": 0.1}, ".sides"),
+], ids=["corpus", "planted", "planted-sides"])
+def test_cli_synth_output_over_its_spec_exits_2(spec, suffix, tmp_path, capsys):
+    # --out, or the sides file written beside a planted graph, names the spec
+    spec_path = tmp_path / f"spec.json{suffix}"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    before = spec_path.read_bytes()
+    out = str(tmp_path / "spec.json")
+    assert cli.main(["synth", "--spec", str(spec_path), "--out", out]) == 2
+    assert capsys.readouterr().err == (f"error: cannot write {spec_path}: "
+                                       f"it is the spec {spec_path}\n")
+    assert spec_path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [spec_path.name]
+
+
 def test_cli_synth_spec_takes_null_background_cross_rate(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({**CORPUS_SPEC, "background_cross_rate": None}),
@@ -1258,6 +1322,46 @@ def test_dump_graphs_writes_edge_lists(tmp_path):
     for line in lines:
         u, v, w = line.split()
         assert u < v and int(w) >= 2
+
+
+def test_dump_graphs_keeps_the_score_of_a_long_label(tmp_path):
+    # 30 kanji: 90 UTF-8 bytes, 270 once quoted, so the plain name would be
+    # over NAME_MAX; the cell is scored and its dump written under a
+    # shortened name
+    token = "\u8a00" * 30
+    records = synth_corpus(CorpusSpec(
+        communities=(CommunitySpec(150, (token,), 0.5), CommunitySpec(150, (token,), -0.5)),
+        cross_repost_rate=0.02, background_cross_rate=0.5, window=WINDOW, seed=17))
+    dump_dir = tmp_path / "graphs"
+    cfg = small_config(queries=(token,), dump_graphs_dir=str(dump_dir))
+    (report,) = run_pipeline(cfg, records=records)
+    assert report.error is None and report.rwc is not None and report.node_count > 0
+    (dump,) = dump_dir.iterdir()
+    assert dump.name == pipeline._dump_name(token, "2020-09")
+    assert len(dump.name.encode()) <= NAME_MAX
+    assert len(dump.read_text().splitlines()) >= report.node_count - 1
+
+
+def test_dump_name_fits_the_limit_and_stays_unique():
+    assert pipeline._dump_name("vaxx", "2020-09") == "vaxx_2020-09.edges"
+    assert pipeline._dump_name("a b/c", "2020-09") == "a%20b%2Fc_2020-09.edges"
+    fits = "x" * (NAME_MAX - len("_2020-09.edges"))
+    assert pipeline._dump_name(fits, "2020-09") == fits + "_2020-09.edges"
+    names = set()
+    for token in (fits + "x", fits + "y", "\u8a00" * 30, "\u8a00" * 30 + "x", "a" + "\u8a00" * 30,
+                  "ab" + "\u8a00" * 30):
+        name = pipeline._dump_name(token, "2020-09")
+        assert len(name.encode()) == len(name) <= NAME_MAX
+        stem, digest_tail = name.rsplit("~", 1)
+        assert re.fullmatch(r"[0-9a-f]{16}_2020-09\.edges", digest_tail)
+        # a prefix of the quoted token, never cut inside a %XX escape
+        quoted = quote(token, safe="")
+        assert quoted.startswith(stem) and (len(stem) == len(quoted)
+                                            or not re.search(r"%.?$", stem))
+        assert name == pipeline._dump_name(token, "2020-09")
+        names.add(name)
+    assert len(names) == 6
+    assert pipeline._dump_name("\u8a00" * 30, "2020-10").endswith("_2020-10.edges")
 
 
 BAD_UTF8_LINE = (b'{"post_id": "bad\xff", "author_id": "u1", "timestamp": 1600000000, '

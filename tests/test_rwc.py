@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -172,8 +173,9 @@ def test_monte_carlo_deterministic_across_shard_merging():
 
 def test_walk_pair_counts_are_the_per_side_walks_counts():
     # the two sides stepped together draw from their own generators, as
-    # many values a step as each has live walkers, so every count is that
-    # of the side's walks run alone
+    # many values a step as each has live walkers, so each own-side count
+    # is that of the side's walks run alone; every walk ends absorbed, so
+    # the rest of a side's walks end on the other side
     rng = np.random.default_rng(83)
     planted = planted_partition(PlantedSpec(30, 0.3, 0.05, seed=14))
     cases = [(planted.graph, planted.ground_truth)]
@@ -192,9 +194,57 @@ def test_walk_pair_counts_are_the_per_side_walks_counts():
                 got = _walk_pair(chain, count, *map(np.random.default_rng, seeds))
                 want = [naive_walk_shard(chain, start, count, np.random.default_rng(seed))
                         for start, seed in zip((chain.start_x, chain.start_y), seeds)]
-                assert got == (*want[0], *want[1])
-                assert sum(got[:2]) == sum(got[2:]) == count
+                (x_in_x, x_in_y), (y_in_x, y_in_y) = want
+                assert got == (x_in_x, y_in_y)
+                assert x_in_x + x_in_y == y_in_x + y_in_y == count
     assert chain.start_x.size > 2 * chain.start_y.size
+
+
+def lopsided_random_split():
+    """A 30-node random connected graph with pair weights 1-4, split so that
+    X's start set is about three times Y's."""
+    g = random_connected_graph(30, 0.2, np.random.default_rng(271))
+    return g, make_bipartition(g, {n: "X" if i % 4 else "Y" for i, n in enumerate(g.nodes)})
+
+
+def planted_truth():
+    pg = planted_partition(PlantedSpec(100, 0.1, 0.02, seed=10))
+    return pg.graph, pg.ground_truth
+
+
+# the planted graph has unit weights: its weighted walk takes the
+# cumulative-weight path to the same moves, and so the same digest
+@pytest.mark.parametrize("make, k_top, weighted, digest", [
+    (planted_truth, 10, False,
+     "b9ece20e8ec7aa8ab00b0cb5b08055414056d91a6767ba7f2dd05ca269f01d64"),
+    (planted_truth, 10, True,
+     "b9ece20e8ec7aa8ab00b0cb5b08055414056d91a6767ba7f2dd05ca269f01d64"),
+    (lopsided_random_split, 3, False,
+     "dd603b2f9ce301a358b3e642ba6536fc348478eb4de378f9fc5d7e9035471748"),
+    (lopsided_random_split, 3, True,
+     "e6c8b4e68fb5848a9c65d6dae1ff47e6f6739845ac97d642a30781112d861407"),
+], ids=["planted", "planted-weighted", "lopsided", "lopsided-weighted"])
+def test_monte_carlo_pins_its_estimates(make, k_top, weighted, digest):
+    # Pins rwc_monte_carlo's bits across changes. Each case runs 2 x 25 000
+    # + 1 walks a side three times: unsettled, so the last shard pair holds
+    # one walk; settled at the exact score, which passes before the cap;
+    # and settled 0.2 off it, which fails after one pair. The digest takes
+    # the float64 bytes of each result and each settled run's walks and
+    # verdict. A change that moves the walks on purpose re-pins it and says
+    # why.
+    g, p = make()
+    cfg = RwcConfig(k_top=k_top, weighted_walk=weighted)
+    exact = rwc_score(g, p, cfg).score
+    passed, failed = Settle(exact, 0.03), Settle(exact + 0.2, 0.03)
+    h = hashlib.sha256()
+    for target in (None, passed, failed):
+        mc = rwc_monte_carlo(g, p, cfg, n_walks=2 * _SHARD_WALKS + 1, seed=11, settle=target)
+        h.update(np.array([mc.p_xx, mc.p_xy, mc.p_yy, mc.p_yx, mc.score]).tobytes())
+        if target is not None:
+            h.update(f" {target.walks} {target.verdict};".encode())
+    assert (passed.verdict, passed.walks) == ("pass", 2 * _SHARD_WALKS)
+    assert (failed.verdict, failed.walks) == ("fail", _SHARD_WALKS)
+    assert h.hexdigest() == digest
 
 
 def test_settled_needs_two_pairs():
