@@ -10,8 +10,8 @@ a planted two-block graph (edge list + sides) from a JSON spec. Exit code
 is 0 when the batch completes, even if cells are dashes; 1 is reserved for
 enabled monte-carlo cross-check failures; 2 is a configuration error, a
 bad input, stopword or lexicon file, or a dump, report or synth output path
-that cannot be written or names a file the command reads, reported as one
-`error: ...` line.
+that cannot be written (pipeline.write_output writes each) or names a file
+the command reads, reported as one `error: ...` line.
 
 Each key of pipeline.CONFIG_KEYS is a flag of `run` and `rq1`, written over
 the config file: `--<key>` with "_" and "." written as "-", except
@@ -123,14 +123,6 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
                                   if (value := getattr(args, spec.key, None)) is not None})
 
 
-def _write(path: str, text: str) -> None:
-    """write_output(path, text); a path that cannot be written is a ConfigError naming it."""
-    try:
-        write_output(path, text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {type(exc).__name__}: {exc}") from exc
-
-
 def _handle_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     check_not_read(cfg.output_path, [("config file", args.config)])
@@ -138,7 +130,7 @@ def _handle_run(args: argparse.Namespace) -> int:
     text = emit_report(reports, cfg.output_format, cfg.score_thresh,
                        cfg.size_thresh, cfg.senti_thresh)
     if cfg.output_path:
-        _write(cfg.output_path, text)
+        write_output(cfg.output_path, text)
         print(f"wrote {len(reports)} report rows to {cfg.output_path}")
     else:
         sys.stdout.write(text)
@@ -187,14 +179,14 @@ def _handle_synth(args: argparse.Namespace) -> int:
         raise ConfigError(f"{kind} spec: {exc}") from exc
     if kind == "corpus":
         records = synth_corpus(spec)
-        _write(args.out, serialize_records(records))
+        write_output(args.out, serialize_records(records))
         print(f"wrote {len(records)} records to {args.out}")
         return 0
     planted = planted_partition(spec)
-    _write(args.out, dump_edgelist(planted.graph))
+    write_output(args.out, dump_edgelist(planted.graph))
     sides_path = args.out + ".sides"
     lines = [f"{node} {side}" for node, side in planted.ground_truth.side_of.items()]
-    _write(sides_path, "\n".join(lines) + "\n")
+    write_output(sides_path, "\n".join(lines) + "\n")
     print(
         f"wrote {planted.graph.edge_count} edges to {args.out} "
         f"({len(planted.bridges)} forced bridges), sides to {sides_path}"

@@ -65,11 +65,12 @@ order, into the one corpus a single pass would build, and is the one place
 that raises DuplicatePostId. ``parse_records`` and ``Corpus.from_records``
 build one part. ``parse_records_file`` cuts a regular file into
 ``min(usable CPUs, size // MIN_PART_BYTES)`` byte ranges, each ending just
-after a "\\n", so every range reads whole lines as the file does. It parses
-the first range itself; each other range is parsed by a child process that
-runs the kernel file under a bare interpreter (``python -I -S``, no NumPy,
-no package import) and writes its part to a pipe with ``marshal``. A child
-that cannot start or fails has its range parsed in this process instead.
+after a "\\n", so every range reads whole lines as the file does; any other
+file is one range, read to its end. Each range becomes a part through
+``ingest_kernel.parse_range``: here for the first range, and in a child
+process under a bare interpreter (``python -I -S``, no NumPy, no package
+import) for each other one, whose part comes back through a pipe with
+``marshal``. A range whose child cannot start or fails is parsed here.
 """
 
 from __future__ import annotations
@@ -453,15 +454,9 @@ def _line_starts(fh: BinaryIO, size: int, parts: int) -> list[int]:
     return starts
 
 
-def _range_part(path: str, start: int, stop: int) -> Part:
-    """The part of bytes [start, stop) of a file, parsed in this process."""
-    with ingest_kernel.lines(path, start, stop) as stream:
-        return ingest_kernel.parse(stream)
-
-
-def _child_part(child, path: str, start: int, stop: int) -> Part:
-    """The part a child wrote; parsed here when it could not start, failed or
-    wrote something else."""
+def _part(child, path: str, start: int, stop: int | None) -> Part:
+    """The part of a range: the one its child wrote, or the range parsed here
+    when it has no child or its child failed or wrote something else."""
     if child is not None:
         out = child.stdout.read()
         if child.wait() == 0:
@@ -469,17 +464,18 @@ def _child_part(child, path: str, start: int, stop: int) -> Part:
                 return Part(*marshal.loads(out))
             except (EOFError, ValueError, TypeError):
                 pass
-    return _range_part(path, start, stop)
+    return ingest_kernel.parse_range(path, start, stop)
 
 
 def parse_records_file(path: str) -> ParseResult:
     """``parse_records`` over a file: a leading BOM is dropped, bad UTF-8 is malformed.
 
     A regular file is cut into ``min(usable CPUs, size // MIN_PART_BYTES)``
-    ranges, each ending with a line. This process parses the first;
-    each other one is parsed by a child running ``ingest_kernel`` under a
-    bare interpreter (or here, if the child fails), and the parts are
-    merged into the corpus a single parse builds. No child outlives the call.
+    ranges, each ending with a line; a file of one range is read to its end.
+    This process parses the first; each other one is parsed by a child
+    running ``ingest_kernel`` under a bare interpreter (or here, if the
+    child fails), and the parts are merged into the corpus a single parse
+    builds. No child outlives the call.
     """
     info = os.stat(path)
     count = min(_usable_cpus(), info.st_size // MIN_PART_BYTES)
@@ -487,16 +483,13 @@ def parse_records_file(path: str) -> ParseResult:
     if S_ISREG(info.st_mode) and count > 1:
         with open(path, "rb") as fh:
             starts = _line_starts(fh, info.st_size, count)
-    if len(starts) == 1:
-        with ingest_kernel.lines(path) as stream:
-            return parse_records(stream)
-    import subprocess  # only a split parse starts children
-
+    import subprocess  # a parse starts children; importing the package does not
+    # a lone range reads to the end: a pipe has no size to stop at
+    ranges = list(zip(starts, [*starts[1:], info.st_size if len(starts) > 1 else None]))
     argv = [sys.executable, "-I", "-S", ingest_kernel.__file__, os.fspath(path)]
     if hasattr(sys, "get_int_max_str_digits"):  # the child reads integers alike
         argv[3:3] = ["-X", f"int_max_str_digits={sys.get_int_max_str_digits()}"]
-    ranges = list(zip(starts, [*starts[1:], info.st_size]))
-    children = []
+    children = [None]  # this process parses the first range
     try:
         for start, stop in ranges[1:]:
             try:
@@ -505,9 +498,7 @@ def parse_records_file(path: str) -> ParseResult:
                                                  stderr=subprocess.DEVNULL))
             except OSError:  # no interpreter to start: parse the range here
                 children.append(None)
-        parts = [_range_part(path, *ranges[0])]
-        parts += [_child_part(child, path, *span) for child, span in zip(children, ranges[1:])]
-        return _result(parts)
+        return _result([_part(child, path, *span) for child, span in zip(children, ranges)])
     finally:
         for child in children:
             if child is not None:

@@ -6,8 +6,9 @@ part can be parsed in a bare child process:
 
 parses bytes [START, STOP) of PATH, which open a line and end one, and
 writes the part to stdout with ``marshal``: its tables as lists of strings,
-its int columns as bytes. ``ingest`` merges the parts of a file into one
-``Corpus``; the rules themselves are documented there (Parsing).
+its int columns as bytes. ``parse_range`` is the one way a file's bytes
+become a part, in a child or not. ``ingest`` merges the parts of a file
+into one ``Corpus``; the rules themselves are documented there (Parsing).
 
 A part is a ``Part``. Its post ids, authors, surfaces and tags are each
 numbered in first-seen order within the part, and its columns hold those
@@ -215,25 +216,30 @@ class _Range(io.RawIOBase):
 def lines(path: str, start: int = 0, stop: int | None = None) -> io.TextIOWrapper:
     """The file's text from byte ``start`` to ``stop`` (its end when None),
     read line by line: a BOM opening the file is dropped, and invalid UTF-8
-    is read as lone surrogates (``errors="surrogateescape"``)."""
-    encoding = "utf-8-sig" if start == 0 else "utf-8"
-    if stop is None:
-        return open(path, encoding=encoding, errors="surrogateescape")
+    is read as lone surrogates (``errors="surrogateescape"``). A file read
+    from byte 0 to its end is never sought, so a pipe reads too."""
     raw = open(path, "rb", buffering=0)
     try:
-        raw.seek(start)
-        return io.TextIOWrapper(io.BufferedReader(_Range(raw, stop), 1 << 16),
-                                encoding=encoding, errors="surrogateescape")
+        if start:
+            raw.seek(start)
+        source = raw if stop is None else _Range(raw, stop)
+        return io.TextIOWrapper(io.BufferedReader(source, 1 << 16), errors="surrogateescape",
+                                encoding="utf-8-sig" if start == 0 else "utf-8")
     except BaseException:
         raw.close()
         raise
 
 
+def parse_range(path: str, start: int = 0, stop: int | None = None) -> Part:
+    """The part of bytes [start, stop) of a file, to its end when stop is
+    None: the one way a file's bytes become a part."""
+    with lines(path, start, stop) as stream:
+        return parse(stream)
+
+
 def main(argv: list[str]) -> None:
     """Parse bytes [START, STOP) of PATH and write the part to stdout."""
-    path, start, stop = argv[1], int(argv[2]), int(argv[3])
-    with lines(path, start, stop) as stream:
-        part = parse(stream)
+    part = parse_range(argv[1], int(argv[2]), int(argv[3]))
     # marshal writes the arrays as bytes
     marshal.dump((part[0], *map(list, part[1:5]), *part[5:]), sys.stdout.buffer)
 

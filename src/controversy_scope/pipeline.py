@@ -24,6 +24,7 @@ ranges, and the windows and queries lists. _load_file is the one loader of
 an input file: run_pipeline loads the lexicon and stopword files through it,
 and creates the dump directory and checks the report's directory, before the
 corpus, so a bad side file or output path fails before the parse.
+write_output writes every output file; a dump it cannot write ends the run.
 """
 
 from __future__ import annotations
@@ -462,18 +463,22 @@ NAME_MAX = 255
 def _dump_name(token: str, window_label: str) -> str:
     """A cell's edge dump file name: quote(token)_quote(label).edges.
 
-    A name over NAME_MAX bytes keeps the longest prefix of the quoted token
-    that fits, cut before a %XX escape rather than inside it, then "~" and
-    16 hex digits of sha256 over the token and label, so that it stays
-    unique and deterministic.
+    A name over NAME_MAX bytes is a prefix of the quoted token, "~", 16 hex
+    digits of sha256 over the token and label, "_" and a prefix of the
+    quoted label, so that it fits and stays unique and deterministic. The
+    label keeps what fits, the token the rest, each cut before a %XX escape.
     """
-    token_q, tail = quote(token, safe=""), f"_{quote(window_label, safe='')}.edges"
-    if len(token_q) + len(tail) <= NAME_MAX:
-        return token_q + tail
+    token_q, label_q = quote(token, safe=""), quote(window_label, safe="")
+    name = f"{token_q}_{label_q}.edges"
+    if len(name) <= NAME_MAX:
+        return name
     digest = hashlib.sha256(f"{token}\0{window_label}".encode()).hexdigest()[:16]
-    cut = max(0, NAME_MAX - len(tail) - 1 - len(digest))
-    escape = token_q.rfind("%", max(0, cut - 2), cut)
-    return f"{token_q[:cut if escape < 0 else escape]}~{digest}{tail}"
+    room, kept = NAME_MAX - len(f"~{digest}_.edges"), []
+    for quoted in (label_q, token_q):
+        escape = quoted.rfind("%", max(0, room - 2), room)
+        kept.append(quoted[:room if escape < 0 else escape])
+        room -= len(kept[-1])
+    return f"{kept[1]}~{digest}_{kept[0]}.edges"
 
 
 def cell_seed(seed: int, window_label: str, token: str) -> int:
@@ -533,7 +538,9 @@ def _score_cell(
             token, window.label, len(cell), prepared.node_count,
             False, result, mean, std, matched, error,
         )
-    except Exception as exc:  # per-cell failures are report rows, not aborts
+    except ConfigError:  # a dump that cannot be written ends the run
+        raise
+    except Exception as exc:  # other per-cell failures are report rows, not aborts
         return ControversyReport(
             token, window.label, len(cell), 0, False, None,
             mean, std, matched, f"{type(exc).__name__}: {exc}",
@@ -652,20 +659,23 @@ def write_output(path: str, content: str) -> None:
     file and the last rename wins with a whole file. The temp name does not
     grow with the target's, so any target name within NAME_MAX writes. The
     file is created with mode 0o666 less the umask, as a plain open() would;
-    the temp file is removed if anything fails.
+    the temp file is removed if anything fails. An OSError is a ConfigError
+    naming the path: one rule for every report, edge dump and synth output.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".{os.urandom(8).hex()}.tmp")
     try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(content)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.write(content)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def has_mc_failures(reports: Sequence[ControversyReport]) -> bool:

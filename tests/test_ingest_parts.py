@@ -46,7 +46,7 @@ def result_of(parse):
 def in_ranges(path, starts):
     """The file parsed as one part per range, all in this process, and merged."""
     stops = [*starts[1:], os.path.getsize(path)]
-    return ingest._result([ingest._range_part(path, a, b) for a, b in zip(starts, stops)])
+    return ingest._result([ingest_kernel.parse_range(path, a, b) for a, b in zip(starts, stops)])
 
 
 def line_ends(data: bytes) -> list[int]:
@@ -272,7 +272,7 @@ def test_no_child_outlives_a_failure_in_this_process(tmp_path, children, monkeyp
     def fail(path, start, stop):
         raise Stop
 
-    monkeypatch.setattr(ingest, "_range_part", fail)
+    monkeypatch.setattr(ingest_kernel, "parse_range", fail)
     with pytest.raises(Stop):
         parse_records_file(path)
     assert len(children) == 2 and all_ended(children)
@@ -309,6 +309,6 @@ def test_the_kernel_runs_bare_and_writes_the_part_parsed_here(tmp_path):
     assert "json" in imported and "array" in imported
     assert not {name for name in imported
                 if name.split(".")[0] in ("numpy", "controversy_scope")}
-    here = ingest._range_part(path, start, size)
+    here = ingest_kernel.parse_range(path, start, size)
     assert wire(marshal.loads(done.stdout)) == wire(here)
     assert len(here.post) > 0

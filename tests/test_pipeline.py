@@ -1362,6 +1362,54 @@ def test_dump_name_fits_the_limit_and_stays_unique():
         names.add(name)
     assert len(names) == 6
     assert pipeline._dump_name("\u8a00" * 30, "2020-10").endswith("_2020-10.edges")
+    # a window label whose quoted form leaves no room is cut too: the label
+    # keeps what fits, the token the rest, neither inside a %XX escape
+    for label in (parse_window("0" * 250 + "1..2").label,
+                  parse_window("\uff10" * 100 + "1..2").label):
+        for token in ("vaxx", "\u8a00" * 30):
+            name = pipeline._dump_name(token, label)
+            assert len(name.encode()) == len(name) <= NAME_MAX
+            match = re.fullmatch(r"(.*)~[0-9a-f]{16}_(.*)\.edges", name)
+            for kept, whole in zip(match.groups(), (quote(token, safe=""), quote(label, safe=""))):
+                assert whole.startswith(kept) and not re.search(r"%.?$", kept)
+            assert name == pipeline._dump_name(token, label)
+            names.add(name)
+    assert len(names) == 10
+
+
+def test_run_pipeline_raises_for_a_dump_it_cannot_write(tmp_path):
+    # a directory sits at the dump's name, so os.replace fails for any user
+    dump_dir = tmp_path / "graphs"
+    taken = dump_dir / "vaxx_2020-09.edges"
+    taken.mkdir(parents=True)
+    cfg = small_config(queries=("vaxx",), dump_graphs_dir=str(dump_dir))
+    with pytest.raises(ConfigError, match=f"^cannot write {re.escape(str(taken))}: "
+                                          f"IsADirectoryError: "):
+        run_pipeline(cfg, records=small_corpus(seed=17))
+    assert list(dump_dir.iterdir()) == [taken]
+
+
+def test_cli_a_dump_that_cannot_be_written_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(serialize_records(small_corpus(seed=17)), encoding="utf-8")
+    window = f"{WINDOW.start}..{WINDOW.end}"
+    dump_dir = tmp_path / "graphs"
+    taken = dump_dir / pipeline._dump_name("vaxx", window)
+    taken.mkdir(parents=True)
+    report = tmp_path / "report.csv"
+    argv = ["rq1", "--input", str(corpus), "--window", window, "--queries", "vaxx",
+            "--min-nodes", "150", "--seed", "3", "--output", str(report)]
+    assert cli.main(argv) == 0  # the cell is scored: it has a dump to write
+    assert parse_report_csv(report.read_text())[0].rwc is not None
+    report.unlink()
+    capsys.readouterr()
+    assert cli.main([*argv, "--dump-graphs", str(dump_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {taken}: IsADirectoryError: ")
+    assert err.count("\n") == 1
+    assert not report.exists()
+    assert list(dump_dir.iterdir()) == [taken]
+    assert sorted(tmp_path.iterdir()) == [corpus, dump_dir]
 
 
 BAD_UTF8_LINE = (b'{"post_id": "bad\xff", "author_id": "u1", "timestamp": 1600000000, '
