@@ -15,7 +15,8 @@ A slot points into another community with probability cross_repost_rate
 per repost the chance of targeting another community equals the configured
 rate. Every original carries either its community's topic tokens or the
 shared background tokens (noun-tagged) plus one sentiment-bearing token;
-reposts are bare.
+reposts are bare. Post ids number the records in the order they are
+written, from p0000000 on every call.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ class PlantedSpec:
             raise ValueError(
                 f"need 0 <= p_out <= p_in <= 1, got p_in={self.p_in} p_out={self.p_out}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -124,140 +127,95 @@ class CorpusSpec:
         lo, hi = self.posts_per_author
         if lo < 1 or hi < lo:
             raise ValueError(f"bad posts_per_author range: {self.posts_per_author}")
-        if not 0.0 <= self.repost_fraction <= 1.0:
-            raise ValueError(f"repost_fraction out of [0,1]: {self.repost_fraction}")
+        if not 0.0 <= self.repost_fraction < 1.0:  # so every author writes an original
+            raise ValueError(f"repost_fraction out of [0,1): {self.repost_fraction}")
         if not 0.0 <= self.topic_post_rate <= 1.0:
             raise ValueError(f"topic_post_rate out of [0,1]: {self.topic_post_rate}")
         if self.n_favorites < 1:
             raise ValueError("n_favorites must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def synth_corpus(spec: CorpusSpec) -> list[InteractionRecord]:
     """Generate a corpus with planted endorsement structure; see module notes."""
     rng = np.random.default_rng(spec.seed)
-    window = spec.window
-    bg_cross = (
-        spec.background_cross_rate
-        if spec.background_cross_rate is not None
-        else spec.cross_repost_rate
-    )
-
-    members: list[list[str]] = []
-    authors: list[str] = []
-    for ci, community in enumerate(spec.communities):
-        width = max(4, len(str(community.n_authors - 1)))
-        ids = [f"c{ci}a{j:0{width}d}" for j in range(community.n_authors)]
-        members.append(ids)
-        authors.extend(ids)
-
-    counts = {
-        author: int(rng.integers(spec.posts_per_author[0], spec.posts_per_author[1] + 1))
-        for author in authors
-    }
-    n_reposts = {a: int(spec.repost_fraction * counts[a]) for a in authors}
+    bg_cross = spec.background_cross_rate
+    if bg_cross is None:
+        bg_cross = spec.cross_repost_rate
+    members = [
+        [f"c{ci}a{j:0{max(4, len(str(c.n_authors - 1)))}d}" for j in range(c.n_authors)]
+        for ci, c in enumerate(spec.communities)
+    ]
+    lo, hi = spec.posts_per_author
+    counts = {author: int(rng.integers(lo, hi + 1)) for own in members for author in own}
+    n_reposts = {author: int(spec.repost_fraction * n) for author, n in counts.items()}
 
     records: list[InteractionRecord] = []
-    topic_originals: dict[str, list[InteractionRecord]] = {a: [] for a in authors}
-    bg_originals: dict[str, list[InteractionRecord]] = {a: [] for a in authors}
-    post_counter = 0
+    # post ids of each author's pass-1 originals, by content class
+    originals: dict[tuple[str, bool], list[str]] = {
+        (author, topical): [] for author in counts for topical in (True, False)
+    }
 
-    def stamp() -> int:
-        return int(rng.integers(window.start, window.end))
+    def add(author: str, tokens: tuple, repost_of: tuple[str, str] | None = None) -> str:
+        """Stamp and append the next record; returns its post id."""
+        post_id = f"p{len(records):07d}"
+        stamp = int(rng.integers(spec.window.start, spec.window.end))
+        records.append(InteractionRecord(post_id, author, stamp, tokens, repost_of))
+        return post_id
 
-    def make_original(author: str, ci: int, topical: bool, pos_prob: float) -> InteractionRecord:
-        nonlocal post_counter
-        words = spec.communities[ci].topic_tokens if topical else spec.background_tokens
-        tokens = [(w, spec.noun_tag) for w in words]
-        mood = 0 if rng.random() < pos_prob else 1
-        tokens.append((spec.sentiment_surfaces[mood], spec.sentiment_tag))
-        record = InteractionRecord(f"p{post_counter:07d}", author, stamp(), tuple(tokens))
-        post_counter += 1
-        return record
+    def make_original(author: str, ci: int, topical: bool) -> str:
+        community = spec.communities[ci]
+        words = community.topic_tokens if topical else spec.background_tokens
+        mood = spec.sentiment_surfaces[rng.random() >= (1.0 + community.polarity_bias) / 2.0]
+        return add(author, (*((w, spec.noun_tag) for w in words), (mood, spec.sentiment_tag)))
 
     # pass 1: originals, so reposts always have a concrete target post; the
     # first two originals cover both content classes so class-matched repost
     # targeting never has to borrow from the other class
     for ci, community in enumerate(spec.communities):
-        pos_prob = (1.0 + community.polarity_bias) / 2.0
         for author in members[ci]:
-            n_orig = counts[author] - n_reposts[author]
-            for i in range(n_orig):
-                if bool(community.topic_tokens):
-                    if i == 0:
-                        topical = True
-                    elif i == 1:
-                        topical = False
-                    else:
-                        topical = rng.random() < spec.topic_post_rate
-                else:
-                    topical = False
-                record = make_original(author, ci, topical, pos_prob)
-                records.append(record)
-                (topic_originals if topical else bg_originals)[author].append(record)
+            for i in range(counts[author] - n_reposts[author]):
+                topical = bool(community.topic_tokens) and (
+                    i == 0 or i > 1 and rng.random() < spec.topic_post_rate
+                )
+                originals[author, topical].append(make_original(author, ci, topical))
 
-    other_weights: list[np.ndarray] = []
-    for ci in range(len(members)):
-        sizes = np.array(
-            [len(members[cj]) if cj != ci else 0 for cj in range(len(members))],
-            dtype=np.float64,
-        )
-        total = sizes.sum()
-        other_weights.append(sizes / total if total else sizes)
+    # row ci: the odds that a cross slot drawn in community ci lands in each other one
+    sizes = np.array([len(own) for own in members], dtype=np.float64)
+    others = sizes * (1.0 - np.eye(len(members)))
+    other_weights = others / np.maximum(others.sum(axis=1, keepdims=True), 1.0)
 
-    def draw_slot(author: str, ci: int, cross_p: float, has_others: bool) -> str | None:
+    def draw_slot(author: str, ci: int, cross_p: float) -> str | None:
         """One durable favorite: another community's author w.p. cross_p, else a peer."""
         own = members[ci]
-        if has_others and rng.random() < cross_p:
-            cj = int(rng.choice(len(members), p=other_weights[ci]))
-            pool = members[cj]
+        if len(own) < len(counts) and rng.random() < cross_p:
+            pool = members[int(rng.choice(len(members), p=other_weights[ci]))]
             return pool[int(rng.integers(0, len(pool)))]
-        if len(own) < 2:
-            return None
-        while True:
+        while len(own) > 1:
             pick = own[int(rng.integers(0, len(own)))]
             if pick != author:
                 return pick
-
-    def pick_original(target: str, topical: bool) -> InteractionRecord:
-        pool = topic_originals[target] if topical else bg_originals[target]
-        if not pool:
-            pool = topic_originals[target] or bg_originals[target]
-        return pool[int(rng.integers(0, len(pool)))]
+        return None
 
     # pass 2: reposts routed through per-author favorite slots
     for ci, community in enumerate(spec.communities):
-        has_others = len(authors) > len(members[ci])
-        pos_prob = (1.0 + community.polarity_bias) / 2.0
         for author in members[ci]:
-            topic_slots = [
-                slot
-                for _ in range(spec.n_favorites)
-                if (slot := draw_slot(author, ci, spec.cross_repost_rate, has_others))
-                is not None
-            ]
-            bg_slots = [
-                slot
-                for _ in range(spec.n_favorites)
-                if (slot := draw_slot(author, ci, bg_cross, has_others)) is not None
-            ]
+            slots = {
+                topical: [
+                    slot
+                    for _ in range(spec.n_favorites)
+                    if (slot := draw_slot(author, ci, cross_p)) is not None
+                ]
+                for topical, cross_p in ((True, spec.cross_repost_rate), (False, bg_cross))
+            }
             for _ in range(n_reposts[author]):
                 topical = bool(community.topic_tokens) and rng.random() < spec.topic_post_rate
-                slots = topic_slots if topical else bg_slots
-                if not slots:
+                if not slots[topical]:
                     # nobody to endorse: emit an original to conserve the count
-                    record = make_original(author, ci, topical, pos_prob)
-                    records.append(record)
+                    make_original(author, ci, topical)
                     continue
-                target = slots[int(rng.integers(0, len(slots)))]
-                original = pick_original(target, topical)
-                records.append(
-                    InteractionRecord(
-                        f"p{post_counter:07d}",
-                        author,
-                        stamp(),
-                        (),
-                        (original.post_id, target),
-                    )
-                )
-                post_counter += 1
+                target = slots[topical][int(rng.integers(0, len(slots[topical])))]
+                pool = originals[target, topical] or originals[target, not topical]
+                add(author, (), (pool[int(rng.integers(0, len(pool)))], target))
     return records

@@ -1049,6 +1049,13 @@ def test_cli_invalid_values_exit_2_with_an_error_line(flags, tmp_path, capsys):
      "cross_repost_rate": 0.1, "sentiment_surfaces": ["good"]},
     {"kind": "corpus", "communities": [{"n_authors": 5}], "window": "2020-01",
      "tz": "Mars/Base", "cross_repost_rate": 0.1},
+    # numpy's generator takes no negative seed
+    {"kind": "planted", "n_per_side": 5, "p_in": 0.5, "p_out": 0.1, "seed": -1},
+    {"kind": "corpus", "communities": [{"n_authors": 5}], "window": "2020-09",
+     "cross_repost_rate": 0.1, "seed": -3},
+    # all reposts: no author would write an original to repost
+    {"kind": "corpus", "communities": [{"n_authors": 5}, {"n_authors": 5}],
+     "window": "2020-09", "cross_repost_rate": 0.1, "repost_fraction": 1.0},
 ])
 def test_cli_synth_spec_errors_exit_2(spec, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"

@@ -2,9 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from controversy_scope.graph import build_graph, dump_edgelist
-from controversy_scope.ingest import Corpus, TimeWindow
+from controversy_scope.ingest import Corpus, TimeWindow, serialize_records
 from controversy_scope.synth import (
     CommunitySpec,
     CorpusSpec,
@@ -84,6 +86,8 @@ def test_planted_spec_validation():
         PlantedSpec(1, 0.5, 0.1)
     with pytest.raises(ValueError):
         PlantedSpec(10, 0.1, 0.5)
+    with pytest.raises(ValueError):
+        PlantedSpec(10, 0.5, 0.1, seed=-1)
 
 
 def two_community_spec(seed=0, **overrides):
@@ -122,6 +126,77 @@ def test_corpus_deterministic_by_seed():
     spec = two_community_spec(seed=5)
     assert synth_corpus(spec) == synth_corpus(spec)
     assert synth_corpus(spec) != synth_corpus(two_community_spec(seed=6))
+
+
+@pytest.mark.parametrize("spec, n_records, digest", [
+    (two_community_spec(seed=5), 5757,
+     "7c4011d640ad8c94ac5ad86b1e10e6fd065b7de4ba48344ada462cd8eef7d89c"),
+    # topic-less authors, a lone author with two topic tokens, a fully negative
+    # camp; background reposts never cross, and few posts are originals
+    (CorpusSpec(
+        communities=(
+            CommunitySpec(3, ()),
+            CommunitySpec(1, ("masks", "schools")),
+            CommunitySpec(5, ("vaxx",), -1.0),
+        ),
+        cross_repost_rate=0.5,
+        window=WINDOW,
+        seed=5,
+        background_cross_rate=0.0,
+        posts_per_author=(1, 3),
+        repost_fraction=0.9,
+        n_favorites=2,
+    ), 20, "bdf379924e3c02c5354867825d64e2991727714d27c3e04cc27fa26879655301"),
+    # one author: nobody to repost, so every post is an original
+    (CorpusSpec(communities=(CommunitySpec(1, ("vaxx",)),), cross_repost_rate=0.02,
+                window=WINDOW, seed=5), 26,
+     "0fd33a10f22274916e92c40c1e3c60214293aa5be30e16319a0f9f03853c42fc"),
+])
+def test_corpus_keeps_its_bytes(spec, n_records, digest):
+    # sha256 of the serialized corpus: any change to synth_corpus's draws,
+    # their order or the records it builds from them moves it
+    records = synth_corpus(spec)
+    assert len(records) == n_records
+    assert hashlib.sha256(serialize_records(records).encode()).hexdigest() == digest
+
+
+rates = st.floats(0.0, 1.0)
+small_specs = st.builds(
+    CorpusSpec,
+    communities=st.lists(
+        st.builds(CommunitySpec, st.integers(1, 6),
+                  st.lists(st.sampled_from(["vaxx", "masks"]), max_size=2, unique=True).map(tuple),
+                  st.floats(-1.0, 1.0)),
+        min_size=1, max_size=3,
+    ).map(tuple),
+    cross_repost_rate=rates,
+    window=st.just(WINDOW),
+    posts_per_author=st.tuples(st.integers(1, 4), st.integers(1, 4)).map(sorted).map(tuple),
+    seed=st.integers(0, 1000),
+    repost_fraction=st.floats(0.0, 1.0, exclude_max=True),
+    topic_post_rate=rates,
+    n_favorites=st.integers(1, 3),
+    background_cross_rate=st.none() | rates,
+)
+
+
+@settings(max_examples=50)
+@given(small_specs)
+def test_any_valid_spec_gives_a_well_formed_corpus(spec):
+    records = synth_corpus(spec)
+    by_id = {r.post_id: r for r in records}
+    per_author: dict[str, int] = {}
+    for r in records:
+        per_author[r.author_id] = per_author.get(r.author_id, 0) + 1
+        assert WINDOW.contains(r.timestamp)
+        if r.repost_of is not None:
+            original = by_id[r.repost_of[0]]
+            assert r.tokens == ()
+            assert original.repost_of is None and original.author_id == r.repost_of[1]
+    assert len(by_id) == len(records)
+    assert len(per_author) == sum(c.n_authors for c in spec.communities)
+    lo, hi = spec.posts_per_author
+    assert all(lo <= n <= hi for n in per_author.values())
 
 
 def test_corpus_timestamps_inside_window():
@@ -203,6 +278,10 @@ def test_corpus_spec_validation():
         two_community_spec(posts_per_author=(0, 5))
     with pytest.raises(ValueError):
         CommunitySpec(10, (), polarity_bias=2.0)
+    with pytest.raises(ValueError):
+        two_community_spec(seed=-3)
+    with pytest.raises(ValueError):
+        two_community_spec(repost_fraction=1.0)
 
 
 def test_single_community_topic_token_not_polarized():
