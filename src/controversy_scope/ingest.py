@@ -31,7 +31,12 @@ of repost depth. The two CSRs (reposts by target, token rows by surface) are
 built once per window corpus and shared by all of its queries.
 
 Parsing. Each line is stripped of surrounding whitespace; blank lines are
-skipped. A line is decoded by one ``JSONDecoder().raw_decode`` and must be
+skipped. A line in the compact form ``serialize_records`` writes (its
+separators and key order, strings with no escape, a timestamp of at most 18
+digits) is read by one compiled pattern, which accepts only valid lines;
+every other line is decoded by one ``JSONDecoder().raw_decode``, under the
+same rules and with the same rows. A writer that uses other separators,
+another key order or escapes gets the decoder's speed. A line must be
 exactly one JSON value (what ``json.loads`` accepts: a BOM, trailing data or
 a second value on the line is rejected; ``NaN``/``Infinity`` decode but are
 not integers). A line counts as malformed, and is skipped, when
@@ -419,10 +424,12 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
 
 
 # A file is split into parts of at least this many bytes, one per usable CPU.
-# A child costs a process start (~0.03 s) and the merge ~0.01 s per 8 MB;
-# on a 2-vCPU VM a 1.5 MB file parsed as fast whole as in two parts, and a
-# 2 MB one 13 % faster in two.
-MIN_PART_BYTES = 1_000_000
+# A child costs a process start (~0.03 s) and the merge ~0.01 s per 8 MB. On
+# a 2-vCPU VM, two parts took 1.32, 1.14, 1.03, 0.95 and 0.89 times as long
+# as one on 2, 3, 4, 5 and 8 MB of a bench corpus (medians of 16 pairs of
+# fresh processes, the kernel reading compact lines at ~2.8 us each); the
+# kernel's cost per line moves this point.
+MIN_PART_BYTES = 2_000_000
 _PROBE_BYTES = 1 << 16
 
 

@@ -10,6 +10,12 @@ its int columns as bytes. ``parse_range`` is the one way a file's bytes
 become a part, in a child or not. ``ingest`` merges the parts of a file
 into one ``Corpus``; the rules themselves are documented there (Parsing).
 
+A line in the compact form ``serialize_records`` writes is read by one
+compiled pattern (``_compact``), which accepts only lines whose row is known
+without decoding them; every other line goes through the JSON decoder and
+``_fields``, the one home of the rules. Both give a line the same row or the
+same verdict.
+
 A part is a ``Part``. Its post ids, authors, surfaces and tags are each
 numbered in first-seen order within the part, and its columns hold those
 numbers. A part keeps every valid line's row: a post id carried by two rows
@@ -21,6 +27,7 @@ from __future__ import annotations
 import io
 import json
 import marshal
+import re
 import sys
 from array import array
 from collections import namedtuple
@@ -148,6 +155,23 @@ def _strings(fields: tuple) -> str:
 
 _decode = json.JSONDecoder().raw_decode
 
+# The compact line ``serialize_records`` writes, in its key order, where every
+# string is JSON text that decodes to itself (no quote, backslash or control
+# character) and the timestamp has at most 18 digits, so it fits int64: an
+# encodable line it matches is valid, and its groups are the row ``_fields``
+# would return. Empty tokens match only before a repost. Possessive repeats,
+# and string runs that stop at the one byte that may follow them, keep a
+# failed match linear.
+_STRING = r'[^"\\\x00-\x1f]'
+_PAIR = rf'\["{_STRING}*+","{_STRING}*+"\]'
+_compact = re.compile(
+    rf'\{{"post_id":"({_STRING}++)","author_id":"({_STRING}++)",'
+    rf'"timestamp":(-?+(?:0|[1-9][0-9]{{0,17}}+)),'
+    rf'"tokens":(\[\](?=,)|\[{_PAIR}(?:,{_PAIR})*+\])'
+    rf'(?:,"repost_of":\["({_STRING}*+)","({_STRING}++)"\])?+\}}').fullmatch
+# every (surface, pos) pair of a matched tokens group
+_pairs = re.compile(r'"([^"]*)","([^"]*)"').findall
+
 
 def _decode_afresh(line: str) -> tuple:
     """``_decode`` on a new thread, whose stack starts empty, so that how deep
@@ -171,6 +195,11 @@ def parse(stream) -> Part:
                 continue
             if not line.isascii() and not _utf8_encodable(line):
                 malformed += 1
+                continue
+            if match := _compact(line):
+                post_id, author_id, ts, tokens, target, target_author = match.groups()
+                yield (post_id, author_id, int(ts), _pairs(tokens),
+                       None if target_author is None else (target, target_author))
                 continue
             try:
                 try:

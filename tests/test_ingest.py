@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from controversy_scope import ingest, ingest_kernel
@@ -497,14 +497,60 @@ record_objs = st.fixed_dictionaries(
      "tokens": st.lists(pairs, max_size=2)},
     optional={"repost_of": st.none() | pairs},
 )
-# escaped (ensure_ascii) or raw, alone or with a BOM, a space or trailing data around
-records_json = st.builds(json.dumps, record_objs, ensure_ascii=st.booleans())
+KEYS = ("post_id", "author_id", "timestamp", "tokens", "repost_of")
+
+
+def in_writer_order(obj: dict) -> dict:
+    """The record object with its keys in serialize_records's order."""
+    return {key: obj[key] for key in KEYS if key in obj}
+
+
+# keys in any order or in the writer's, escaped (ensure_ascii) or raw, spaced
+# or compact, alone or with a BOM, a space or trailing data around
+records_json = st.builds(json.dumps, record_objs | record_objs.map(in_writer_order),
+                         ensure_ascii=st.booleans(),
+                         separators=st.sampled_from([None, (",", ":")]))
 oracle_lines = records_json | st.builds(
     lambda head, body, tail: head + body + tail,
     st.sampled_from(["", " ", "\ufeff"]),
     records_json | json_values.map(json.dumps) | record_like | any_text,
     st.sampled_from(["", " ", " x", "{}", "\ufeff"]),
 )
+
+
+def compact(**fields) -> str:
+    """GOOD_LINE with the given fields, as serialize_records writes a line."""
+    return json.dumps(dict(GOOD_LINE, **fields), ensure_ascii=False, separators=(",", ":"))
+
+
+C1 = compact()
+# compact lines at each edge of the kernel's compact pattern
+COMPACT_EDGES = [
+    compact(post_id="t18", timestamp=10**18 - 1),  # 18 digits: the longest the pattern reads
+    compact(post_id="t19", timestamp=10**18),  # 19 digits fit int64 too
+    C1.replace("100", "-0"),  # decodes to 0
+    compact(post_id="z").replace("100", "0100"),  # a leading zero
+    compact(post_id="tmin", timestamp=-2**63),
+    compact(post_id="tbig", timestamp=2**63),
+    compact(post_id=""),
+    compact(post_id="a", author_id=""),
+    compact(post_id="r1", tokens=[], repost_of=["", "u0"]),  # an empty target is a post id
+    compact(post_id="r2", tokens=[], repost_of=["p0", ""]),  # an empty author is not
+    compact(post_id="n1", repost_of=None),
+    compact(post_id="n2", tokens=[], repost_of=None),
+    compact(post_id="e1", tokens=[]),
+    compact(post_id="r3", repost_of=["p0", "u0"]),
+    compact(post_id='q"', tokens=[["a\\", '"']]),  # an escaped quote and backslash
+    compact(post_id="del\x7f", tokens=[["\x7f", "\x1f"]]),  # a raw DEL; an escaped control
+    compact(post_id="tab").replace("vaccine", "vac\tcine"),  # a raw control character
+    compact(post_id="ja", tokens=[["ワクチン", "名詞"]], repost_of=["p\u00e9", "ü"]),
+    compact(post_id="s\udcff"),  # a raw lone surrogate
+    json.dumps({"author_id": "u1", "post_id": "k1", "timestamp": 1, "tokens": [["a", "b"]]},
+               separators=(",", ":")),  # a swapped key order
+    compact(post_id="x1")[:-1] + ',"extra":1}',
+    compact(post_id="c1").replace("]]}", "],]}"),
+    compact(post_id="p2"),
+]
 
 
 def parse_outcome(parse, lines):
@@ -538,8 +584,64 @@ def parse_outcome(parse, lines):
 @example([json.dumps(dict(GOOD_LINE, author_id="\U0001f600")), G2])  # an escaped pair is fine
 @example([G1[:-1] + ', "x": "\\ud800"}', G2])  # a surrogate outside the record's fields
 @example([G1, G1])
+@example(COMPACT_EDGES)
+@example([json.dumps(dict(GOOD_LINE, tokens=[["é", "NOUN"]]), separators=(",", ":")),
+          compact(post_id="p2") + " ", C1 + "x", "\ufeff" + C1, C1 + C1])  # escaped; around
 def test_parse_records_matches_naive_parser(lines):
     assert parse_outcome(parse_records, lines) == parse_outcome(naive_parse_records, lines)
+
+
+def kernel_rows(lines):
+    """The rows ``ingest_kernel.parse`` builds the lines' part from."""
+    rows, build = [], ingest_kernel.build
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest_kernel, "build", lambda given: build(rows.extend(given) or ()))
+        ingest_kernel.parse(lines)
+    return rows
+
+
+def as_row(fields):
+    """A (post_id, author_id, timestamp, tokens, repost_of) row with tuples for lists."""
+    post_id, author_id, timestamp, tokens, repost_of = fields
+    return (post_id, author_id, timestamp, [tuple(pair) for pair in tokens],
+            None if repost_of is None else tuple(repost_of))
+
+
+@settings(max_examples=600)  # about one in ten reaches the pattern
+@given(record_objs.map(in_writer_order), st.booleans())
+@example({"post_id": "p1", "author_id": "u1", "timestamp": -(10**18 - 1), "tokens": [],
+          "repost_of": ["", "u\x7f"]}, False)
+@example({"post_id": "ワ", "author_id": "u1", "timestamp": 0, "tokens": [["", ""], ["a", "b"]]},
+         False)
+def test_a_line_the_compact_pattern_accepts_is_valid_and_read_as_decoded(obj, ensure_ascii):
+    line = json.dumps(obj, ensure_ascii=ensure_ascii, separators=(",", ":"))
+    # the kernel tries the pattern on encodable lines only
+    if not (ingest_kernel._utf8_encodable(line) and ingest_kernel._compact(line)):
+        return
+    fields = ingest_kernel._fields(json.loads(line))
+    assert fields is not None
+    assert [as_row(row) for row in kernel_rows([line])] == [as_row(fields)]
+
+
+def test_every_line_serialize_records_writes_of_a_synth_corpus_is_compact():
+    communities = (CommunitySpec(40, ("vaxx",), 0.5), CommunitySpec(40, ("vaxx",), -0.5))
+    lines = serialize_records(synth_corpus(CorpusSpec(communities, 0.05, W, seed=2)))
+    assert all(map(ingest_kernel._compact, lines.splitlines()))
+
+
+def test_hostile_compact_lines_get_the_oracle_verdict_in_linear_time():
+    head = '{"post_id":"h","author_id":"u","timestamp":1,"tokens":['
+    pairs = ",".join(['["vaccine","NOUN"]'] * 100_000)
+    hostile = [head + pairs + ',["vaccine"]]}',  # the last pair is broken
+               head + pairs + "]}x",  # a whole line, and a stray byte after its brace
+               '{"post_id":"' + "p" * 1_000_000]  # a post id with no closing quote
+    for line in hostile:
+        start = time.perf_counter()
+        got = parse_outcome(parse_records, [line, G1])
+        elapsed = time.perf_counter() - start
+        assert got == parse_outcome(naive_parse_records, [line, G1])
+        assert got[1] == 1
+        assert elapsed < 5.0
 
 
 def test_parse_file_counts_an_invalid_utf8_line_as_malformed(tmp_path):

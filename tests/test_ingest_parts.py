@@ -22,7 +22,7 @@ from controversy_scope.ingest import serialize_records
 from controversy_scope.synth import CommunitySpec, CorpusSpec, synth_corpus
 
 from conftest import naive_parse_records
-from test_ingest import G1, G2, G3, GOOD_LINE, W, oracle_lines, parse_outcome
+from test_ingest import COMPACT_EDGES, G1, G2, G3, GOOD_LINE, W, oracle_lines, parse_outcome
 
 FIELDS = ("post_count", "authors", "surfaces", "tags", "post", "author", "timestamp",
           "target_post", "target_author", "token_ptr", "token_surface", "token_tag")
@@ -89,6 +89,9 @@ def line(text, head=b"", tail=b"", end=b"\n"):
                 line(json.dumps({"post_id": "t0", "author_id": "u8", "timestamp": 3,
                                  "tokens": [["x", "NOUN"]]}))],
          bom=False, cuts=[0, 1, 2])  # a target-only id first seen in a later part, then posting
+@example(lines=[line(text, end=(b"\n", b"\r\n", b"\r")[i % 3])
+                for i, text in enumerate(COMPACT_EDGES)],
+         bom=True, cuts=[2, 9, 15])  # the compact pattern's edges, in four parts
 def test_a_file_in_parts_matches_one_part_and_the_oracle(tmp_path_factory, lines, bom, cuts):
     path = tmp_path_factory.getbasetemp() / "parts.jsonl"
     data = (b"\xef\xbb\xbf" if bom else b"") + b"".join(
