@@ -35,8 +35,11 @@ skipped. A line in the compact form ``serialize_records`` writes (its
 separators and key order, strings with no escape, a timestamp of at most 18
 digits) is read by one compiled pattern, which accepts only valid lines;
 every other line is decoded by one ``JSONDecoder().raw_decode``, under the
-same rules and with the same rows. A writer that uses other separators,
-another key order or escapes gets the decoder's speed. A line must be
+same rules and with the same rows. Only the writers of this package are
+known to write that form; a line in another form also pays a failed match,
+cheap when it fails early (other separators or key order; a line with a
+backslash skips the pattern) and about one match when it fails near the
+end (an extra key, ``"repost_of":null``). A line must be
 exactly one JSON value (what ``json.loads`` accepts: a BOM, trailing data or
 a second value on the line is rejected; ``NaN``/``Infinity`` decode but are
 not integers). A line counts as malformed, and is skipped, when
@@ -425,11 +428,12 @@ def parse_records(stream: Iterable[str]) -> ParseResult:
 
 # A file is split into parts of at least this many bytes, one per usable CPU.
 # A child costs a process start (~0.03 s) and the merge ~0.01 s per 8 MB. On
-# a 2-vCPU VM, two parts took 1.32, 1.14, 1.03, 0.95 and 0.89 times as long
-# as one on 2, 3, 4, 5 and 8 MB of a bench corpus (medians of 16 pairs of
-# fresh processes, the kernel reading compact lines at ~2.8 us each); the
-# kernel's cost per line moves this point.
-MIN_PART_BYTES = 2_000_000
+# a 2-vCPU VM, two parts took 1.32 and 1.14 times as long as one on 2 and 3
+# MB of a bench corpus, 0.96-1.06 times on 3.5-5 MB and 0.89 times on 8 MB
+# (medians of 16-20 pairs of fresh processes, the kernel reading compact
+# lines at ~2.9 us each): a file splits from 4.5 MB, inside that even range.
+# The kernel's cost per line moves this point.
+MIN_PART_BYTES = 2_250_000
 _PROBE_BYTES = 1 << 16
 
 

@@ -13,8 +13,9 @@ into one ``Corpus``; the rules themselves are documented there (Parsing).
 A line in the compact form ``serialize_records`` writes is read by one
 compiled pattern (``_compact``), which accepts only lines whose row is known
 without decoding them; every other line goes through the JSON decoder and
-``_fields``, the one home of the rules. Both give a line the same row or the
-same verdict.
+``_fields``. So the rules have two homes: the pattern repeats those of
+``_fields`` that a compact line can break (listed beside it), and a property
+test holds the two to one row and one verdict at each edge.
 
 A part is a ``Part``. Its post ids, authors, surfaces and tags are each
 numbered in first-seen order within the part, and its columns hold those
@@ -157,18 +158,23 @@ _decode = json.JSONDecoder().raw_decode
 
 # The compact line ``serialize_records`` writes, in its key order, where every
 # string is JSON text that decodes to itself (no quote, backslash or control
-# character) and the timestamp has at most 18 digits, so it fits int64: an
-# encodable line it matches is valid, and its groups are the row ``_fields``
-# would return. Empty tokens match only before a repost. Possessive repeats,
-# and string runs that stop at the one byte that may follow them, keep a
-# failed match linear.
+# character): an encodable line it matches is valid, and its groups are the
+# row ``_fields`` would return. It repeats these rules of ``_fields``, which
+# ``test_a_line_the_compact_pattern_accepts_is_valid_and_read_as_decoded``
+# holds to them at each edge:
+#   post_id and author_id are non-empty strings;
+#   the timestamp is an int64 (here: at most 18 digits, with an optional -);
+#   tokens is a list of [str, str] pairs, which may be empty only in a repost;
+#   repost_of is absent or [target, author], the author non-empty.
+# Each string run stops at the one byte that may follow it, so a failed match
+# is linear in the line.
 _STRING = r'[^"\\\x00-\x1f]'
-_PAIR = rf'\["{_STRING}*+","{_STRING}*+"\]'
+_PAIR = rf'\["{_STRING}*","{_STRING}*"\]'
 _compact = re.compile(
-    rf'\{{"post_id":"({_STRING}++)","author_id":"({_STRING}++)",'
-    rf'"timestamp":(-?+(?:0|[1-9][0-9]{{0,17}}+)),'
-    rf'"tokens":(\[\](?=,)|\[{_PAIR}(?:,{_PAIR})*+\])'
-    rf'(?:,"repost_of":\["({_STRING}*+)","({_STRING}++)"\])?+\}}').fullmatch
+    rf'\{{"post_id":"({_STRING}+)","author_id":"({_STRING}+)",'
+    rf'"timestamp":(-?(?:0|[1-9][0-9]{{0,17}})),'
+    rf'"tokens":(\[\](?=,)|\[{_PAIR}(?:,{_PAIR})*\])'
+    rf'(?:,"repost_of":\["({_STRING}*)","({_STRING}+)"\])?\}}').fullmatch
 # every (surface, pos) pair of a matched tokens group
 _pairs = re.compile(r'"([^"]*)","([^"]*)"').findall
 
@@ -196,7 +202,9 @@ def parse(stream) -> Part:
             if not line.isascii() and not _utf8_encodable(line):
                 malformed += 1
                 continue
-            if match := _compact(line):
+            # the pattern never accepts a backslash: a line with an escape
+            # skips its scan, which could run to the end of the line
+            if "\\" not in line and (match := _compact(line)):
                 post_id, author_id, ts, tokens, target, target_author = match.groups()
                 yield (post_id, author_id, int(ts), _pairs(tokens),
                        None if target_author is None else (target, target_author))

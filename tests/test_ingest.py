@@ -3,6 +3,7 @@ import inspect
 import json
 import marshal
 import math
+import re
 import subprocess
 import sys
 import time
@@ -607,20 +608,51 @@ def as_row(fields):
             None if repost_of is None else tuple(repost_of))
 
 
+def record_obj(post_id="p", author_id="u", timestamp=1, tokens=(("a", "b"),), **repost_of):
+    """A record object in the writer's key order; ``repost_of`` only when given."""
+    return dict(post_id=post_id, author_id=author_id, timestamp=timestamp,
+                tokens=[list(pair) for pair in tokens], **repost_of)
+
+
 @settings(max_examples=600)  # about one in ten reaches the pattern
 @given(record_objs.map(in_writer_order), st.booleans())
-@example({"post_id": "p1", "author_id": "u1", "timestamp": -(10**18 - 1), "tokens": [],
-          "repost_of": ["", "u\x7f"]}, False)
-@example({"post_id": "ワ", "author_id": "u1", "timestamp": 0, "tokens": [["", ""], ["a", "b"]]},
-         False)
+# each rule of _fields the pattern repeats, on both sides of its edge
+@example(record_obj(), False)  # one-character ids
+@example(record_obj(post_id=""), False)
+@example(record_obj(author_id=""), False)
+@example(record_obj(timestamp=10**18 - 1), False)  # 18 digits
+@example(record_obj(timestamp=-(10**18 - 1)), False)
+@example(record_obj(timestamp=0), False)
+@example(record_obj(timestamp=10**18), False)  # valid, but past the pattern's 18 digits
+@example(record_obj(timestamp=-2**63), False)
+@example(record_obj(timestamp=2**63), False)  # outside int64
+@example(record_obj(tokens=[("", "")]), False)  # empty strings in a pair
+@example(record_obj(tokens=[]), False)  # empty tokens only in a repost
+@example(record_obj(tokens=[], repost_of=["", "v"]), False)  # an empty target is an id
+@example(record_obj(tokens=[], repost_of=["p0", ""]), False)  # an empty author is not
+@example(record_obj(repost_of=None), False)  # valid, but the writer omits the key
+@example(record_obj(post_id="ワ", tokens=[("é", "\x7f")], repost_of=["", "u\x7f"]), False)
+@example(record_obj(post_id="ワ"), True)  # escaped
 def test_a_line_the_compact_pattern_accepts_is_valid_and_read_as_decoded(obj, ensure_ascii):
+    """The pattern accepts a compact line exactly when ``_fields`` accepts it
+    and it is in the pattern's subset, and it reads the row ``_fields`` does:
+    a change to either rule that the other does not follow fails here."""
     line = json.dumps(obj, ensure_ascii=ensure_ascii, separators=(",", ":"))
     # the kernel tries the pattern on encodable lines only
-    if not (ingest_kernel._utf8_encodable(line) and ingest_kernel._compact(line)):
+    if not ingest_kernel._utf8_encodable(line):
         return
     fields = ingest_kernel._fields(json.loads(line))
-    assert fields is not None
-    assert [as_row(row) for row in kernel_rows([line])] == [as_row(fields)]
+    in_subset = ("\\" not in line and obj.get("repost_of", ()) is not None
+                 and abs(obj["timestamp"]) < 10**18)
+    assert bool(ingest_kernel._compact(line)) == (fields is not None and in_subset)
+    if fields is not None and in_subset:
+        assert [as_row(row) for row in kernel_rows([line])] == [as_row(fields)]
+
+
+def test_the_compact_pattern_compiles_on_python_3_10():
+    # pyproject allows 3.10, whose re has no possessive repeats or atomic groups
+    pattern = ingest_kernel._compact.__self__.pattern
+    assert not re.search(r"[*+?}]\+|\(\?>", pattern)
 
 
 def test_every_line_serialize_records_writes_of_a_synth_corpus_is_compact():
