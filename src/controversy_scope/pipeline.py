@@ -6,8 +6,15 @@ subtopic's rows from the window's corpus, prepares the endorsement graph,
 and scores sized graphs with the bisection + random-walk stack; sentiment
 aggregates ride along when a lexicon is configured. Each
 (subtopic, window) cell yields exactly one report row; failures and
-under-threshold graphs are data in the row, never batch aborts. Cells are
-scored one after another.
+under-threshold graphs are data in the row, never batch aborts.
+
+A run has two phases. Phase A, in the calling process and in window-major
+cell order, reads each cell's rows and computes its sentiment, its graph
+and its edge dump. Phase B bisects and scores the sized cells in
+min(usable CPUs, sized cells) processes: the calling process and workers
+forked from it, on Linux only. Every cell's seed comes from cell_seed, so
+which process scores a cell changes no byte; the calling process logs the
+mc-check lines in cell order once every cell is scored.
 
 Each external format is written down once. CONFIG_KEYS is the one table
 of config keys: config_from_dict checks a config file's JSON against it, and
@@ -36,13 +43,16 @@ import json
 import logging
 import math
 import os
+import pickle
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Collection, Iterable, Sequence, TypeVar
+from typing import BinaryIO, Callable, Collection, Iterable, Sequence, TypeVar
 from urllib.parse import quote
 from zoneinfo import ZoneInfoNotFoundError
 
+from . import ingest
 from . import sentiment as senti
-from .graph import UnderSized, dump_edgelist, prepare_conversation_graph
+from .graph import EndorsementGraph, UnderSized, dump_edgelist, prepare_conversation_graph
 from .ingest import (
     Corpus,
     IngestError,
@@ -487,13 +497,30 @@ def cell_seed(seed: int, window_label: str, token: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _score_cell(
+@dataclass(frozen=True)
+class _Sized:
+    """A cell whose graph passed min_nodes, between its two phases."""
+
+    token: str
+    window: str
+    record_count: int
+    graph: EndorsementGraph
+    sentiment: tuple[float | None, float | None, int | None]
+
+
+# a checked cell's walks per side, gap and verdict, for its mc-check line
+_Check = tuple[int, float, str | None]
+
+
+def _prepare_cell(
     cell: Corpus,
     window: TimeWindow,
     token: str,
     cfg: PipelineConfig,
     lexicon: senti.PolarityLexicon | None,
-) -> ControversyReport:
+) -> ControversyReport | _Sized:
+    """Phase A of a cell: its sentiment, graph and edge dump. An undersized or
+    failed cell is its report row; a sized one waits for phase B."""
     mean = std = None
     matched = None
     if lexicon is not None and len(cell):
@@ -513,31 +540,7 @@ def _score_cell(
         if cfg.dump_graphs_dir is not None:
             write_output(os.path.join(cfg.dump_graphs_dir, _dump_name(token, window.label)),
                          dump_edgelist(prepared))
-        seed = cell_seed(cfg.seed, window.label, token)
-        part = bisect(prepared, eps=cfg.balance_eps, seed=seed)
-        result = rwc_score(prepared, part, cfg.rwc)
-        error = None
-        if cfg.mc_check:
-            target = Settle(result.score, MC_CHECK_TOLERANCE)
-            estimate = rwc_monte_carlo(
-                prepared, part, cfg.rwc, n_walks=cfg.mc_walks, seed=seed, settle=target
-            )
-            # a "pass" verdict implies gap <= tolerance and a "fail" gap >
-            # tolerance, so the point rule below agrees with an early stop
-            gap = abs(estimate.score - result.score)
-            _log.info("mc-check %s %s: %d walks per side, gap %.4f, %s", token, window.label,
-                      target.walks, gap,
-                      f"settled ({target.verdict}) before the cap" if target.verdict
-                      else "ran to the cap")
-            if gap > MC_CHECK_TOLERANCE:
-                error = (
-                    f"{MC_CHECK_FAILED}: |exact - monte-carlo| = {gap:.4f} "
-                    f"> {MC_CHECK_TOLERANCE}"
-                )
-        return ControversyReport(
-            token, window.label, len(cell), prepared.node_count,
-            False, result, mean, std, matched, error,
-        )
+        return _Sized(token, window.label, len(cell), prepared, (mean, std, matched))
     except ConfigError:  # a dump that cannot be written ends the run
         raise
     except Exception as exc:  # other per-cell failures are report rows, not aborts
@@ -545,6 +548,135 @@ def _score_cell(
             token, window.label, len(cell), 0, False, None,
             mean, std, matched, f"{type(exc).__name__}: {exc}",
         )
+
+
+def _score_cell(cell: _Sized, cfg: PipelineConfig) -> tuple[ControversyReport, _Check | None]:
+    """Phase B of a sized cell: bisect, the exact score and the optional Monte
+    Carlo check. Its row, and what its mc-check line reports."""
+    try:
+        seed = cell_seed(cfg.seed, cell.window, cell.token)
+        part = bisect(cell.graph, eps=cfg.balance_eps, seed=seed)
+        result = rwc_score(cell.graph, part, cfg.rwc)
+        error = check = None
+        if cfg.mc_check:
+            target = Settle(result.score, MC_CHECK_TOLERANCE)
+            estimate = rwc_monte_carlo(
+                cell.graph, part, cfg.rwc, n_walks=cfg.mc_walks, seed=seed, settle=target
+            )
+            # a "pass" verdict implies gap <= tolerance and a "fail" gap >
+            # tolerance, so the point rule below agrees with an early stop
+            gap = abs(estimate.score - result.score)
+            check = (target.walks, gap, target.verdict)
+            if gap > MC_CHECK_TOLERANCE:
+                error = (
+                    f"{MC_CHECK_FAILED}: |exact - monte-carlo| = {gap:.4f} "
+                    f"> {MC_CHECK_TOLERANCE}"
+                )
+        return ControversyReport(
+            cell.token, cell.window, cell.record_count, cell.graph.node_count,
+            False, result, *cell.sentiment, error,
+        ), check
+    except Exception as exc:  # other per-cell failures are report rows, not aborts
+        return ControversyReport(
+            cell.token, cell.window, cell.record_count, 0, False, None,
+            *cell.sentiment, f"{type(exc).__name__}: {exc}",
+        ), None
+
+
+def _shares(cells: Sequence[_Sized], count: int) -> list[list[int]]:
+    """The cells each of ``count`` processes scores, as indices in cell order.
+
+    Cells go out longest first by node count, each to the process with the
+    fewest nodes so far (the earliest on a tie); share 0 is the calling
+    process's.
+    """
+    shares: list[list[int]] = [[] for _ in range(count)]
+    loads = [0] * count
+    for i in sorted(range(len(cells)), key=lambda i: -cells[i].graph.node_count):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += cells[i].graph.node_count
+    return [sorted(share) for share in shares]
+
+
+def _fork(cells: Sequence[_Sized], share: list[int], cfg: PipelineConfig) -> tuple[int, BinaryIO]:
+    """A worker scoring the share, and the read end of the pipe its rows come
+    back through, pickled. The worker leaves by os._exit, so it never runs
+    the caller's cleanup nor flushes the stdio buffers it inherited."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as fh:
+                pickle.dump([_score_cell(cells[i], cfg) for i in share], fh)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _rows(payload: bytes, status: int, count: int) -> list | None:
+    """A worker's rows from what it sent, or None when it exited non-zero or
+    sent anything but ``count`` rows."""
+    if status != 0:
+        return None
+    try:
+        rows = pickle.loads(payload)
+    except (pickle.UnpicklingError, EOFError):  # what a truncated payload raises
+        return None
+    return rows if isinstance(rows, list) and len(rows) == count else None
+
+
+def _score_cells(cells: Sequence[_Sized],
+                 cfg: PipelineConfig) -> list[tuple[ControversyReport, _Check | None]]:
+    """Phase B of every sized cell, in min(usable CPUs, cells) processes.
+
+    The calling process scores share 0 and each other share goes to a
+    worker forked from it, on Linux only; elsewhere there are no workers
+    and this process scores every share. A share whose worker cannot
+    start, exits non-zero or sends anything but its rows is scored here.
+    No worker outlives the call.
+    """
+    count = min(ingest._usable_cpus(), len(cells)) if sys.platform == "linux" else 1
+    shares = _shares(cells, max(count, 1))
+    scored: list = [None] * len(cells)
+    workers: list[tuple[list[int], int, BinaryIO]] = []
+    live: set[int] = set()  # forked and not yet waited for
+    try:
+        for share in shares[1:]:
+            try:
+                pid, pipe = _fork(cells, share, cfg)
+            except OSError:  # no worker to start: score the share here
+                shares[0].extend(share)
+                continue
+            live.add(pid)
+            workers.append((share, pid, pipe))
+        for i in shares[0]:
+            scored[i] = _score_cell(cells[i], cfg)
+        for share, pid, pipe in workers:
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            live.discard(pid)
+            rows = _rows(payload, status, len(share))
+            for i, row in zip(share, rows or [_score_cell(cells[i], cfg) for i in share]):
+                scored[i] = row
+    finally:
+        for share, pid, pipe in workers:
+            pipe.close()
+            if pid in live:  # this process failed first: stop the worker
+                import signal  # only here: importing it costs ~0.5 MB of RSS
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return scored
 
 
 def _stopwords(cfg: PipelineConfig) -> frozenset[str]:
@@ -617,26 +749,39 @@ def run_pipeline(
         freq = extract_candidate_tokens(corpus, stopwords, cfg.noun_tags, cfg.count_mode)
         tokens = top_n_subtopics(freq, cfg.top_n)
 
-    reports: list[ControversyReport] = []
+    cells: list[ControversyReport | _Sized] = []
     for window in cfg.windows:
-        reports.extend(_score_window(corpus, window, tokens, cfg, stopwords, lexicon))
+        cells.extend(_prepare_window(corpus, window, tokens, cfg, stopwords, lexicon))
+    sized = [cell for cell in cells if isinstance(cell, _Sized)]
+    scored = iter(_score_cells(sized, cfg))
+    reports: list[ControversyReport] = []
+    for cell in cells:
+        if isinstance(cell, _Sized):
+            cell, check = next(scored)
+            if check is not None:
+                walks, gap, verdict = check
+                _log.info("mc-check %s %s: %d walks per side, gap %.4f, %s", cell.subtopic,
+                          cell.window, walks, gap,
+                          f"settled ({verdict}) before the cap" if verdict else "ran to the cap")
+        reports.append(cell)
     return reports
 
 
-def _score_window(
+def _prepare_window(
     corpus: Corpus,
     window: TimeWindow,
     tokens: Sequence[str] | None,
     cfg: PipelineConfig,
     stopwords: frozenset[str],
     lexicon: senti.PolarityLexicon | None,
-) -> list[ControversyReport]:
-    """One window's rows, every cell read from the corpus cut to the window.
+) -> list[ControversyReport | _Sized]:
+    """Phase A of one window's cells, every cell read from the corpus cut to
+    the window.
 
     ``tokens`` None shortlists the window's own subtopics. The window's
     corpus, with the link CSRs its cells share, is dropped once the cells
-    are read, before any is scored, so it never sits beside the graphs and
-    solver arrays.
+    are read, before any graph is prepared, so it never sits beside the
+    graphs.
     """
     # a new object over the same arrays, even when no row lies outside the
     # window, so the link CSRs cached on it are not kept by the corpus
@@ -647,7 +792,7 @@ def _score_window(
     cells = [filter_window(in_window, window, token) for token in tokens]
     del in_window
 
-    return [_score_cell(cell, window, token, cfg, lexicon)
+    return [_prepare_cell(cell, window, token, cfg, lexicon)
             for token, cell in zip(tokens, cells)]
 
 
